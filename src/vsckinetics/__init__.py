@@ -3,67 +3,22 @@ vibrational strong coupling.
 
 Two molecules share one cavity mode; a master equation over their composite
 vibronic states (reactive Marcus-Levich-Jortner transitions, loss/gain, and
-eigenmode exchange) is propagated exactly by matrix exponentials. The same
+mode exchange) is propagated exactly by matrix exponentials. The same
 reactions can be run with the cavity absent ("bare"), perturbatively coupled
-("weak"), or strongly coupled ("vsc").
+("weak"), or strongly coupled ("vsc"); each regime works in one mode basis,
+the polariton eigenmodes for "vsc" and the identity rotation otherwise.
 """
 
 from .config import (
     ConfigError,
-    ScenarioConfig,
-    ScenarioResult,
     SweepSpec,
     bundled_config_path,
-    config_fingerprint,
-    config_from_dict,
-    effective_config_dict,
     export,
     load_config,
     run_comparison,
     run_scenario,
     run_sweep,
 )
-from .eigenmodes import (
-    CavitySpec,
-    DisplacementTable,
-    ModeBasis,
-    build_displacements,
-    build_mode_basis,
-    composite_energy_bare,
-    composite_energy_vsc,
-)
-from .propagate import (
-    NumericalError,
-    ScalingCriterion,
-    TimeGrid,
-    Trajectory,
-    normalized_species_fraction,
-    propagate,
-    species_population,
-    vsc_scaling_criterion,
-)
-from .rates import (
-    BathSpec,
-    RateMatrix,
-    RegimeSpec,
-    assemble_rate_matrix,
-    displacement_matrix_element,
-    exchange_rate,
-    franck_condon_bare,
-    franck_condon_vsc,
-    gain_rate,
-    loss_rate_vsc,
-    purcell_exchange_rate,
-    reactive_rate,
-)
-from .states import (
-    CompositeState,
-    CouplingSpec,
-    ReactionNetwork,
-    SpeciesSpec,
-    enumerate_states,
-    initial_distribution,
-)
-from .units import HBAR, KB, UNITS, UnitSystem, angular_to_wavenumber, thermal_energy, wavenumber_to_angular
+from .propagate import NumericalError
 
 __version__ = "0.1.0"

@@ -27,9 +27,9 @@ from .config import (
     run_scenario,
     run_sweep,
 )
-from .eigenmodes import build_displacements, build_mode_basis
+from .eigenmodes import bare_mode_basis, build_mode_basis, mode_displacements
 from .propagate import NumericalError, vsc_scaling_criterion
-from .rates import REGIME_KINDS, displacement_matrix_element, franck_condon_bare, franck_condon_vsc
+from .rates import REGIME_KINDS, displacement_matrix_element, franck_condon
 
 __all__ = ["main", "build_parser"]
 
@@ -179,16 +179,13 @@ def _cmd_fcf(args: argparse.Namespace) -> int:
     occ_from, occ_to = tuple(args.occ_from), tuple(args.occ_to)
     if len(occ_from) != 3 or len(occ_to) != 3:
         raise ConfigError("occupation vectors must have three entries")
-    if args.regime == "vsc":
-        basis = build_mode_basis(config.cavity, config.omega_v)
-        table = build_displacements(basis, config.network)
-        factor = franck_condon_vsc(
-            occ_to, occ_from, args.molecule, args.species_from, args.species_to, table
-        )
-    else:
-        factor = franck_condon_bare(
-            occ_to, occ_from, args.molecule, args.species_from, args.species_to, config.network
-        )
+    make_basis = build_mode_basis if args.regime == "vsc" else bare_mode_basis
+    basis = make_basis(config.cavity, config.omega_v)
+    lam_from, lam_to = (
+        mode_displacements(basis, args.molecule, config.network.displacement(label))
+        for label in (args.species_from, args.species_to)
+    )
+    factor = franck_condon(occ_to, occ_from, lam_from, lam_to)
     print(f"|FC|^2 [{args.regime}] {args.species_from}->{args.species_to} "
           f"molecule {args.molecule} {occ_from}->{occ_to} = {factor!r}")
     return 0

@@ -39,7 +39,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .eigenmodes import CavitySpec
+from .eigenmodes import CavitySpec, bare_mode_basis, build_mode_basis
 from .propagate import (
     DEFAULT_GRID_END,
     DEFAULT_GRID_POINTS,
@@ -57,7 +57,7 @@ from .states import (
     enumerate_states,
     initial_distribution,
 )
-from .units import UNITS
+from .units import ANGULAR_PER_WAVENUMBER, HBAR, KB, SPEED_OF_LIGHT_CM_PER_PS
 
 __all__ = [
     "ConfigError",
@@ -149,6 +149,9 @@ class SweepSpec:
             )
         if not self.values:
             raise ConfigError("sweep needs at least one value")
+        for value in self.values:
+            if not math.isfinite(value):
+                raise ConfigError(f"sweep values for {self.parameter} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -170,7 +173,15 @@ def _require(condition: bool, message: str) -> None:
 def _as_float(value: Any, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{field} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{field} must be finite, got {value!r}")
     return float(value)
+
+
+def _as_int(value: Any, field: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{field} must be an integer, got {value!r}")
+    return value
 
 
 def _as_block(value: Any, field: str) -> Dict[str, Any]:
@@ -240,12 +251,11 @@ def _resolve_config(raw: Dict[str, Any], name: str) -> ScenarioConfig:
         )
 
     cavity_block = _as_block(raw.get("cavity", {}), "cavity")
-    _check_keys(cavity_block, {"omega_c", "g", "kappa", "n_molecules"}, "cavity")
+    _check_keys(cavity_block, {"omega_c", "g", "kappa"}, "cavity")
     cavity = CavitySpec(
         omega_c=_as_float(cavity_block.get("omega_c", omega_v / scale), "cavity.omega_c") * scale,
         g=_as_float(cavity_block.get("g", DEFAULT_G_FACTOR * omega_v / scale), "cavity.g") * scale,
         kappa=_as_float(cavity_block.get("kappa", DEFAULT_KAPPA), "cavity.kappa"),
-        n_molecules=int(cavity_block.get("n_molecules", 2)),
     )
 
     bath_block = _as_block(raw.get("bath", {}), "bath")
@@ -266,7 +276,7 @@ def _resolve_config(raw: Dict[str, Any], name: str) -> ScenarioConfig:
     spacing = grid_block.get("spacing", "log")
     start = _as_float(grid_block.get("start", DEFAULT_GRID_START), "grid.start")
     end = _as_float(grid_block.get("end", DEFAULT_GRID_END), "grid.end")
-    n_points = int(grid_block.get("points", DEFAULT_GRID_POINTS))
+    n_points = _as_int(grid_block.get("points", DEFAULT_GRID_POINTS), "grid.points")
     if spacing == "log":
         grid = TimeGrid.logarithmic(start, end, n_points)
     elif spacing == "linear":
@@ -330,7 +340,6 @@ def effective_config_dict(config: ScenarioConfig) -> Dict[str, Any]:
             "omega_c": config.cavity.omega_c,
             "g": config.cavity.g,
             "kappa": config.cavity.kappa,
-            "n_molecules": config.cavity.n_molecules,
         },
         "bath": {
             "gamma": config.bath.gamma,
@@ -367,21 +376,26 @@ def _metadata(config: ScenarioConfig, rate_matrix: RateMatrix) -> Dict[str, Any]
             "state_labels": [s.label for s in rate_matrix.states],
         },
         "constants": {
-            "hbar_cm_ps": UNITS.hbar,
-            "kB_cm_per_K": UNITS.kB,
-            "c_cm_per_ps": UNITS.c,
-            "angular_per_wavenumber": UNITS.angular_per_wavenumber,
+            "hbar_cm_ps": HBAR,
+            "kB_cm_per_K": KB,
+            "c_cm_per_ps": SPEED_OF_LIGHT_CM_PER_PS,
+            "angular_per_wavenumber": ANGULAR_PER_WAVENUMBER,
         },
     }
 
 
 def build_generator(config: ScenarioConfig) -> RateMatrix:
-    """Enumerate states and assemble the generator for the config's regime."""
+    """Choose the regime's mode basis once; enumerate states and assemble the generator.
+
+    VSC works in the polariton/dark eigenmodes; bare and weak work in the
+    identity rotation over the uncoupled cavity and vibrations.
+    """
     regime = config.regime
-    basis_kind = "vsc" if regime.kind == "vsc" else "bare"
-    states = enumerate_states(config.network, basis_kind, config.cavity, config.omega_v)
+    make_basis = build_mode_basis if regime.kind == "vsc" else bare_mode_basis
+    basis = make_basis(config.cavity, config.omega_v)
+    states = enumerate_states(config.network, basis)
     return assemble_rate_matrix(
-        states, config.network, config.cavity, config.bath, regime, config.omega_v
+        states, config.network, basis, config.cavity, config.bath, regime
     )
 
 

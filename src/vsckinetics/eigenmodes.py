@@ -1,17 +1,20 @@
-"""Collective mode structure of N vibrations coupled to one cavity mode.
+"""Mode bases of two vibrations and one cavity mode, and composite energies.
 
-Diagonalizing the bilinear cavity-vibration Hamiltonian for N identical
-vibrations of frequency omega_v and one cavity mode omega_c gives two
-polaritons (labels "+", "-") and N-1 dark combinations (label "d" for N=2).
-Everything here is expressed in wavenumbers (cm^-1); a quantum of mode q
-carries energy omega_q directly in those units.
+Every regime works in one ``ModeBasis``: rows of orthonormal coefficients
+over the bare modes (0 = cavity, 1..2 = molecular vibrations). Under VSC the
+rows diagonalize the bilinear cavity-vibration Hamiltonian, giving two
+polaritons ("+", "-") and a dark combination ("d"). Outside the cavity, and
+in the perturbative weak regime, the basis is the identity rotation over the
+bare modes ("c", "v1", "v2"). Displacements, energies, Franck-Condon factors
+and loss rates are then one formula for every regime. Everything is expressed
+in wavenumbers (cm^-1); a quantum of mode q carries energy omega_q directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from .states import ReactionNetwork
@@ -19,11 +22,10 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "CavitySpec",
     "ModeBasis",
-    "DisplacementTable",
     "build_mode_basis",
-    "build_displacements",
-    "composite_energy_vsc",
-    "composite_energy_bare",
+    "bare_mode_basis",
+    "mode_displacements",
+    "composite_energy",
     "VSC_MODE_LABELS",
     "BARE_MODE_LABELS",
 ]
@@ -31,7 +33,7 @@ __all__ = [
 VSC_MODE_LABELS: Tuple[str, str, str] = ("+", "-", "d")
 BARE_MODE_LABELS: Tuple[str, str, str] = ("c", "v1", "v2")
 
-_SQRT2 = math.sqrt(2.0)
+_SQRT2 = math.sqrt(2.0)  # two molecules: collective coupling g*sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,6 @@ class CavitySpec:
     omega_c: float  # cm^-1
     g: float  # cm^-1, single-molecule coupling strength
     kappa: float  # ps^-1, photon loss rate
-    n_molecules: int = 2
 
     def __post_init__(self) -> None:
         if self.omega_c <= 0.0:
@@ -50,16 +51,14 @@ class CavitySpec:
             raise ValueError(f"g must be >= 0, got {self.g}")
         if self.kappa < 0.0:
             raise ValueError(f"kappa must be >= 0, got {self.kappa}")
-        if self.n_molecules != 2:
-            raise ValueError("only the two-molecule system is implemented")
 
 
 @dataclass(frozen=True)
 class ModeBasis:
-    """Eigenmodes of the coupled cavity-vibration block.
+    """Modes of the cavity-vibration block.
 
     ``coefficients[q][i]`` is the amplitude of bare mode i (0 = cavity,
-    1..N = molecular vibrations) in eigenmode q; rows are orthonormal.
+    1..2 = molecular vibrations) in mode q; rows are orthonormal.
     ``frequencies`` aligns with ``labels``.
     """
 
@@ -76,20 +75,23 @@ class ModeBasis:
         return self.coefficients[self.labels.index(label)][bare_index]
 
 
-def build_mode_basis(cavity: CavitySpec, omega_v: float) -> ModeBasis:
-    """Diagonalize the cavity + N-vibration block.
-
-    Frequencies: omega_pm = (omega_c + omega_v)/2 +- sqrt((omega_c-omega_v)^2
-    + 4 g^2 N)/2, dark mode stays at omega_v. The mixing angle is taken on the
-    branch theta = atan2(2 g sqrt(N), omega_c - omega_v)/2 in (0, pi/2) so the
-    "+" mode is the upper polariton and its cavity amplitude is cos(theta).
-    The dark row is fixed to (0, 1/sqrt2, -1/sqrt2); observable rates must not
-    depend on that sign choice.
-    """
+def _check_omega_v(omega_v: float) -> None:
     if omega_v <= 0.0:
         raise ValueError(f"omega_v must be > 0, got {omega_v}")
-    n = cavity.n_molecules
-    g_coll = cavity.g * math.sqrt(n)  # collective coupling g*sqrt(N)
+
+
+def build_mode_basis(cavity: CavitySpec, omega_v: float) -> ModeBasis:
+    """Diagonalize the cavity + two-vibration block.
+
+    Frequencies: omega_pm = (omega_c + omega_v)/2 +- sqrt((omega_c-omega_v)^2
+    + 4 g^2 N)/2 with N = 2, dark mode stays at omega_v. The mixing angle is
+    taken on the branch theta = atan2(2 g sqrt(N), omega_c - omega_v)/2 in
+    (0, pi/2) so the "+" mode is the upper polariton and its cavity amplitude
+    is cos(theta). The dark row is fixed to (0, 1/sqrt2, -1/sqrt2); observable
+    rates must not depend on that sign choice.
+    """
+    _check_omega_v(omega_v)
+    g_coll = cavity.g * _SQRT2
     detuning = cavity.omega_c - omega_v
     half_split = 0.5 * math.sqrt(detuning * detuning + 4.0 * g_coll * g_coll)
     center = 0.5 * (cavity.omega_c + omega_v)
@@ -111,85 +113,56 @@ def build_mode_basis(cavity: CavitySpec, omega_v: float) -> ModeBasis:
     )
 
 
-@dataclass(frozen=True)
-class DisplacementTable:
-    """Equilibrium displacements of the eigenmodes for every electronic configuration.
+def bare_mode_basis(cavity: CavitySpec, omega_v: float) -> ModeBasis:
+    """The uncoupled modes as the identity rotation: cavity, vibration 1, vibration 2."""
+    _check_omega_v(omega_v)
+    return ModeBasis(
+        labels=BARE_MODE_LABELS,
+        frequencies=(cavity.omega_c, omega_v, omega_v),
+        coefficients=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+        mixing_angle=0.0,
+        omega_v=omega_v,
+    )
 
-    ``per_molecule[(i, species, q)]`` is molecule i's contribution
-    c_qi * (omega_v / omega_q) * lambda_species to the displacement of mode q;
-    ``aggregate[(config, q)]`` sums those contributions over molecules for a
-    full configuration tuple.
+
+def mode_displacements(basis: ModeBasis, molecule: int, lam: float) -> Tuple[float, ...]:
+    """Displacement of every mode when ``molecule`` (1-based) is displaced by ``lam``.
+
+    Mode q moves by c_qi * (omega_v / omega_q) * lam, which preserves the
+    physical equilibrium geometry of the bare vibration after the basis
+    rotation. In the identity basis only the molecule's own vibration moves.
     """
-
-    basis: ModeBasis
-    per_molecule: Mapping[Tuple[int, str, str], float]
-    aggregate: Mapping[Tuple[Tuple[str, ...], str], float]
-
-
-def build_displacements(basis: ModeBasis, network: "ReactionNetwork") -> DisplacementTable:
-    """Redistribute each species' bare displacement over the eigenmodes.
-
-    A molecule in species phi displaces eigenmode q by
-    c_qi * (omega_v / omega_q) * lambda_phi, which preserves the physical
-    equilibrium geometry of the bare vibration after the basis rotation.
-    """
-    n = len(basis.coefficients[0]) - 1  # molecules
-    per_molecule = {}
-    for i in range(1, n + 1):
-        for sp in network.species:
-            for q, omega_q in zip(basis.labels, basis.frequencies):
-                coeff = basis.coefficient(q, i)
-                per_molecule[(i, sp.label, q)] = (
-                    coeff * (basis.omega_v / omega_q) * sp.displacement
-                )
-    labels = [sp.label for sp in network.species]
-    aggregate = {}
-    for phi1 in labels:
-        for phi2 in labels:
-            config = (phi1, phi2)
-            for q in basis.labels:
-                aggregate[(config, q)] = (
-                    per_molecule[(1, phi1, q)] + per_molecule[(2, phi2, q)]
-                )
-    return DisplacementTable(basis=basis, per_molecule=per_molecule, aggregate=aggregate)
+    if not 1 <= molecule < len(basis.coefficients[0]):
+        raise ValueError(f"molecule must be 1 or 2, got {molecule}")
+    return tuple(
+        [
+            row[molecule] * (basis.omega_v / omega_q) * lam
+            for row, omega_q in zip(basis.coefficients, basis.frequencies)
+        ]
+    )
 
 
-def composite_energy_vsc(
+def composite_energy(
     config: Tuple[str, ...],
     occupations: Sequence[int],
     basis: ModeBasis,
-    table: DisplacementTable,
     network: "ReactionNetwork",
 ) -> float:
-    """Energy (cm^-1) of |config; occupations> in the eigenmode basis.
+    """Energy (cm^-1) of |config; occupations> in ``basis``.
 
-    Sum of electronic energies and eigenmode quanta, plus the polaron shift
+    Sum of electronic energies and mode quanta, plus the polaron shift
     omega_v * sum_i lambda_phi_i^2 - sum_q omega_q * lambda_config_q^2 that
-    the basis rotation leaves behind (it vanishes when the cavity decouples).
+    the basis rotation leaves behind. The shift vanishes in the identity
+    basis, where each vibration is displaced along its own coordinate.
     """
-    energy = sum(network.energy(phi) for phi in config)
-    energy += sum(m * omega for m, omega in zip(occupations, basis.frequencies))
-    shift = basis.omega_v * sum(network.displacement(phi) ** 2 for phi in config)
-    for q, omega_q in zip(basis.labels, basis.frequencies):
-        lam = table.aggregate[(tuple(config), q)]
+    displacements = [network.displacement(phi) for phi in config]
+    energy = sum([network.energy(phi) for phi in config])
+    energy += sum([m * omega for m, omega in zip(occupations, basis.frequencies)])
+    shift = basis.omega_v * sum([lam**2 for lam in displacements])
+    per_molecule = [
+        mode_displacements(basis, i, lam) for i, lam in enumerate(displacements, start=1)
+    ]
+    for omega_q, lams in zip(basis.frequencies, zip(*per_molecule)):
+        lam = sum(lams)
         shift -= omega_q * lam * lam
     return energy + shift
-
-
-def composite_energy_bare(
-    config: Tuple[str, ...],
-    occupations: Sequence[int],
-    network: "ReactionNetwork",
-    cavity: CavitySpec,
-    omega_v: float,
-) -> float:
-    """Energy (cm^-1) of |config; occupations> in the uncoupled basis.
-
-    Occupations are ordered (cavity, vibration 1, vibration 2); with each
-    molecule's vibration displaced along its own coordinate there is no
-    residual shift term.
-    """
-    energy = sum(network.energy(phi) for phi in config)
-    energy += occupations[0] * cavity.omega_c
-    energy += omega_v * (occupations[1] + occupations[2])
-    return energy

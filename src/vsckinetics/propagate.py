@@ -25,8 +25,6 @@ __all__ = [
     "DEFAULT_GRID_END",
     "DEFAULT_GRID_POINTS",
     "propagate",
-    "species_population",
-    "normalized_species_fraction",
     "clamp_for_output",
     "ScalingCriterion",
     "vsc_scaling_criterion",
@@ -127,24 +125,6 @@ def _species_order(states: Sequence[CompositeState]) -> Tuple[str, ...]:
             if lab not in seen:
                 seen.append(lab)
     return tuple(seen)
-
-
-def species_population(
-    p: np.ndarray, states: Sequence[CompositeState], label: str
-) -> float:
-    """Expected number of molecules in species ``label`` for distribution ``p``."""
-    if label not in {lab for s in states for lab in s.config}:
-        raise KeyError(f"unknown species {label!r}")
-    if len(p) != len(states):
-        raise ValueError("distribution length does not match state count")
-    return float(sum(p[s.index] * s.count(label) for s in states))
-
-
-def normalized_species_fraction(
-    p: np.ndarray, states: Sequence[CompositeState], label: str
-) -> float:
-    """Species population divided by the number of molecules."""
-    return species_population(p, states, label) / len(states[0].config)
 
 
 def propagate(rate_matrix: RateMatrix, p0: np.ndarray, grid: TimeGrid) -> Trajectory:

@@ -5,8 +5,13 @@ Three process families populate the generator:
 * reactive transitions (nonadiabatic electron transfer of one molecule,
   Marcus-Levich-Jortner form with a multimode Franck-Condon factor),
 * loss and gain of single cavity-vibrational quanta (detailed balance),
-* one-quantum exchange between eigenmodes (Ohmic bath in the collective
-  basis; Purcell-type cavity-vibration exchange in the weak regime).
+* one-quantum exchange between modes (Ohmic bath between the eigenmodes
+  under VSC; Purcell-type cavity-vibration exchange in the weak regime).
+
+Every regime shares one mode basis: the polariton/dark eigenmodes under VSC,
+the identity rotation over cavity and bare vibrations otherwise. Franck-Condon
+factors, losses and gains are therefore one formula each; the regime only
+decides which exchange family joins them.
 
 Rates are in ps^-1, energies in cm^-1. The generator K is column-conservative:
 K[j][i] is the rate i -> j and each diagonal entry carries minus its column's
@@ -21,13 +26,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .eigenmodes import (
-    CavitySpec,
-    DisplacementTable,
-    ModeBasis,
-    build_displacements,
-    build_mode_basis,
-)
+from .eigenmodes import VSC_MODE_LABELS, CavitySpec, ModeBasis, mode_displacements
 from .states import CompositeState, ReactionNetwork
 from .units import HBAR, thermal_energy, wavenumber_to_angular
 
@@ -38,10 +37,9 @@ __all__ = [
     "REGIME_KINDS",
     "WEAK_COUPLING_DIVISOR",
     "displacement_matrix_element",
-    "franck_condon_vsc",
-    "franck_condon_bare",
+    "franck_condon",
     "reactive_rate",
-    "loss_rate_vsc",
+    "loss_rate",
     "gain_rate",
     "exchange_rate",
     "purcell_exchange_rate",
@@ -152,51 +150,28 @@ def displacement_matrix_element(m_to: int, m_from: int, lam: float) -> float:
     return prefactor * laguerre
 
 
-def franck_condon_vsc(
+def franck_condon(
     occ_to: Sequence[int],
     occ_from: Sequence[int],
-    molecule: int,
-    species_from: str,
-    species_to: str,
-    table: DisplacementTable,
+    lam_from: Sequence[float],
+    lam_to: Sequence[float],
 ) -> float:
-    """Squared Franck-Condon factor for molecule ``molecule`` reacting in the eigenmode basis.
+    """Squared Franck-Condon factor of one molecule's reaction.
 
-    Product over eigenmodes of displacement elements for the reacting
-    molecule's displacement change; every mode can change occupation because
-    the reaction coordinate is spread over all of them.
+    ``lam_from``/``lam_to`` are the reacting molecule's per-mode displacements
+    (``mode_displacements``) before and after the reaction. The factor is the
+    product over modes of displacement elements for the change; a mode the
+    molecule does not displace keeps its occupation or the factor is 0.
     """
     amp = 1.0
-    for idx, q in enumerate(table.basis.labels):
-        dlam = (
-            table.per_molecule[(molecule, species_to, q)]
-            - table.per_molecule[(molecule, species_from, q)]
-        )
-        amp *= displacement_matrix_element(occ_to[idx], occ_from[idx], dlam)
+    for m_to, m_from, a, b in zip(occ_to, occ_from, lam_from, lam_to):
+        if b == a:  # undisplaced mode: the element is 1 or 0
+            if m_to != m_from:
+                return 0.0
+            continue
+        amp *= displacement_matrix_element(m_to, m_from, b - a)
         if amp == 0.0:
             return 0.0
-    return amp * amp
-
-
-def franck_condon_bare(
-    occ_to: Sequence[int],
-    occ_from: Sequence[int],
-    molecule: int,
-    species_from: str,
-    species_to: str,
-    network: ReactionNetwork,
-) -> float:
-    """Squared Franck-Condon factor without cavity mixing.
-
-    Only the reacting molecule's own vibration (occupation index ``molecule``;
-    index 0 is the cavity) can change; cavity and spectator occupations must
-    match or the factor is 0.
-    """
-    for idx in range(len(occ_from)):
-        if idx != molecule and occ_to[idx] != occ_from[idx]:
-            return 0.0
-    dlam = network.displacement(species_to) - network.displacement(species_from)
-    amp = displacement_matrix_element(occ_to[molecule], occ_from[molecule], dlam)
     return amp * amp
 
 
@@ -229,8 +204,8 @@ def reactive_rate(
     return prefactor * fc * math.exp(-((de + lam_s) ** 2) / (4.0 * lam_s * kT))
 
 
-def loss_rate_vsc(q: str, basis: ModeBasis, cavity: CavitySpec, bath: BathSpec) -> float:
-    """Decay rate of one quantum in eigenmode q: cavity and vibrational channels mix."""
+def loss_rate(q: str, basis: ModeBasis, cavity: CavitySpec, bath: BathSpec) -> float:
+    """Decay rate of one quantum in mode q: its cavity and vibrational weights mix the channels."""
     c0 = basis.coefficient(q, 0)
     vib_weight = sum(
         basis.coefficient(q, i) ** 2 for i in range(1, len(basis.coefficients[0]))
@@ -299,63 +274,36 @@ def _config_diff(a: CompositeState, b: CompositeState) -> list[int]:
 def assemble_rate_matrix(
     states: Sequence[CompositeState],
     network: ReactionNetwork,
+    basis: ModeBasis,
     cavity: CavitySpec,
     bath: BathSpec,
     regime: RegimeSpec,
-    omega_v: float,
-    basis: ModeBasis | None = None,
 ) -> RateMatrix:
-    """Build the full generator for ``states`` under the given regime.
+    """Build the full generator for ``states`` over the modes of ``basis``.
 
-    "vsc" works in the eigenmode basis (reactive, loss/gain, exchange);
-    "bare" in the uncoupled basis (reactive, loss/gain only); "weak" is the
-    bare generator plus the symmetric Purcell cavity-vibration exchange,
-    whose linewidths are the bare out-rates of the two exchanging states.
-    An explicit ``basis`` overrides the internally built eigenmodes (only
-    meaningful for "vsc"; observable rates must not depend on the arbitrary
-    dark-row sign, which this hook lets tests verify).
+    Reactive transitions and loss/gain are common to every regime. "vsc"
+    (eigenmode basis) adds bath exchange between eigenmodes; "weak" (identity
+    basis) adds the symmetric Purcell cavity-vibration exchange, whose
+    linewidths are the bare out-rates of the two exchanging states; "bare"
+    (identity basis) adds none. Observable rates must not depend on the
+    arbitrary dark-row sign of the eigenmode basis.
     """
     kind = regime.kind
+    if (kind == "vsc") != (basis.labels == VSC_MODE_LABELS):
+        raise ValueError(f"regime {kind!r} does not work in the mode basis {basis.labels}")
+    for s in states:
+        if s.mode_labels != basis.labels:
+            raise ValueError(
+                f"state {s.label} has mode labels {s.mode_labels}, expected {basis.labels}"
+            )
+    shifts = {
+        (mol, sp.label): mode_displacements(basis, mol, sp.displacement)
+        for mol in range(1, len(basis.coefficients[0]))
+        for sp in network.species
+    }
+    losses = [loss_rate(q, basis, cavity, bath) for q in basis.labels]
     n = len(states)
     K = np.zeros((n, n))
-    if kind == "vsc":
-        if basis is None:
-            effective_cavity = (
-                cavity
-                if cavity.g == regime.g_effective
-                else CavitySpec(
-                    omega_c=cavity.omega_c,
-                    g=regime.g_effective,
-                    kappa=cavity.kappa,
-                    n_molecules=cavity.n_molecules,
-                )
-            )
-            basis = build_mode_basis(effective_cavity, omega_v)
-        table = build_displacements(basis, network)
-        expected_labels = basis.labels
-    else:
-        if basis is not None:
-            raise ValueError("an explicit mode basis only applies to the vsc regime")
-        table = None
-        expected_labels = ("c", "v1", "v2")
-    for s in states:
-        if s.mode_labels != expected_labels:
-            raise ValueError(
-                f"state {s.label} has mode labels {s.mode_labels}, expected {expected_labels}"
-            )
-
-    def vib_omega(state: CompositeState) -> float:
-        q_idx = state.occupations.index(1)
-        if kind == "vsc":
-            return basis.frequencies[q_idx]
-        return cavity.omega_c if q_idx == 0 else omega_v
-
-    def loss_of(state: CompositeState) -> float:
-        q_idx = state.occupations.index(1)
-        if kind == "vsc":
-            return loss_rate_vsc(state.mode_labels[q_idx], basis, cavity, bath)
-        return cavity.kappa if q_idx == 0 else bath.gamma
-
     for s_from in states:
         for s_to in states:
             if s_to.index == s_from.index:
@@ -367,35 +315,34 @@ def assemble_rate_matrix(
                 phi_to = s_to.config[diff[0]]
                 if network.coupling(phi_from, phi_to) is None:
                     continue
-                if kind == "vsc":
-                    fc = franck_condon_vsc(
-                        s_to.occupations, s_from.occupations, mol, phi_from, phi_to, table
-                    )
-                else:
-                    fc = franck_condon_bare(
-                        s_to.occupations, s_from.occupations, mol, phi_from, phi_to, network
-                    )
+                fc = franck_condon(
+                    s_to.occupations,
+                    s_from.occupations,
+                    shifts[mol, phi_from],
+                    shifts[mol, phi_to],
+                )
                 K[s_to.index, s_from.index] = reactive_rate(
                     s_from, s_to, network, fc, bath.temperature
                 )
             elif len(diff) == 0:
                 t_from, t_to = s_from.total_quanta, s_to.total_quanta
                 if t_from == 1 and t_to == 0:
-                    K[s_to.index, s_from.index] = loss_of(s_from)
+                    K[s_to.index, s_from.index] = losses[s_from.occupations.index(1)]
                 elif t_from == 0 and t_to == 1:
+                    q_to = s_to.occupations.index(1)
                     K[s_to.index, s_from.index] = gain_rate(
-                        loss_of(s_to), vib_omega(s_to), bath.temperature
+                        losses[q_to], basis.frequencies[q_to], bath.temperature
                     )
                 elif t_from == 1 and t_to == 1 and kind == "vsc":
                     q_from = s_from.mode_labels[s_from.occupations.index(1)]
                     q_to = s_to.mode_labels[s_to.occupations.index(1)]
                     K[s_to.index, s_from.index] = exchange_rate(q_from, q_to, basis, bath)
-                # bare/weak one-quantum moves between different modes: handled
-                # below for weak (Purcell), absent for bare
+                # one-quantum moves between identity-basis modes: Purcell
+                # exchange below for weak, absent for bare
 
     if kind == "weak":
         out = K.sum(axis=0) - np.diag(K)  # bare out-rates; diag still zero here
-        delta = cavity.omega_c - omega_v
+        delta = cavity.omega_c - basis.omega_v
         for s_from in states:
             if s_from.total_quanta != 1 or s_from.occupations[0] != 1:
                 continue  # s_from is the cavity-excited state of its configuration

@@ -1,11 +1,12 @@
 """Reaction network description and composite vibronic state enumeration.
 
 A composite state pairs an electronic configuration (one species label per
-molecule) with a vibrational occupation pattern over the three active modes,
-truncated to at most one total quantum. For two molecules and S species that
-gives 4*S^2 states, ordered lexicographically by configuration (declaration
-order) and then by occupation pattern (ground, then one quantum in each mode
-in basis order).
+molecule) with a vibrational occupation pattern over the three modes of the
+regime's mode basis (polariton/dark modes under VSC, the identity rotation
+over cavity and bare vibrations otherwise), truncated to at most one total
+quantum. For two molecules and S species that gives 4*S^2 states, ordered
+lexicographically by configuration (declaration order) and then by
+occupation pattern (ground, then one quantum in each mode in basis order).
 """
 
 from __future__ import annotations
@@ -15,14 +16,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .eigenmodes import (
-    BARE_MODE_LABELS,
-    CavitySpec,
-    build_displacements,
-    build_mode_basis,
-    composite_energy_bare,
-    composite_energy_vsc,
-)
+from .eigenmodes import ModeBasis, composite_energy
 from .units import thermal_energy
 
 __all__ = [
@@ -150,50 +144,27 @@ def _occupation_patterns(n_modes: int) -> list[Tuple[int, ...]]:
     return patterns
 
 
-def enumerate_states(
-    network: ReactionNetwork,
-    kind: str,
-    cavity: CavitySpec,
-    omega_v: float,
-) -> Tuple[CompositeState, ...]:
-    """Enumerate all composite states for ``kind`` in {"vsc", "bare"}.
+def enumerate_states(network: ReactionNetwork, basis: ModeBasis) -> Tuple[CompositeState, ...]:
+    """Enumerate all composite states over the modes of ``basis``.
 
-    "vsc" uses the polariton/dark eigenmodes (energies include the polaron
-    shift); "bare" uses the uncoupled cavity and per-molecule vibrations.
-    Ordering is deterministic: configuration-major in species declaration
-    order, occupation pattern minor.
+    Energies come from ``composite_energy`` in that basis. Ordering is
+    deterministic: configuration-major in species declaration order,
+    occupation pattern minor.
     """
-    if kind == "vsc":
-        basis = build_mode_basis(cavity, omega_v)
-        table = build_displacements(basis, network)
-        mode_labels = basis.labels
-
-        def energy_of(config, occ):
-            return composite_energy_vsc(config, occ, basis, table, network)
-
-    elif kind == "bare":
-        mode_labels = BARE_MODE_LABELS
-
-        def energy_of(config, occ):
-            return composite_energy_bare(config, occ, network, cavity, omega_v)
-
-    else:
-        raise ValueError(f"kind must be 'vsc' or 'bare', got {kind!r}")
-
     labels = network.labels()
     states = []
     index = 0
     for phi1 in labels:
         for phi2 in labels:
             config = (phi1, phi2)
-            for occ in _occupation_patterns(len(mode_labels)):
+            for occ in _occupation_patterns(len(basis.labels)):
                 states.append(
                     CompositeState(
                         index=index,
                         config=config,
                         occupations=occ,
-                        mode_labels=mode_labels,
-                        energy=energy_of(config, occ),
+                        mode_labels=basis.labels,
+                        energy=composite_energy(config, occ, basis, network),
                     )
                 )
                 index += 1

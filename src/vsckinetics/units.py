@@ -15,15 +15,12 @@ hbar * angular_per_wavenumber is exactly 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "SPEED_OF_LIGHT_CM_PER_PS",
     "ANGULAR_PER_WAVENUMBER",
     "HBAR",
     "KB",
-    "UnitSystem",
-    "UNITS",
     "wavenumber_to_angular",
     "angular_to_wavenumber",
     "thermal_energy",
@@ -34,19 +31,6 @@ SPEED_OF_LIGHT_CM_PER_PS = 0.0299792458
 ANGULAR_PER_WAVENUMBER = 2.0 * math.pi * SPEED_OF_LIGHT_CM_PER_PS  # rad/ps per cm^-1
 HBAR = 1.0 / ANGULAR_PER_WAVENUMBER  # cm^-1 * ps
 KB = 0.6950348004  # cm^-1 / K
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Bundle of the canonical constants, mostly for introspection and reports."""
-
-    hbar: float = HBAR
-    kB: float = KB
-    c: float = SPEED_OF_LIGHT_CM_PER_PS
-    angular_per_wavenumber: float = ANGULAR_PER_WAVENUMBER
-
-
-UNITS = UnitSystem()
 
 
 def wavenumber_to_angular(nu: float) -> float:

@@ -338,18 +338,12 @@ def test_10_dark_mode_sign_freedom(reaction1, capsys):
         tuple(-c for c in row) if label == "d" else row
         for label, row in zip(basis.labels, basis.coefficients)
     )
-    states = enumerate_states(reaction1.network, "vsc", reaction1.cavity, reaction1.omega_v)
+    states = enumerate_states(reaction1.network, basis)
     regime = RegimeSpec.for_kind("vsc", reaction1.cavity.g)
 
     def build(mode_basis):
         return assemble_rate_matrix(
-            states,
-            reaction1.network,
-            reaction1.cavity,
-            reaction1.bath,
-            regime,
-            reaction1.omega_v,
-            basis=mode_basis,
+            states, reaction1.network, mode_basis, reaction1.cavity, reaction1.bath, regime
         )
 
     dev = float(

@@ -169,6 +169,31 @@ class TestSchema:
         with pytest.raises(ConfigError):
             config_from_dict(fast_dict(**mutation))
 
+    @pytest.mark.parametrize(
+        "mutation, field",
+        [
+            ({"cavity": {"g": float("nan")}}, "cavity.g"),
+            ({"cavity": {"kappa": float("inf")}}, "cavity.kappa"),
+            ({"cavity": {"omega_c": -float("inf")}}, "cavity.omega_c"),
+            ({"omega_v": float("nan")}, "omega_v"),
+            ({"bath": {"temperature": float("inf")}}, "bath.temperature"),
+            ({"bath": {"eta": float("nan")}}, "bath.eta"),
+            ({"species": [{"label": "A", "energy": float("nan")}]}, "species.energy"),
+            ({"couplings": [{"pair": ["A", "B"], "J": float("inf"), "lambda_s": 1.0}]}, "coupling.J"),
+            ({"grid": {"end": float("inf")}}, "grid.end"),
+            ({"grid": {"points": 2.9}}, "grid.points"),
+            ({"grid": {"points": 5.0}}, "grid.points"),
+            ({"grid": {"points": "5"}}, "grid.points"),
+            ({"grid": {"points": True}}, "grid.points"),
+            ({"cavity": {"n_molecules": 2}}, "unknown key"),
+        ],
+    )
+    def test_bad_numbers_rejected_at_load(self, mutation, field):
+        # non-finite or non-integer numbers fail here and name their field,
+        # never later as a non-finite generator and never by silent conversion
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict(fast_dict(**mutation))
+
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.json")
@@ -408,6 +433,34 @@ class TestCli:
                     "one,two",
                 ]
             )
+
+    @pytest.mark.parametrize(
+        "mutation, field",
+        [
+            ({"cavity": {"g": float("nan")}}, "cavity.g"),
+            ({"cavity": {"kappa": float("inf")}}, "cavity.kappa"),
+            ({"grid": {"points": 2.9}}, "grid.points"),
+            ({"grid": {"points": "5"}}, "grid.points"),
+            ({"cavity": {"n_molecules": 2}}, "n_molecules"),
+        ],
+    )
+    def test_bad_config_numbers_exit_2(self, tmp_path, capsys, mutation, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(fast_dict(**mutation)))  # NaN/Infinity as JSON literals
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("values", ["1,inf", "nan", "0,-inf"])
+    def test_sweep_rejects_non_finite_values(self, config_path, tmp_path, capsys, values):
+        out = tmp_path / "swp.csv"
+        args = ["sweep", "--config", str(config_path), "--param", "kappa", "--values", values]
+        assert main([*args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "kappa" in err and "finite" in err
+        assert list(tmp_path.glob("swp*")) == []
 
     def test_criterion(self, capsys):
         code = main(

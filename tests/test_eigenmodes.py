@@ -7,10 +7,10 @@ import pytest
 
 from vsckinetics.eigenmodes import (
     CavitySpec,
-    build_displacements,
+    bare_mode_basis,
     build_mode_basis,
-    composite_energy_bare,
-    composite_energy_vsc,
+    composite_energy,
+    mode_displacements,
 )
 from vsckinetics.states import ReactionNetwork, SpeciesSpec
 
@@ -98,58 +98,70 @@ def test_cavity_spec_validation():
     with pytest.raises(ValueError):
         CavitySpec(omega_c=2000.0, g=1.0, kappa=-0.1)
     with pytest.raises(ValueError):
-        CavitySpec(omega_c=2000.0, g=1.0, kappa=1.0, n_molecules=3)
-    with pytest.raises(ValueError):
         build_mode_basis(CavitySpec(omega_c=2000.0, g=1.0, kappa=1.0), 0.0)
+    with pytest.raises(ValueError):
+        bare_mode_basis(CavitySpec(omega_c=2000.0, g=1.0, kappa=1.0), 0.0)
+
+
+def test_bare_basis_is_identity_rotation():
+    basis = bare_mode_basis(CavitySpec(omega_c=2100.0, g=42.0, kappa=1.0), OMEGA_V)
+    assert basis.labels == ("c", "v1", "v2")
+    assert basis.frequencies == (2100.0, OMEGA_V, OMEGA_V)
+    assert np.array_equal(np.array(basis.coefficients), np.eye(3))
+    assert basis.mixing_angle == 0.0
+    # each molecule displaces only its own vibration, by exactly lambda
+    assert mode_displacements(basis, 1, 1.5) == (0.0, 1.5, 0.0)
+    assert mode_displacements(basis, 2, 1.5) == (0.0, 0.0, 1.5)
 
 
 def test_displacement_redistribution():
     basis = resonant_basis()
-    table = build_displacements(basis, r1_network())
+    d, p, m = (basis.labels.index(q) for q in ("d", "+", "-"))
     # molecule 1 in species B: c_qi * (omega_v / omega_q) * lambda_B
-    assert table.per_molecule[(1, "B", "d")] == pytest.approx(1.5 / math.sqrt(2), rel=1e-14)
-    assert table.per_molecule[(1, "B", "+")] == pytest.approx(0.5 * (2000.0 / 2060.0) * 1.5, rel=1e-13)
-    assert table.per_molecule[(1, "B", "-")] == pytest.approx(-0.5 * (2000.0 / 1940.0) * 1.5, rel=1e-13)
+    mol1 = mode_displacements(basis, 1, 1.5)
+    assert mol1[d] == pytest.approx(1.5 / math.sqrt(2), rel=1e-14)
+    assert mol1[p] == pytest.approx(0.5 * (2000.0 / 2060.0) * 1.5, rel=1e-13)
+    assert mol1[m] == pytest.approx(-0.5 * (2000.0 / 1940.0) * 1.5, rel=1e-13)
     # dark-mode contributions of the two molecules have opposite sign
-    assert table.per_molecule[(2, "B", "d")] == pytest.approx(-1.5 / math.sqrt(2), rel=1e-14)
-    for spec_label in ("A", "B"):
-        for q in basis.labels:
-            assert table.per_molecule[(1, "A", q)] == 0.0
-            agg = table.aggregate[(("B", spec_label), q)]
-            parts = table.per_molecule[(1, "B", q)] + table.per_molecule[(2, spec_label, q)]
-            assert agg == pytest.approx(parts, abs=1e-15)
+    mol2 = mode_displacements(basis, 2, 1.5)
+    assert mol2[d] == pytest.approx(-1.5 / math.sqrt(2), rel=1e-14)
+    # an undisplaced species leaves every mode in place
+    assert mode_displacements(basis, 1, 0.0) == (0.0, 0.0, 0.0)
     # symmetric (B,B) configuration leaves the dark mode undisplaced
-    assert table.aggregate[(("B", "B"), "d")] == pytest.approx(0.0, abs=1e-15)
+    assert mol1[d] + mol2[d] == pytest.approx(0.0, abs=1e-15)
+    for bad in (0, 3):
+        with pytest.raises(ValueError):
+            mode_displacements(basis, bad, 1.5)
 
 
 def test_composite_energy_bare():
     network = r1_network()
-    cavity = CavitySpec(omega_c=2000.0, g=0.0, kappa=1.0)
-    assert composite_energy_bare(("A", "A"), (0, 0, 0), network, cavity, OMEGA_V) == 0.0
-    assert composite_energy_bare(("B", "A"), (0, 1, 0), network, cavity, OMEGA_V) == pytest.approx(800.0)
-    assert composite_energy_bare(("B", "B"), (1, 0, 0), network, cavity, OMEGA_V) == pytest.approx(-400.0)
-    assert composite_energy_bare(("A", "B"), (0, 0, 1), network, cavity, OMEGA_V) == pytest.approx(800.0)
+    basis = bare_mode_basis(CavitySpec(omega_c=2000.0, g=0.0, kappa=1.0), OMEGA_V)
+    assert composite_energy(("A", "A"), (0, 0, 0), basis, network) == 0.0
+    assert composite_energy(("B", "A"), (0, 1, 0), basis, network) == pytest.approx(800.0)
+    assert composite_energy(("B", "B"), (1, 0, 0), basis, network) == pytest.approx(-400.0)
+    assert composite_energy(("A", "B"), (0, 0, 1), basis, network) == pytest.approx(800.0)
+    # no polaron shift: each vibration is displaced along its own coordinate
+    assert composite_energy(("B", "B"), (0, 0, 0), basis, network) == -2400.0
 
 
 def test_composite_energy_vsc_polaron_shift():
     network = r1_network()
     basis = resonant_basis()
-    table = build_displacements(basis, network)
     # frozen values from independent evaluation of the shift formula
-    e_ba = composite_energy_vsc(("B", "A"), (0, 0, 0), basis, table, network)
+    e_ba = composite_energy(("B", "A"), (0, 0, 0), basis, network)
     assert e_ba == pytest.approx(-1200.0 - 2.0268241417265926, rel=1e-12)
-    e_bb = composite_energy_vsc(("B", "B"), (0, 0, 0), basis, table, network)
+    e_bb = composite_energy(("B", "B"), (0, 0, 0), basis, network)
     assert e_bb == pytest.approx(-2400.0 - 8.107296566909099, rel=1e-12)
     # undisplaced configuration has no shift; quanta add eigenmode energies
-    assert composite_energy_vsc(("A", "A"), (0, 0, 0), basis, table, network) == 0.0
-    assert composite_energy_vsc(("A", "A"), (1, 0, 0), basis, table, network) == pytest.approx(2060.0)
-    assert composite_energy_vsc(("A", "A"), (0, 0, 1), basis, table, network) == pytest.approx(2000.0)
+    assert composite_energy(("A", "A"), (0, 0, 0), basis, network) == 0.0
+    assert composite_energy(("A", "A"), (1, 0, 0), basis, network) == pytest.approx(2060.0)
+    assert composite_energy(("A", "A"), (0, 0, 1), basis, network) == pytest.approx(2000.0)
 
 
 def test_vsc_energy_approaches_bare_as_g_vanishes():
     network = r1_network()
     for g in (1.0, 0.1, 0.01):
         basis = build_mode_basis(CavitySpec(omega_c=OMEGA_V, g=g, kappa=1.0), OMEGA_V)
-        table = build_displacements(basis, network)
-        e = composite_energy_vsc(("B", "A"), (0, 0, 0), basis, table, network)
+        e = composite_energy(("B", "A"), (0, 0, 0), basis, network)
         assert abs(e - (-1200.0)) < 2e-3 * g * g  # polaron shift dies off quadratically

@@ -14,9 +14,7 @@ from vsckinetics.propagate import (
     DEFAULT_GRID_START,
     TimeGrid,
     clamp_for_output,
-    normalized_species_fraction,
     propagate,
-    species_population,
     vsc_scaling_criterion,
 )
 from vsckinetics.rates import RateMatrix, RegimeSpec
@@ -146,25 +144,30 @@ class TestPropagate:
 
 
 class TestObservables:
+    @staticmethod
+    def frozen(rate_matrix, label):
+        """One-point trajectory under a zero generator from a delta on ``label``."""
+        states = rate_matrix.states
+        zero = RateMatrix(states=states, matrix=np.zeros((16, 16)), regime=rate_matrix.regime)
+        p0 = np.array([1.0 if s.label == label else 0.0 for s in states])
+        return propagate(zero, p0, TimeGrid(points=(1.0,), spacing="linear"))
+
     def test_species_population_counts_molecules(self, r1_vsc):
-        states = r1_vsc.states
-        p = np.zeros(len(states))
-        p[[s.index for s in states if s.label == "B.A|0"][0]] = 1.0
-        assert species_population(p, states, "B") == 1.0
-        assert species_population(p, states, "A") == 1.0
-        assert normalized_species_fraction(p, states, "B") == 0.5
-        p = np.zeros(len(states))
-        p[[s.index for s in states if s.label == "B.B|d"][0]] = 1.0
-        assert species_population(p, states, "B") == 2.0
-        assert species_population(p, states, "A") == 0.0
+        traj = self.frozen(r1_vsc, "A.B|0")
+        assert traj.species_series("B")[0] == 1.0
+        assert traj.species_series("A")[0] == 1.0
+        assert traj.normalized_series("B")[0] == 0.5
+        traj = self.frozen(r1_vsc, "B.B|0")
+        assert traj.species_series("B")[0] == 2.0
+        assert traj.species_series("A")[0] == 0.0
+        assert traj.normalized_series("B")[0] == 1.0
 
     def test_species_population_validation(self, r1_vsc):
-        p = np.zeros(len(r1_vsc.states))
-        p[0] = 1.0
+        traj = self.frozen(r1_vsc, "A.B|0")
         with pytest.raises(KeyError):
-            species_population(p, r1_vsc.states, "Z")
-        with pytest.raises(ValueError):
-            species_population(np.array([1.0]), r1_vsc.states, "A")
+            traj.species_series("Z")
+        with pytest.raises(KeyError):
+            traj.normalized_series("Z")
 
     def test_trajectory_species_accounting(self, r1_vsc, r1_vsc_p0):
         traj = propagate(r1_vsc, r1_vsc_p0, TimeGrid.logarithmic(0.1, 1.0e4, 12))

@@ -9,17 +9,21 @@ import pytest
 
 from conftest import detailed_balance_worst, displacement_oracle, with_regime
 from vsckinetics.config import build_generator
-from vsckinetics.eigenmodes import CavitySpec, build_displacements, build_mode_basis
+from vsckinetics.eigenmodes import (
+    CavitySpec,
+    bare_mode_basis,
+    build_mode_basis,
+    mode_displacements,
+)
 from vsckinetics.rates import (
     BathSpec,
     RegimeSpec,
     assemble_rate_matrix,
     displacement_matrix_element,
     exchange_rate,
-    franck_condon_bare,
-    franck_condon_vsc,
+    franck_condon,
     gain_rate,
-    loss_rate_vsc,
+    loss_rate,
     purcell_exchange_rate,
     reactive_rate,
 )
@@ -139,59 +143,71 @@ def r1_basis(reaction1):
 
 
 @pytest.fixture(scope="module")
-def r1_table(r1_basis, r1_network):
-    return build_displacements(r1_basis, r1_network)
+def r1_bare_basis(reaction1):
+    return bare_mode_basis(reaction1.cavity, reaction1.omega_v)
+
+
+def fc_factor(basis, network, occ_to, occ_from, molecule, species_from, species_to):
+    """Franck-Condon factor of one molecule's reaction, from species labels."""
+    lam_from, lam_to = (
+        mode_displacements(basis, molecule, network.displacement(label))
+        for label in (species_from, species_to)
+    )
+    return franck_condon(occ_to, occ_from, lam_from, lam_to)
 
 
 class TestFranckCondon:
-    def test_bare_ground_to_ground(self, r1_network):
-        fc = franck_condon_bare((0, 0, 0), (0, 0, 0), 1, "A", "B", r1_network)
+    def test_bare_ground_to_ground(self, r1_bare_basis, r1_network):
+        fc = fc_factor(r1_bare_basis, r1_network, (0, 0, 0), (0, 0, 0), 1, "A", "B")
         assert fc == pytest.approx(math.exp(-1.5 * 1.5), rel=1e-14)
 
-    def test_bare_single_quantum_frozen(self, r1_network):
-        fc = franck_condon_bare((0, 1, 0), (0, 0, 0), 1, "A", "B", r1_network)
+    def test_bare_single_quantum_frozen(self, r1_bare_basis, r1_network):
+        fc = fc_factor(r1_bare_basis, r1_network, (0, 1, 0), (0, 0, 0), 1, "A", "B")
         assert fc == pytest.approx(0.23714825526419478, rel=1e-13)
         # squared factor is direction-independent for the mirrored transition
-        rev = franck_condon_bare((0, 0, 0), (0, 1, 0), 1, "B", "A", r1_network)
+        rev = fc_factor(r1_bare_basis, r1_network, (0, 0, 0), (0, 1, 0), 1, "B", "A")
         assert rev == fc
 
-    def test_bare_second_molecule(self, r1_network):
-        fc = franck_condon_bare((0, 0, 1), (0, 0, 0), 2, "A", "B", r1_network)
+    def test_bare_second_molecule(self, r1_bare_basis, r1_network):
+        fc = fc_factor(r1_bare_basis, r1_network, (0, 0, 1), (0, 0, 0), 2, "A", "B")
         assert fc == pytest.approx(0.23714825526419478, rel=1e-13)
 
-    def test_bare_spectator_mismatch_vanishes(self, r1_network):
+    def test_bare_spectator_mismatch_vanishes(self, r1_bare_basis, r1_network):
         # cavity quantum and the other molecule's vibration must carry over
-        assert franck_condon_bare((1, 0, 0), (0, 0, 0), 1, "A", "B", r1_network) == 0.0
-        assert franck_condon_bare((0, 0, 1), (0, 0, 0), 1, "A", "B", r1_network) == 0.0
-        assert franck_condon_bare((0, 1, 0), (0, 0, 0), 2, "A", "B", r1_network) == 0.0
+        for occ_to, molecule in (((1, 0, 0), 1), ((0, 0, 1), 1), ((0, 1, 0), 2)):
+            fc = fc_factor(r1_bare_basis, r1_network, occ_to, (0, 0, 0), molecule, "A", "B")
+            assert fc == 0.0
 
-    def test_vsc_dark_channel_frozen(self, r1_table):
-        fc = franck_condon_vsc((0, 0, 1), (0, 0, 0), 1, "A", "B", r1_table)
+    def test_vsc_dark_channel_frozen(self, r1_basis, r1_network):
+        fc = fc_factor(r1_basis, r1_network, (0, 0, 1), (0, 0, 0), 1, "A", "B")
         assert fc == pytest.approx(0.11821396587947722, rel=1e-12)
 
-    def test_vsc_matches_operator_exponential(self, r1_table, r1_basis):
-        # independent route: per-mode oracle elements at the redistributed shifts
+    def test_vsc_matches_operator_exponential(self, r1_basis, r1_network):
+        # independent route: per-mode oracle elements at the redistributed
+        # shifts (species A is undisplaced, so B's shifts are the change)
+        shift = mode_displacements(r1_basis, 1, r1_network.displacement("B"))
         occs = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
         for occ_from in occs:
             for occ_to in occs:
                 expected = 1.0
-                for idx, q in enumerate(r1_basis.labels):
-                    dlam = r1_table.per_molecule[(1, "B", q)] - r1_table.per_molecule[(1, "A", q)]
-                    expected *= displacement_oracle(occ_to[idx], occ_from[idx], dlam)
-                fc = franck_condon_vsc(occ_to, occ_from, 1, "A", "B", r1_table)
+                for idx in range(3):
+                    expected *= displacement_oracle(occ_to[idx], occ_from[idx], shift[idx])
+                fc = fc_factor(r1_basis, r1_network, occ_to, occ_from, 1, "A", "B")
                 assert fc == pytest.approx(expected * expected, rel=1e-9, abs=1e-12)
 
-    def test_vsc_identity_species(self, r1_table):
-        assert franck_condon_vsc((0, 0, 0), (0, 0, 0), 1, "A", "A", r1_table) == 1.0
-        assert franck_condon_vsc((0, 1, 0), (0, 0, 0), 1, "A", "A", r1_table) == 0.0
+    def test_vsc_identity_species(self, r1_basis, r1_network):
+        assert fc_factor(r1_basis, r1_network, (0, 0, 0), (0, 0, 0), 1, "A", "A") == 1.0
+        assert fc_factor(r1_basis, r1_network, (0, 1, 0), (0, 0, 0), 1, "A", "A") == 0.0
 
 
 class TestReactiveRate:
-    def test_forward_and_reverse_frozen(self, r1_network, r1_bare):
+    def test_forward_and_reverse_frozen(self, r1_network, r1_bare_basis, r1_bare):
         states = r1_bare.states
         s_from = states[index_of(r1_bare, "A.A|0")]
         s_to = states[index_of(r1_bare, "B.A|v1")]
-        fc = franck_condon_bare(s_to.occupations, s_from.occupations, 1, "A", "B", r1_network)
+        fc = fc_factor(
+            r1_bare_basis, r1_network, s_to.occupations, s_from.occupations, 1, "A", "B"
+        )
         fwd = reactive_rate(s_from, s_to, r1_network, fc, 298.0)
         rev = reactive_rate(s_to, s_from, r1_network, fc, 298.0)
         assert fwd == pytest.approx(1.6636456340688764e-4, rel=1e-12)
@@ -200,11 +216,13 @@ class TestReactiveRate:
         assert r1_bare.matrix[s_to.index, s_from.index] == fwd
         assert r1_bare.matrix[s_from.index, s_to.index] == rev
 
-    def test_pair_obeys_detailed_balance(self, r1_network, r1_bare):
+    def test_pair_obeys_detailed_balance(self, r1_network, r1_bare_basis, r1_bare):
         states = r1_bare.states
         s_from = states[index_of(r1_bare, "A.A|0")]
         s_to = states[index_of(r1_bare, "B.A|0")]
-        fc = franck_condon_bare(s_to.occupations, s_from.occupations, 1, "A", "B", r1_network)
+        fc = fc_factor(
+            r1_bare_basis, r1_network, s_to.occupations, s_from.occupations, 1, "A", "B"
+        )
         fwd = reactive_rate(s_from, s_to, r1_network, fc, 298.0)
         rev = reactive_rate(s_to, s_from, r1_network, fc, 298.0)
         boltzmann = math.exp(-(s_to.energy - s_from.energy) / thermal_energy(298.0))
@@ -217,7 +235,7 @@ class TestReactiveRate:
             couplings=(CouplingSpec(("A", "B"), 20.0, 160.0),),
         )
         cavity = CavitySpec(omega_c=2000.0, g=0.0, kappa=1.0)
-        states = enumerate_states(net, "bare", cavity, 2000.0)
+        states = enumerate_states(net, bare_mode_basis(cavity, 2000.0))
         s_from = next(s for s in states if s.label == "A.A|0")
         s_to = next(s for s in states if s.label == "B.A|0")
         kT = thermal_energy(298.0)
@@ -249,22 +267,29 @@ class TestReactiveRate:
 class TestLossAndGain:
     def test_polariton_loss_mixes_channels(self, r1_basis, reaction1):
         # resonant upper polariton: half cavity, half vibration
-        loss = loss_rate_vsc("+", r1_basis, reaction1.cavity, reaction1.bath)
+        loss = loss_rate("+", r1_basis, reaction1.cavity, reaction1.bath)
         assert loss == pytest.approx(0.5 * 1.0 + 0.5 * 0.01, rel=1e-12)
-        loss_lower = loss_rate_vsc("-", r1_basis, reaction1.cavity, reaction1.bath)
+        loss_lower = loss_rate("-", r1_basis, reaction1.cavity, reaction1.bath)
         assert loss_lower == pytest.approx(loss, rel=1e-12)
 
     def test_dark_loss_is_pure_vibration(self, r1_basis, reaction1):
-        loss = loss_rate_vsc("d", r1_basis, reaction1.cavity, reaction1.bath)
+        loss = loss_rate("d", r1_basis, reaction1.cavity, reaction1.bath)
         assert loss == pytest.approx(reaction1.bath.gamma, rel=1e-12)
 
     def test_decoupled_limit(self, reaction1):
         cavity = CavitySpec(omega_c=2100.0, g=0.0, kappa=1.0)
         basis = build_mode_basis(cavity, 2000.0)
-        assert loss_rate_vsc("+", basis, cavity, reaction1.bath) == pytest.approx(1.0, rel=1e-12)
-        assert loss_rate_vsc("-", basis, cavity, reaction1.bath) == pytest.approx(
+        assert loss_rate("+", basis, cavity, reaction1.bath) == pytest.approx(1.0, rel=1e-12)
+        assert loss_rate("-", basis, cavity, reaction1.bath) == pytest.approx(
             0.01, rel=1e-12
         )
+
+    def test_bare_modes_lose_to_their_own_channel(self, r1_bare_basis, reaction1):
+        # identity basis: the cavity quantum decays at kappa, each vibration at gamma
+        cavity, bath = reaction1.cavity, reaction1.bath
+        assert loss_rate("c", r1_bare_basis, cavity, bath) == cavity.kappa
+        assert loss_rate("v1", r1_bare_basis, cavity, bath) == bath.gamma
+        assert loss_rate("v2", r1_bare_basis, cavity, bath) == bath.gamma
 
     def test_gain_factor_frozen(self):
         assert gain_rate(1.0, 2000.0, 298.0) == pytest.approx(6.402604171400226e-05, rel=1e-12)
@@ -444,56 +469,44 @@ class TestAssembly:
         kT = thermal_energy(reaction1.bath.temperature)
         assert detailed_balance_worst(r1_weak.matrix, energies, kT) <= 1e-10
 
-    def test_dark_row_sign_is_unobservable(self, reaction1, r1_vsc):
-        basis = build_mode_basis(reaction1.cavity, reaction1.omega_v)
+    def test_dark_row_sign_is_unobservable(self, reaction1, r1_basis, r1_vsc):
         flipped_rows = tuple(
             tuple(-c for c in row) if label == "d" else row
-            for label, row in zip(basis.labels, basis.coefficients)
+            for label, row in zip(r1_basis.labels, r1_basis.coefficients)
         )
-        flipped = replace(basis, coefficients=flipped_rows)
-        assert flipped.coefficient("d", 1) == -basis.coefficient("d", 1)
-        states = enumerate_states(
-            reaction1.network, "vsc", reaction1.cavity, reaction1.omega_v
-        )
-        regime = RegimeSpec.for_kind("vsc", reaction1.cavity.g)
+        flipped = replace(r1_basis, coefficients=flipped_rows)
+        assert flipped.coefficient("d", 1) == -r1_basis.coefficient("d", 1)
         alt = assemble_rate_matrix(
-            states,
+            enumerate_states(reaction1.network, flipped),
             reaction1.network,
+            flipped,
             reaction1.cavity,
             reaction1.bath,
-            regime,
-            reaction1.omega_v,
-            basis=flipped,
+            RegimeSpec.for_kind("vsc", reaction1.cavity.g),
         )
         assert np.abs(alt.matrix - r1_vsc.matrix).max() <= 1e-12
 
-    def test_basis_override_only_for_vsc(self, reaction1, r1_basis):
-        states = enumerate_states(
-            reaction1.network, "bare", reaction1.cavity, reaction1.omega_v
-        )
-        regime = RegimeSpec.for_kind("bare", reaction1.cavity.g)
-        with pytest.raises(ValueError):
-            assemble_rate_matrix(
-                states,
-                reaction1.network,
-                reaction1.cavity,
-                reaction1.bath,
-                regime,
-                reaction1.omega_v,
-                basis=r1_basis,
-            )
+    def test_basis_must_match_regime(self, reaction1, r1_basis, r1_bare_basis):
+        # the eigenmode basis belongs to vsc, the identity basis to bare and weak
+        for kind, basis in (("bare", r1_basis), ("weak", r1_basis), ("vsc", r1_bare_basis)):
+            with pytest.raises(ValueError, match="mode basis"):
+                assemble_rate_matrix(
+                    enumerate_states(reaction1.network, basis),
+                    reaction1.network,
+                    basis,
+                    reaction1.cavity,
+                    reaction1.bath,
+                    RegimeSpec.for_kind(kind, reaction1.cavity.g),
+                )
 
-    def test_state_basis_must_match_regime(self, reaction1):
-        states = enumerate_states(
-            reaction1.network, "vsc", reaction1.cavity, reaction1.omega_v
-        )
-        regime = RegimeSpec.for_kind("bare", reaction1.cavity.g)
-        with pytest.raises(ValueError):
+    def test_state_basis_must_match_regime(self, reaction1, r1_basis, r1_bare_basis):
+        # states enumerated in the eigenmode basis cannot pair with the identity basis
+        with pytest.raises(ValueError, match="mode labels"):
             assemble_rate_matrix(
-                states,
+                enumerate_states(reaction1.network, r1_basis),
                 reaction1.network,
+                r1_bare_basis,
                 reaction1.cavity,
                 reaction1.bath,
-                regime,
-                reaction1.omega_v,
+                RegimeSpec.for_kind("bare", reaction1.cavity.g),
             )

@@ -7,10 +7,9 @@ import pytest
 
 from vsckinetics.eigenmodes import (
     CavitySpec,
-    build_displacements,
+    bare_mode_basis,
     build_mode_basis,
-    composite_energy_bare,
-    composite_energy_vsc,
+    composite_energy,
 )
 from vsckinetics.states import (
     CouplingSpec,
@@ -22,6 +21,8 @@ from vsckinetics.states import (
 from vsckinetics.units import KB
 
 CAVITY = CavitySpec(omega_c=2000.0, g=42.426406871192846, kappa=1.0)
+BARE = bare_mode_basis(CAVITY, 2000.0)
+VSC = build_mode_basis(CAVITY, 2000.0)
 
 
 def network_ab():
@@ -85,7 +86,7 @@ def test_network_lookups():
 
 
 def test_enumeration_count_and_order():
-    states = enumerate_states(network_ab(), "bare", CAVITY, 2000.0)
+    states = enumerate_states(network_ab(), BARE)
     assert len(states) == 16
     assert [s.index for s in states] == list(range(16))
     # configuration-major, declaration order; ground first, then one quantum per mode
@@ -96,26 +97,22 @@ def test_enumeration_count_and_order():
     assert states[4].config == ("A", "B")
     assert all(s.total_quanta <= 1 for s in states)
 
-    vsc_states = enumerate_states(network_ab(), "vsc", CAVITY, 2000.0)
+    vsc_states = enumerate_states(network_ab(), VSC)
     assert [s.label for s in vsc_states[:4]] == ["A.A|0", "A.A|+", "A.A|-", "A.A|d"]
-    abc = enumerate_states(network_abc(), "vsc", CAVITY, 2000.0)
+    abc = enumerate_states(network_abc(), VSC)
     assert len(abc) == 36
 
 
 def test_enumeration_energies_share_code_path():
     net = network_ab()
-    basis = build_mode_basis(CAVITY, 2000.0)
-    table = build_displacements(basis, net)
-    for s in enumerate_states(net, "vsc", CAVITY, 2000.0):
-        assert s.energy == composite_energy_vsc(s.config, s.occupations, basis, table, net)
-    for s in enumerate_states(net, "bare", CAVITY, 2000.0):
-        assert s.energy == composite_energy_bare(s.config, s.occupations, net, CAVITY, 2000.0)
-    with pytest.raises(ValueError):
-        enumerate_states(net, "weak-basis", CAVITY, 2000.0)
+    for basis in (VSC, BARE):
+        for s in enumerate_states(net, basis):
+            assert s.mode_labels == basis.labels
+            assert s.energy == composite_energy(s.config, s.occupations, basis, net)
 
 
 def test_initial_distribution_bare():
-    states = enumerate_states(network_ab(), "bare", CAVITY, 2000.0)
+    states = enumerate_states(network_ab(), BARE)
     p0 = initial_distribution(states, "A", 298.0)
     assert p0.sum() == pytest.approx(1.0, abs=1e-14)
     assert np.all(p0 >= 0.0)
@@ -135,7 +132,7 @@ def test_initial_distribution_bare():
 
 
 def test_initial_distribution_errors():
-    states = enumerate_states(network_ab(), "bare", CAVITY, 2000.0)
+    states = enumerate_states(network_ab(), BARE)
     with pytest.raises(ValueError):
         initial_distribution(states, "Q", 298.0)
     with pytest.raises(ValueError):

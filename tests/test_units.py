@@ -9,7 +9,6 @@ from vsckinetics.units import (
     HBAR,
     KB,
     SPEED_OF_LIGHT_CM_PER_PS,
-    UNITS,
     angular_to_wavenumber,
     thermal_energy,
     wavenumber_to_angular,
@@ -43,9 +42,3 @@ def test_thermal_energy():
     with pytest.raises(ValueError):
         thermal_energy(-5.0)
 
-
-def test_unit_system_bundle():
-    assert UNITS.hbar == HBAR
-    assert UNITS.kB == KB
-    assert UNITS.c == SPEED_OF_LIGHT_CM_PER_PS
-    assert UNITS.angular_per_wavenumber == ANGULAR_PER_WAVENUMBER
