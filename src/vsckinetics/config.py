@@ -178,6 +178,11 @@ def _as_float(value: Any, field: str) -> float:
     return float(value)
 
 
+def _as_str(value: Any, field: str) -> str:
+    _require(isinstance(value, str), f"{field} must be a string, got {value!r}")
+    return value
+
+
 def _as_int(value: Any, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{field} must be an integer, got {value!r}")
@@ -208,7 +213,7 @@ def config_from_dict(raw: Dict[str, Any], name: str = "scenario") -> ScenarioCon
 def _resolve_config(raw: Dict[str, Any], name: str) -> ScenarioConfig:
     _require(isinstance(raw, dict), "config root must be a JSON object")
     _check_keys(raw, _SCHEMA_KEYS, "config root")
-    name = str(raw.get("name", name))
+    name = _as_str(raw.get("name", name), "name")
     omega_v = _as_float(raw.get("omega_v", DEFAULT_OMEGA_V), "omega_v")
     _require(omega_v > 0.0, f"omega_v must be > 0, got {omega_v}")
     unit = raw.get("energy_unit", "cm-1")
@@ -227,7 +232,7 @@ def _resolve_config(raw: Dict[str, Any], name: str) -> ScenarioConfig:
         _require("label" in block, "species entry missing 'label'")
         species.append(
             SpeciesSpec(
-                label=str(block["label"]),
+                label=_as_str(block["label"], "species.label"),
                 energy=_as_float(block.get("energy", 0.0), "species.energy") * scale,
                 displacement=_as_float(block.get("displacement", 0.0), "species.displacement"),
             )
@@ -244,7 +249,7 @@ def _resolve_config(raw: Dict[str, Any], name: str) -> ScenarioConfig:
         )
         couplings.append(
             CouplingSpec(
-                pair=(str(pair[0]), str(pair[1])),
+                pair=tuple(_as_str(label, "coupling.pair") for label in pair),
                 J=_as_float(block.get("J", 0.0), "coupling.J") * scale,
                 lambda_s=_as_float(block.get("lambda_s", 0.0), "coupling.lambda_s") * scale,
             )
@@ -284,14 +289,14 @@ def _resolve_config(raw: Dict[str, Any], name: str) -> ScenarioConfig:
     else:
         raise ConfigError(f"grid.spacing must be 'log' or 'linear', got {spacing!r}")
     network = ReactionNetwork(species=tuple(species), couplings=tuple(couplings))
-    reactant = str(raw.get("reactant", species[0].label))
+    reactant = _as_str(raw.get("reactant", species[0].label), "reactant")
     return ScenarioConfig(
         name=name,
         omega_v=omega_v,
         network=network,
         cavity=cavity,
         bath=bath,
-        regime_kind=str(raw.get("regime", "vsc")),
+        regime_kind=_as_str(raw.get("regime", "vsc"), "regime"),
         reactant=reactant,
         grid=grid,
     )

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence, Tuple
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover
     from .states import ReactionNetwork
 
@@ -68,16 +70,15 @@ class ModeBasis:
     mixing_angle: float  # rad
     omega_v: float  # cm^-1, bare vibration (= dark mode) frequency
 
+    def __post_init__(self) -> None:
+        if self.omega_v <= 0.0:
+            raise ValueError(f"omega_v must be > 0, got {self.omega_v}")
+
     def frequency(self, label: str) -> float:
         return self.frequencies[self.labels.index(label)]
 
     def coefficient(self, label: str, bare_index: int) -> float:
         return self.coefficients[self.labels.index(label)][bare_index]
-
-
-def _check_omega_v(omega_v: float) -> None:
-    if omega_v <= 0.0:
-        raise ValueError(f"omega_v must be > 0, got {omega_v}")
 
 
 def build_mode_basis(cavity: CavitySpec, omega_v: float) -> ModeBasis:
@@ -87,17 +88,17 @@ def build_mode_basis(cavity: CavitySpec, omega_v: float) -> ModeBasis:
     + 4 g^2 N)/2 with N = 2, dark mode stays at omega_v. The mixing angle is
     taken on the branch theta = atan2(2 g sqrt(N), omega_c - omega_v)/2 in
     (0, pi/2) so the "+" mode is the upper polariton and its cavity amplitude
-    is cos(theta). The dark row is fixed to (0, 1/sqrt2, -1/sqrt2); observable
-    rates must not depend on that sign choice.
+    is cos(theta). At g = 0 on resonance the angle is its g -> 0+ limit pi/4,
+    so the basis joins smoothly onto its neighbours. The dark row is fixed to
+    (0, 1/sqrt2, -1/sqrt2); observable rates must not depend on that sign choice.
     """
-    _check_omega_v(omega_v)
     g_coll = cavity.g * _SQRT2
     detuning = cavity.omega_c - omega_v
     half_split = 0.5 * math.sqrt(detuning * detuning + 4.0 * g_coll * g_coll)
     center = 0.5 * (cavity.omega_c + omega_v)
     omega_plus = center + half_split
     omega_minus = center - half_split
-    theta = 0.5 * math.atan2(2.0 * g_coll, detuning)
+    theta = 0.5 * math.atan2(2.0 * g_coll, detuning) if g_coll or detuning else 0.25 * math.pi
     ct, st = math.cos(theta), math.sin(theta)
     coefficients = (
         (ct, st / _SQRT2, st / _SQRT2),
@@ -115,7 +116,6 @@ def build_mode_basis(cavity: CavitySpec, omega_v: float) -> ModeBasis:
 
 def bare_mode_basis(cavity: CavitySpec, omega_v: float) -> ModeBasis:
     """The uncoupled modes as the identity rotation: cavity, vibration 1, vibration 2."""
-    _check_omega_v(omega_v)
     return ModeBasis(
         labels=BARE_MODE_LABELS,
         frequencies=(cavity.omega_c, omega_v, omega_v),
@@ -144,20 +144,22 @@ def mode_displacements(basis: ModeBasis, molecule: int, lam: float) -> Tuple[flo
 
 def composite_energy(
     config: Tuple[str, ...],
-    occupations: Sequence[int],
+    occupations: Sequence[int] | np.ndarray,
     basis: ModeBasis,
     network: "ReactionNetwork",
-) -> float:
+) -> float | np.ndarray:
     """Energy (cm^-1) of |config; occupations> in ``basis``.
 
     Sum of electronic energies and mode quanta, plus the polaron shift
     omega_v * sum_i lambda_phi_i^2 - sum_q omega_q * lambda_config_q^2 that
     the basis rotation leaves behind. The shift vanishes in the identity
     basis, where each vibration is displaced along its own coordinate.
+    ``occupations`` is one pattern, or a stack of patterns (one per row) that
+    share the configuration and so its shift; a stack gives one energy per row.
     """
     displacements = [network.displacement(phi) for phi in config]
     energy = sum([network.energy(phi) for phi in config])
-    energy += sum([m * omega for m, omega in zip(occupations, basis.frequencies)])
+    energy = energy + np.asarray(occupations) @ np.asarray(basis.frequencies)
     shift = basis.omega_v * sum([lam**2 for lam in displacements])
     per_molecule = [
         mode_displacements(basis, i, lam) for i, lam in enumerate(displacements, start=1)

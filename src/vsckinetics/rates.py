@@ -13,6 +13,13 @@ the identity rotation over cavity and bare vibrations otherwise. Franck-Condon
 factors, losses and gains are therefore one formula each; the regime only
 decides which exchange family joins them.
 
+Assembly follows the same split. Two molecules over S species give S^2
+configurations of P = 4 occupation patterns each, so K is an S^2 x S^2 grid
+of P x P blocks. Loss, gain and exchange stay inside a configuration: one
+block, shared by every diagonal cell. A reactive jump changes one molecule's
+species: per coupled pair, direction and molecule, one P x P Franck-Condon
+matrix fills the cells of every spectator species at once.
+
 Rates are in ps^-1, energies in cm^-1. The generator K is column-conservative:
 K[j][i] is the rate i -> j and each diagonal entry carries minus its column's
 off-diagonal sum, so d/dt p = K p preserves total probability.
@@ -22,12 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations, product
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from .eigenmodes import VSC_MODE_LABELS, CavitySpec, ModeBasis, mode_displacements
-from .states import CompositeState, ReactionNetwork
+from .states import CompositeState, CouplingSpec, ReactionNetwork, occupation_patterns
 from .units import HBAR, thermal_energy, wavenumber_to_angular
 
 __all__ = [
@@ -89,13 +97,7 @@ class RegimeSpec:
 
     @classmethod
     def for_kind(cls, kind: str, g: float) -> "RegimeSpec":
-        if kind == "vsc":
-            return cls(kind, g)
-        if kind == "weak":
-            return cls(kind, g / WEAK_COUPLING_DIVISOR)
-        if kind == "bare":
-            return cls(kind, 0.0)
-        raise ValueError(f"regime kind must be one of {REGIME_KINDS}, got {kind!r}")
+        return cls(kind, {"vsc": g, "weak": g / WEAK_COUPLING_DIVISOR}.get(kind, 0.0))
 
 
 @dataclass(frozen=True)
@@ -176,32 +178,22 @@ def franck_condon(
 
 
 def reactive_rate(
-    state_from: CompositeState,
-    state_to: CompositeState,
-    network: ReactionNetwork,
-    fc: float,
+    coupling: CouplingSpec,
+    fc: float | np.ndarray,
+    de: float | np.ndarray,
     temperature: float,
-) -> float:
-    """Electron-transfer rate (ps^-1) between composite states.
+) -> float | np.ndarray:
+    """Electron-transfer rate (ps^-1) over one coupled species pair.
 
     Marcus-Levich-Jortner form with the high-frequency part carried by the
-    precomputed squared Franck-Condon factor ``fc`` and the activation
-    penalty by the full composite energy gap. Returns 0 for species pairs
-    with no declared coupling.
+    squared Franck-Condon factor ``fc`` and the activation penalty by the
+    composite energy gap ``de`` = E_to - E_from (cm^-1). ``fc`` and ``de``
+    may be arrays of matching shape; the coupling needs lambda_s > 0.
     """
-    diff = [k for k in range(len(state_from.config)) if state_from.config[k] != state_to.config[k]]
-    if len(diff) != 1:
-        raise ValueError("reactive transition must change exactly one molecule's species")
-    phi_from = state_from.config[diff[0]]
-    phi_to = state_to.config[diff[0]]
-    coupling = network.coupling(phi_from, phi_to)
-    if coupling is None or coupling.J == 0.0:
-        return 0.0
     kT = thermal_energy(temperature)
     lam_s = coupling.lambda_s
-    de = state_to.energy - state_from.energy
     prefactor = math.sqrt(math.pi / (lam_s * kT)) * coupling.J * coupling.J / HBAR
-    return prefactor * fc * math.exp(-((de + lam_s) ** 2) / (4.0 * lam_s * kT))
+    return prefactor * fc * np.exp(-((de + lam_s) ** 2) / (4.0 * lam_s * kT))
 
 
 def loss_rate(q: str, basis: ModeBasis, cavity: CavitySpec, bath: BathSpec) -> float:
@@ -225,24 +217,26 @@ def exchange_rate(q_from: str, q_to: str, basis: ModeBasis, bath: BathSpec) -> f
 
     Ohmic spectral density J(w) = eta * w * exp(-(w/w_cut)^2) evaluated at the
     angular gap; downhill moves carry (nbar+1), uphill moves nbar, so the pair
-    satisfies detailed balance. Degenerate pairs are rejected: the
-    secular rate picture does not apply to them.
+    satisfies detailed balance. Degenerate modes (zero gap, e.g. g = 0 on
+    resonance) exchange at the w -> 0 limit 2 pi * overlap * eta * kT in
+    angular units, the same both ways.
     """
     if q_from == q_to:
         raise ValueError("exchange needs two distinct modes")
     d_omega = basis.frequency(q_to) - basis.frequency(q_from)  # cm^-1
-    if d_omega == 0.0:
-        raise ValueError(f"modes {q_from!r} and {q_to!r} are degenerate")
     gap = abs(d_omega)
     n_mol = len(basis.coefficients[0]) - 1
     overlap = sum(
         basis.coefficient(q_to, i) ** 2 * basis.coefficient(q_from, i) ** 2
         for i in range(1, n_mol + 1)
     )
+    kT = thermal_energy(bath.temperature)
+    if gap == 0.0:
+        return 2.0 * math.pi * overlap * bath.eta * wavenumber_to_angular(kT)
     w = wavenumber_to_angular(gap)
     w_cut = wavenumber_to_angular(bath.omega_cut)
     spectral = bath.eta * w * math.exp(-((w / w_cut) ** 2))
-    nbar = 1.0 / math.expm1(gap / thermal_energy(bath.temperature))
+    nbar = 1.0 / math.expm1(gap / kT)
     occupancy = nbar + 1.0 if d_omega < 0.0 else nbar
     return 2.0 * math.pi * overlap * occupancy * spectral
 
@@ -267,10 +261,6 @@ def purcell_exchange_rate(
     return 4.0 * g_ang * g_ang * k_total / (4.0 * d_ang * d_ang + k_total * k_total)
 
 
-def _config_diff(a: CompositeState, b: CompositeState) -> list[int]:
-    return [k for k in range(len(a.config)) if a.config[k] != b.config[k]]
-
-
 def assemble_rate_matrix(
     states: Sequence[CompositeState],
     network: ReactionNetwork,
@@ -281,84 +271,64 @@ def assemble_rate_matrix(
 ) -> RateMatrix:
     """Build the full generator for ``states`` over the modes of ``basis``.
 
-    Reactive transitions and loss/gain are common to every regime. "vsc"
-    (eigenmode basis) adds bath exchange between eigenmodes; "weak" (identity
-    basis) adds the symmetric Purcell cavity-vibration exchange, whose
+    ``states`` must be ``enumerate_states(network, basis)``, so K reshapes to
+    (S, S, P, S, S, P): destination species of molecules 1 and 2 and pattern,
+    then the same for the source. The shared mode block holds loss/gain and,
+    under "vsc" (eigenmode basis), bath exchange between eigenmodes; reactive
+    blocks fill the cells where one molecule changes species. "weak" (identity
+    basis) then adds the symmetric Purcell cavity-vibration exchange, whose
     linewidths are the bare out-rates of the two exchanging states; "bare"
-    (identity basis) adds none. Observable rates must not depend on the
-    arbitrary dark-row sign of the eigenmode basis.
+    adds none. Observable rates must not depend on the arbitrary dark-row
+    sign of the eigenmode basis.
     """
     kind = regime.kind
     if (kind == "vsc") != (basis.labels == VSC_MODE_LABELS):
         raise ValueError(f"regime {kind!r} does not work in the mode basis {basis.labels}")
-    for s in states:
-        if s.mode_labels != basis.labels:
-            raise ValueError(
-                f"state {s.label} has mode labels {s.mode_labels}, expected {basis.labels}"
+    labels = network.labels()
+    patterns = occupation_patterns(len(basis.labels))
+    S, P = len(labels), len(patterns)
+    cells = enumerate(product(product(labels, repeat=2), patterns))
+    expected = [(k, config, occ, basis.labels) for k, (config, occ) in cells]
+    if [(s.index, s.config, s.occupations, s.mode_labels) for s in states] != expected:
+        raise ValueError(
+            f"states are not the enumeration of species {labels} over mode labels {basis.labels}"
+        )
+
+    # pattern 0 is the ground state, pattern q one quantum in mode q - 1
+    block = np.zeros((P, P))
+    for q, (label, omega) in enumerate(zip(basis.labels, basis.frequencies), start=1):
+        block[0, q] = loss_rate(label, basis, cavity, bath)
+        block[q, 0] = gain_rate(block[0, q], omega, bath.temperature)
+    if kind == "vsc":
+        for (q, q_from), (r, q_to) in permutations(enumerate(basis.labels, start=1), 2):
+            block[r, q] = exchange_rate(q_from, q_to, basis, bath)
+    K = np.kron(np.eye(S * S), block)
+
+    # molecule 2's blocks are molecule 1's in the view with the molecules swapped
+    K6 = K.reshape(S, S, P, S, S, P)
+    E = np.array([s.energy for s in states]).reshape(S, S, P)
+    views = ((K6, E), (K6.transpose(1, 0, 2, 4, 3, 5), E.transpose(1, 0, 2)))
+    spectator = np.arange(S)
+    for c in [c for c in network.couplings if c.J != 0.0]:
+        a, b = (labels.index(phi) for phi in c.pair)
+        for molecule, (Kv, Ev) in enumerate(views, start=1):
+            lam_a, lam_b = (
+                mode_displacements(basis, molecule, network.species[i].displacement)
+                for i in (a, b)
             )
-    shifts = {
-        (mol, sp.label): mode_displacements(basis, mol, sp.displacement)
-        for mol in range(1, len(basis.coefficients[0]))
-        for sp in network.species
-    }
-    losses = [loss_rate(q, basis, cavity, bath) for q in basis.labels]
-    n = len(states)
-    K = np.zeros((n, n))
-    for s_from in states:
-        for s_to in states:
-            if s_to.index == s_from.index:
-                continue
-            diff = _config_diff(s_from, s_to)
-            if len(diff) == 1:
-                mol = diff[0] + 1
-                phi_from = s_from.config[diff[0]]
-                phi_to = s_to.config[diff[0]]
-                if network.coupling(phi_from, phi_to) is None:
-                    continue
-                fc = franck_condon(
-                    s_to.occupations,
-                    s_from.occupations,
-                    shifts[mol, phi_from],
-                    shifts[mol, phi_to],
-                )
-                K[s_to.index, s_from.index] = reactive_rate(
-                    s_from, s_to, network, fc, bath.temperature
-                )
-            elif len(diff) == 0:
-                t_from, t_to = s_from.total_quanta, s_to.total_quanta
-                if t_from == 1 and t_to == 0:
-                    K[s_to.index, s_from.index] = losses[s_from.occupations.index(1)]
-                elif t_from == 0 and t_to == 1:
-                    q_to = s_to.occupations.index(1)
-                    K[s_to.index, s_from.index] = gain_rate(
-                        losses[q_to], basis.frequencies[q_to], bath.temperature
-                    )
-                elif t_from == 1 and t_to == 1 and kind == "vsc":
-                    q_from = s_from.mode_labels[s_from.occupations.index(1)]
-                    q_to = s_to.mode_labels[s_to.occupations.index(1)]
-                    K[s_to.index, s_from.index] = exchange_rate(q_from, q_to, basis, bath)
-                # one-quantum moves between identity-basis modes: Purcell
-                # exchange below for weak, absent for bare
+            # squared factors are symmetric in the two patterns: one matrix serves both ways
+            fc = np.array([[franck_condon(m, n, lam_a, lam_b) for n in patterns] for m in patterns])
+            for i, j in ((a, b), (b, a)):
+                de = Ev[j, :, :, None] - Ev[i, :, None, :]
+                Kv[j, spectator, :, i, spectator, :] = reactive_rate(c, fc, de, bath.temperature)
 
     if kind == "weak":
-        out = K.sum(axis=0) - np.diag(K)  # bare out-rates; diag still zero here
+        out = K.sum(axis=0)  # bare out-rates; the diagonal is still zero here
         delta = cavity.omega_c - basis.omega_v
-        for s_from in states:
-            if s_from.total_quanta != 1 or s_from.occupations[0] != 1:
-                continue  # s_from is the cavity-excited state of its configuration
-            for s_to in states:
-                if s_to.total_quanta != 1 or s_to.index == s_from.index:
-                    continue
-                if _config_diff(s_from, s_to):
-                    continue
-                if s_to.occupations[0] == 1:
-                    continue
-                gamma_p = purcell_exchange_rate(
-                    out[s_from.index], out[s_to.index], regime.g_effective, delta
-                )
-                K[s_to.index, s_from.index] = gamma_p
-                K[s_from.index, s_to.index] = gamma_p
+        for i_c in range(1, S * S * P, P):  # the cavity-excited state of each configuration
+            for i_v in (i_c + 1, i_c + 2):
+                gamma_p = purcell_exchange_rate(out[i_c], out[i_v], regime.g_effective, delta)
+                K[i_v, i_c] = K[i_c, i_v] = gamma_p
 
-    np.fill_diagonal(K, 0.0)
     np.fill_diagonal(K, -K.sum(axis=0))
     return RateMatrix(states=tuple(states), matrix=K, regime=regime)

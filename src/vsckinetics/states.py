@@ -4,14 +4,18 @@ A composite state pairs an electronic configuration (one species label per
 molecule) with a vibrational occupation pattern over the three modes of the
 regime's mode basis (polariton/dark modes under VSC, the identity rotation
 over cavity and bare vibrations otherwise), truncated to at most one total
-quantum. For two molecules and S species that gives 4*S^2 states, ordered
-lexicographically by configuration (declaration order) and then by
-occupation pattern (ground, then one quantum in each mode in basis order).
+quantum. For two molecules and S species that gives S^2 configurations of
+P = 4 occupation patterns each, 4*S^2 states, ordered lexicographically by
+configuration (declaration order) and then by occupation pattern (ground,
+then one quantum in each mode in basis order). A state vector therefore
+reshapes to (S, S, P): species of molecule 1, species of molecule 2, pattern;
+the generator assembly in ``rates`` relies on exactly this layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,6 +28,7 @@ __all__ = [
     "CouplingSpec",
     "ReactionNetwork",
     "CompositeState",
+    "occupation_patterns",
     "enumerate_states",
     "initial_distribution",
 ]
@@ -137,38 +142,29 @@ class CompositeState:
         return self.config.count(species_label)
 
 
-def _occupation_patterns(n_modes: int) -> list[Tuple[int, ...]]:
-    patterns = [tuple(0 for _ in range(n_modes))]
-    for k in range(n_modes):
-        patterns.append(tuple(1 if j == k else 0 for j in range(n_modes)))
-    return patterns
+def occupation_patterns(n_modes: int) -> Tuple[Tuple[int, ...], ...]:
+    """Ground pattern, then one quantum in each mode in basis order."""
+    return tuple(tuple(int(j == k) for j in range(n_modes)) for k in range(-1, n_modes))
 
 
 def enumerate_states(network: ReactionNetwork, basis: ModeBasis) -> Tuple[CompositeState, ...]:
     """Enumerate all composite states over the modes of ``basis``.
 
-    Energies come from ``composite_energy`` in that basis. Ordering is
+    Energies come from ``composite_energy`` in that basis, one call per
+    configuration for all of its occupation patterns. Ordering is
     deterministic: configuration-major in species declaration order,
-    occupation pattern minor.
+    occupation pattern minor, so state (a, b, p) has index (a*S + b)*P + p.
     """
-    labels = network.labels()
-    states = []
-    index = 0
-    for phi1 in labels:
-        for phi2 in labels:
-            config = (phi1, phi2)
-            for occ in _occupation_patterns(len(basis.labels)):
-                states.append(
-                    CompositeState(
-                        index=index,
-                        config=config,
-                        occupations=occ,
-                        mode_labels=basis.labels,
-                        energy=composite_energy(config, occ, basis, network),
-                    )
-                )
-                index += 1
-    return tuple(states)
+    patterns = occupation_patterns(len(basis.labels))
+    cells = [
+        (config, occ, float(energy))
+        for config in product(network.labels(), repeat=2)
+        for occ, energy in zip(patterns, composite_energy(config, patterns, basis, network))
+    ]
+    return tuple(
+        CompositeState(k, config, occ, basis.labels, energy)
+        for k, (config, occ, energy) in enumerate(cells)
+    )
 
 
 def initial_distribution(

@@ -2,12 +2,15 @@
 
 Oracles here deliberately avoid the package's own closed-form code paths:
 displacement elements come from exponentiating the truncated displacement
-generator, and the stochastic route samples jump processes directly from a
-rate matrix. Tests compare the two routes instead of trusting either alone.
+generator, the stochastic route samples jump processes directly from a
+rate matrix, and the reference assembly fills the generator pair by pair
+from the state labels instead of block by block. Tests compare the two
+routes instead of trusting either alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +18,15 @@ import pytest
 from scipy.linalg import expm
 
 from vsckinetics.config import ScenarioConfig, bundled_config_path, load_config
+from vsckinetics.eigenmodes import mode_displacements
+from vsckinetics.rates import (
+    exchange_rate,
+    franck_condon,
+    gain_rate,
+    loss_rate,
+    purcell_exchange_rate,
+)
+from vsckinetics.units import HBAR, thermal_energy
 
 
 @pytest.fixture(scope="session")
@@ -120,3 +132,67 @@ def kmc_state_counts(
             dest = (rows < u[:, None]).sum(axis=1)
             state[active] = np.minimum(dest, n - 1)  # guard the u ~ 1.0 roundoff edge
     return counts
+
+
+def reference_assembly(states, network, basis, cavity, bath, regime) -> np.ndarray:
+    """Generator filled one state pair at a time from the state labels.
+
+    Same rate laws as ``assemble_rate_matrix`` but none of its layout: each
+    pair is classified by the molecules whose species differ and by its
+    quanta, reactive rates are the Marcus-Levich-Jortner formula written out
+    with ``math.exp``, and Purcell partners are found by searching the list.
+    """
+    n_mol = len(basis.coefficients[0]) - 1
+    kT = thermal_energy(bath.temperature)
+    losses = [loss_rate(q, basis, cavity, bath) for q in basis.labels]
+    n = len(states)
+    K = np.zeros((n, n))
+    for s_from in states:
+        for s_to in states:
+            if s_to.index == s_from.index:
+                continue
+            diff = [k for k in range(n_mol) if s_from.config[k] != s_to.config[k]]
+            if len(diff) == 1:
+                mol = diff[0] + 1
+                phi_from, phi_to = s_from.config[diff[0]], s_to.config[diff[0]]
+                coupling = network.coupling(phi_from, phi_to)
+                if coupling is None or coupling.J == 0.0:
+                    continue
+                lam_from, lam_to = (
+                    mode_displacements(basis, mol, network.displacement(phi))
+                    for phi in (phi_from, phi_to)
+                )
+                fc = franck_condon(s_to.occupations, s_from.occupations, lam_from, lam_to)
+                lam_s = coupling.lambda_s
+                de = s_to.energy - s_from.energy
+                prefactor = math.sqrt(math.pi / (lam_s * kT)) * coupling.J**2 / HBAR
+                K[s_to.index, s_from.index] = (
+                    prefactor * fc * math.exp(-((de + lam_s) ** 2) / (4.0 * lam_s * kT))
+                )
+            elif not diff:
+                t_from, t_to = s_from.total_quanta, s_to.total_quanta
+                if t_from == 1 and t_to == 0:
+                    K[s_to.index, s_from.index] = losses[s_from.occupations.index(1)]
+                elif t_from == 0 and t_to == 1:
+                    q_to = s_to.occupations.index(1)
+                    K[s_to.index, s_from.index] = gain_rate(
+                        losses[q_to], basis.frequencies[q_to], bath.temperature
+                    )
+                elif t_from == 1 and t_to == 1 and regime.kind == "vsc":
+                    q_from = basis.labels[s_from.occupations.index(1)]
+                    q_to = basis.labels[s_to.occupations.index(1)]
+                    K[s_to.index, s_from.index] = exchange_rate(q_from, q_to, basis, bath)
+    if regime.kind == "weak":
+        out = K.sum(axis=0)
+        delta = cavity.omega_c - basis.omega_v
+        for s_c in states:
+            if s_c.total_quanta != 1 or s_c.occupations[0] != 1:
+                continue
+            for s_v in states:
+                if s_v.config == s_c.config and s_v.total_quanta == 1 and s_v.occupations[0] == 0:
+                    rate = purcell_exchange_rate(
+                        out[s_c.index], out[s_v.index], regime.g_effective, delta
+                    )
+                    K[s_v.index, s_c.index] = K[s_c.index, s_v.index] = rate
+    np.fill_diagonal(K, -K.sum(axis=0))
+    return K

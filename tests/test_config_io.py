@@ -194,6 +194,26 @@ class TestSchema:
         with pytest.raises(ConfigError, match=field):
             config_from_dict(fast_dict(**mutation))
 
+    @pytest.mark.parametrize(
+        "mutation, field",
+        [
+            ({"species": [{"label": 5}, {"label": "B"}]}, "species.label"),
+            ({"species": [{"label": None}, {"label": "B"}]}, "species.label"),
+            ({"couplings": [{"pair": ["A", 5], "J": 1.0, "lambda_s": 1.0}]}, "coupling.pair"),
+            ({"couplings": [{"pair": [["A"], "B"], "J": 1.0, "lambda_s": 1.0}]}, "coupling.pair"),
+            ({"reactant": 5}, "reactant"),
+            ({"reactant": ["A"]}, "reactant"),
+            ({"regime": 1}, "regime"),
+            ({"regime": None}, "regime"),
+            ({"name": 7}, "name"),
+            ({"name": False}, "name"),
+        ],
+    )
+    def test_non_string_names_rejected(self, mutation, field):
+        # labels and names are never converted with str(): {"label": 5} is an error
+        with pytest.raises(ConfigError, match=f"{field} must be a string"):
+            config_from_dict(fast_dict(**mutation))
+
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.json")
@@ -452,6 +472,33 @@ class TestCli:
         assert field in err
         assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_non_string_label_exits_2(self, tmp_path, capsys):
+        raw = fast_dict(species=[{"label": 5}, {"label": "B"}], reactant=5)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "species.label" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("name", ["reaction1", "reaction2", "reaction3"])
+    @pytest.mark.parametrize("omega_c", [1.0, 0.975])
+    def test_vsc_g_sweep_from_zero(self, tmp_path, capsys, name, omega_c):
+        # g = 0 under vsc is a valid point, on resonance and detuned
+        raw = json.loads(bundled_config_path(name).read_text())
+        assert raw["regime"] == "vsc" and raw["energy_unit"] == "hbar_omega_v"
+        raw["cavity"]["omega_c"] = omega_c
+        raw["grid"] = {"spacing": "log", "start": 1.0, "end": 100.0, "points": 4}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "swp.csv"
+        args = ["sweep", "--config", str(path), "--param", "g", "--values", "0,0.1"]
+        assert main([*args, "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert (tmp_path / "swp_g-0.0.csv").is_file()
+        assert (tmp_path / "swp_g-0.1.csv").is_file()
 
     @pytest.mark.parametrize("values", ["1,inf", "nan", "0,-inf"])
     def test_sweep_rejects_non_finite_values(self, config_path, tmp_path, capsys, values):

@@ -1,17 +1,16 @@
 """Generator invariants over random valid configs (hypothesis).
 
 Every generated config is valid input: 1-4 species with random energies,
-displacements and couplings, a detuned cavity, kappa/gamma/eta that may be 0,
-and T in [150, 450] K, under the bare and vsc regimes. Each generator must
+displacements and couplings, a cavity that may sit on resonance and may be
+uncoupled (g = 0), kappa/gamma/eta that may be 0, and T in [150, 450] K,
+under the bare and vsc regimes. Each generator must
 conserve probability column by column, keep every off-diagonal rate
 non-negative and pair every rate by detailed balance.
 
 The domain keeps every rate a normal float, so no rate of a reactive pair
 underflows to 0 while its partner does not: activation exponents stay below
 ~500, and a nonzero displacement is at least 0.01 (a displacement of 1e-158
-gives one-quantum factors below the smallest double). g starts at
-0.01 cm^-1 because g = 0 under vsc is a known failure: the '+' and '-'
-modes become degenerate.
+gives one-quantum factors below the smallest double).
 """
 
 import numpy as np
@@ -57,8 +56,8 @@ def configs(draw):
         "species": species,
         "couplings": couplings,
         "cavity": {
-            "omega_c": OMEGA_V + draw(st.floats(-300.0, 300.0)),
-            "g": draw(st.floats(0.01, 150.0)),
+            "omega_c": OMEGA_V + draw(zero_or(-300.0, 300.0)),
+            "g": draw(zero_or(0.01, 150.0)),
             "kappa": draw(zero_or(1e-3, 10.0)),
         },
         "bath": {

@@ -7,8 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import detailed_balance_worst, displacement_oracle, with_regime
-from vsckinetics.config import build_generator
+from conftest import (
+    detailed_balance_worst,
+    displacement_oracle,
+    reference_assembly,
+    with_regime,
+)
+from vsckinetics.config import build_generator, run_scenario
 from vsckinetics.eigenmodes import (
     CavitySpec,
     bare_mode_basis,
@@ -16,6 +21,7 @@ from vsckinetics.eigenmodes import (
     mode_displacements,
 )
 from vsckinetics.rates import (
+    REGIME_KINDS,
     BathSpec,
     RegimeSpec,
     assemble_rate_matrix,
@@ -28,13 +34,12 @@ from vsckinetics.rates import (
     reactive_rate,
 )
 from vsckinetics.states import (
-    CompositeState,
     CouplingSpec,
     ReactionNetwork,
     SpeciesSpec,
     enumerate_states,
 )
-from vsckinetics.units import HBAR, thermal_energy
+from vsckinetics.units import HBAR, thermal_energy, wavenumber_to_angular
 
 LAMBDAS = (0.1, 0.728, 1.06, 1.5, 3.0)
 
@@ -208,8 +213,10 @@ class TestReactiveRate:
         fc = fc_factor(
             r1_bare_basis, r1_network, s_to.occupations, s_from.occupations, 1, "A", "B"
         )
-        fwd = reactive_rate(s_from, s_to, r1_network, fc, 298.0)
-        rev = reactive_rate(s_to, s_from, r1_network, fc, 298.0)
+        coupling = r1_network.coupling("A", "B")
+        de = s_to.energy - s_from.energy
+        fwd = reactive_rate(coupling, fc, de, 298.0)
+        rev = reactive_rate(coupling, fc, -de, 298.0)
         assert fwd == pytest.approx(1.6636456340688764e-4, rel=1e-12)
         assert rev == pytest.approx(7.916225616532685e-3, rel=1e-12)
         # and the assembled generator carries exactly these entries
@@ -223,8 +230,10 @@ class TestReactiveRate:
         fc = fc_factor(
             r1_bare_basis, r1_network, s_to.occupations, s_from.occupations, 1, "A", "B"
         )
-        fwd = reactive_rate(s_from, s_to, r1_network, fc, 298.0)
-        rev = reactive_rate(s_to, s_from, r1_network, fc, 298.0)
+        coupling = r1_network.coupling("A", "B")
+        de = s_to.energy - s_from.energy
+        fwd = reactive_rate(coupling, fc, de, 298.0)
+        rev = reactive_rate(coupling, fc, -de, 298.0)
         boltzmann = math.exp(-(s_to.energy - s_from.energy) / thermal_energy(298.0))
         assert fwd / rev == pytest.approx(boltzmann, rel=1e-13)
 
@@ -240,28 +249,19 @@ class TestReactiveRate:
         s_to = next(s for s in states if s.label == "B.A|0")
         kT = thermal_energy(298.0)
         expected = math.sqrt(math.pi / (160.0 * kT)) * 400.0 / HBAR
-        assert reactive_rate(s_from, s_to, net, 1.0, 298.0) == pytest.approx(expected, rel=1e-14)
-
-    def test_uncoupled_pair_gives_zero(self):
-        net = ReactionNetwork(
-            species=(
-                SpeciesSpec("A", 0.0, 0.0),
-                SpeciesSpec("B", -1200.0, 1.5),
-                SpeciesSpec("C", -2000.0, 2.0),
-            ),
-            couplings=(CouplingSpec(("A", "B"), 20.0, 160.0),),
+        de = s_to.energy - s_from.energy
+        assert reactive_rate(net.couplings[0], 1.0, de, 298.0) == pytest.approx(
+            expected, rel=1e-14
         )
-        labels = ("c", "v1", "v2")
-        s_a = CompositeState(0, ("A", "A"), (0, 0, 0), labels, 0.0)
-        s_c = CompositeState(1, ("C", "A"), (0, 0, 0), labels, -2000.0)
-        assert reactive_rate(s_a, s_c, net, 1.0, 298.0) == 0.0
 
-    def test_two_molecule_jump_rejected(self, r1_network, r1_bare):
-        states = r1_bare.states
-        s_aa = states[index_of(r1_bare, "A.A|0")]
-        s_bb = states[index_of(r1_bare, "B.B|0")]
-        with pytest.raises(ValueError):
-            reactive_rate(s_aa, s_bb, r1_network, 1.0, 298.0)
+    def test_arrays_match_scalars(self, r1_network):
+        coupling = r1_network.coupling("A", "B")
+        fc = np.array([[1.0, 0.25], [0.5, 0.0]])
+        de = np.array([[-1200.0, 800.0], [-3200.0, 10.0]])
+        rates = reactive_rate(coupling, fc, de, 298.0)
+        assert rates.shape == (2, 2)
+        for idx in np.ndindex(2, 2):
+            assert rates[idx] == reactive_rate(coupling, fc[idx], de[idx], 298.0)
 
 
 class TestLossAndGain:
@@ -331,9 +331,26 @@ class TestExchange:
     def test_degenerate_modes_rejected(self, r1_basis, reaction1):
         with pytest.raises(ValueError):
             exchange_rate("+", "+", r1_basis, reaction1.bath)
+        # g = 0 on resonance: every mode sits at omega_v and the zero-gap
+        # limit 2 pi * overlap * eta * kT applies both ways; '+' (theta = pi/4)
+        # and 'd' share a vibrational overlap of 1/4
+        bath = reaction1.bath
         decoupled = build_mode_basis(CavitySpec(omega_c=2000.0, g=0.0, kappa=1.0), 2000.0)
-        with pytest.raises(ValueError):
-            exchange_rate("+", "d", decoupled, reaction1.bath)
+        limit = 2.0 * math.pi * 0.25 * bath.eta * wavenumber_to_angular(
+            thermal_energy(bath.temperature)
+        )
+        assert exchange_rate("+", "d", decoupled, bath) == pytest.approx(limit, rel=1e-14)
+        assert exchange_rate("d", "+", decoupled, bath) == exchange_rate("+", "d", decoupled, bath)
+
+    def test_zero_gap_is_the_small_gap_limit(self, reaction1):
+        bath = reaction1.bath
+        at_zero = build_mode_basis(CavitySpec(omega_c=2000.0, g=0.0, kappa=1.0), 2000.0)
+        for g in (1e-3, 1e-5):
+            near = build_mode_basis(CavitySpec(omega_c=2000.0, g=g, kappa=1.0), 2000.0)
+            for q_from, q_to in (("+", "-"), ("-", "+"), ("+", "d"), ("d", "-")):
+                assert exchange_rate(q_from, q_to, near, bath) == pytest.approx(
+                    exchange_rate(q_from, q_to, at_zero, bath), rel=g
+                )
 
 
 class TestPurcellExchange:
@@ -405,8 +422,9 @@ class TestAssembly:
                 assert K[i, j] == 0.0
                 assert K[j, i] == 0.0
 
-    def test_no_two_molecule_jumps(self, r1_bare, r1_vsc):
-        for gen in (r1_bare, r1_vsc):
+    def test_no_two_molecule_jumps(self, r1_bare, r1_weak, r1_vsc, reaction3):
+        r3_gens = [build_generator(with_regime(reaction3, kind)) for kind in REGIME_KINDS]
+        for gen in [r1_bare, r1_weak, r1_vsc, *r3_gens]:
             K = gen.matrix
             for s_from in gen.states:
                 for s_to in gen.states:
@@ -415,6 +433,62 @@ class TestAssembly:
                     )
                     if changed == 2:
                         assert K[s_to.index, s_from.index] == 0.0
+
+    def test_uncoupled_species_never_connect(self, reaction3):
+        # reaction3 couples A-B and B-C only: no single-molecule A <-> C entry
+        assert reaction3.network.coupling("A", "C") is None
+        for kind in REGIME_KINDS:
+            gen = build_generator(with_regime(reaction3, kind))
+            for s_from in gen.states:
+                for s_to in gen.states:
+                    changed = {
+                        frozenset((a, b)) for a, b in zip(s_from.config, s_to.config) if a != b
+                    }
+                    if changed == {frozenset("AC")}:
+                        assert gen.matrix[s_to.index, s_from.index] == 0.0
+
+    @pytest.mark.parametrize("scenario", ["reaction1", "reaction2", "reaction3"])
+    @pytest.mark.parametrize("kind", REGIME_KINDS)
+    @pytest.mark.parametrize("omega_c", [None, 1800.0, 2150.0])
+    def test_matches_reference_assembly(self, request, scenario, kind, omega_c):
+        config = with_regime(request.getfixturevalue(scenario), kind)
+        if omega_c is not None:
+            config = replace(config, cavity=replace(config.cavity, omega_c=omega_c))
+        gen = build_generator(config)
+        make_basis = build_mode_basis if kind == "vsc" else bare_mode_basis
+        basis = make_basis(config.cavity, config.omega_v)
+        expected = reference_assembly(
+            gen.states, config.network, basis, config.cavity, config.bath, config.regime
+        )
+        np.testing.assert_allclose(gen.matrix, expected, rtol=1e-14, atol=0.0)
+
+    def test_states_must_be_the_enumeration(self, reaction1, reaction3, r1_bare_basis):
+        regime = RegimeSpec.for_kind("bare", reaction1.cavity.g)
+        states = enumerate_states(reaction1.network, r1_bare_basis)
+        foreign = enumerate_states(reaction3.network, r1_bare_basis)
+        for bad in (states[::-1], states[1:], states[:4] + states[5:] + states[4:5], foreign):
+            with pytest.raises(ValueError, match="mode labels"):
+                assemble_rate_matrix(
+                    bad,
+                    reaction1.network,
+                    r1_bare_basis,
+                    reaction1.cavity,
+                    reaction1.bath,
+                    regime,
+                )
+
+    @pytest.mark.parametrize("scenario", ["reaction1", "reaction2", "reaction3"])
+    def test_vsc_joins_smoothly_onto_g_zero(self, request, scenario):
+        base = with_regime(request.getfixturevalue(scenario), "vsc")
+        for detuning in (0.0, 50.0, -50.0):
+            runs = []
+            for g in (0.0, 1e-4):
+                cavity = replace(base.cavity, g=g, omega_c=base.omega_v + detuning)
+                runs.append(run_scenario(replace(base, cavity=cavity)))
+            K0, K1 = (r.rate_matrix.matrix for r in runs)
+            assert np.abs(K1 - K0).max() <= 1e-6 * np.abs(K0).max()
+            p0, p1 = (r.trajectory.species_populations for r in runs)
+            assert np.abs(p1 - p0).max() <= 1e-9
 
     def test_sparsity_counts(self, r1_bare, r1_weak, r1_vsc):
         # bare: 24 loss/gain + 48 reactive; weak adds 16 cavity-vibration

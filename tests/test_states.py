@@ -17,6 +17,7 @@ from vsckinetics.states import (
     SpeciesSpec,
     enumerate_states,
     initial_distribution,
+    occupation_patterns,
 )
 from vsckinetics.units import KB
 
@@ -109,6 +110,19 @@ def test_enumeration_energies_share_code_path():
         for s in enumerate_states(net, basis):
             assert s.mode_labels == basis.labels
             assert s.energy == composite_energy(s.config, s.occupations, basis, net)
+
+
+def test_composite_energy_of_a_pattern_stack():
+    # one call per configuration gives every pattern's energy, bit for bit
+    net = network_abc()
+    patterns = occupation_patterns(3)
+    assert patterns == ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for basis in (VSC, BARE):
+        for config in (("A", "A"), ("B", "C"), ("C", "B")):
+            stacked = composite_energy(config, patterns, basis, net)
+            assert stacked.shape == (4,)
+            for occ, energy in zip(patterns, stacked):
+                assert energy == composite_energy(config, occ, basis, net)
 
 
 def test_initial_distribution_bare():
