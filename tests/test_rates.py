@@ -263,6 +263,15 @@ class TestReactiveRate:
         for idx in np.ndindex(2, 2):
             assert rates[idx] == reactive_rate(coupling, fc[idx], de[idx], 298.0)
 
+    def test_two_molecule_jump_rejected(self, r1_bare, r1_weak, r1_vsc):
+        # A.A -> B.B would have both molecules react at once: the generator
+        # gives it no rate, while the one-molecule jump A.A -> B.A has one
+        for gen in (r1_bare, r1_weak, r1_vsc):
+            s_aa = index_of(gen, "A.A|0")
+            assert gen.matrix[index_of(gen, "B.B|0"), s_aa] == 0.0
+            assert gen.matrix[s_aa, index_of(gen, "B.B|0")] == 0.0
+            assert gen.matrix[index_of(gen, "B.A|0"), s_aa] > 0.0
+
 
 class TestLossAndGain:
     def test_polariton_loss_mixes_channels(self, r1_basis, reaction1):
