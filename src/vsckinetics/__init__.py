@@ -3,10 +3,13 @@ vibrational strong coupling.
 
 Two molecules share one cavity mode; a master equation over their composite
 vibronic states (reactive Marcus-Levich-Jortner transitions, loss/gain, and
-mode exchange) is propagated exactly by matrix exponentials. The same
-reactions can be run with the cavity absent ("bare"), perturbatively coupled
-("weak"), or strongly coupled ("vsc"); each regime works in one mode basis,
-the polariton eigenmodes for "vsc" and the identity rotation otherwise.
+mode exchange) is propagated exactly from one eigendecomposition anchored on
+the GTH stationary vector (Grassmann, Taksar and Heyman, Oper. Res. 33, 1985),
+or by scipy's expm where eigenvectors fail (Moler and Van Loan, SIAM Rev. 45,
+2003). The same reactions can be run with the cavity absent ("bare"),
+perturbatively coupled ("weak"), or strongly coupled ("vsc"); each regime works
+in one mode basis, the polariton eigenmodes for "vsc" and the identity rotation
+otherwise.
 """
 
 from .config import (

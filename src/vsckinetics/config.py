@@ -128,6 +128,9 @@ class ScenarioConfig:
             )
         if self.reactant not in self.network.labels():
             raise ConfigError(f"reactant {self.reactant!r} is not a declared species")
+        if self.regime_kind == "weak" and self.cavity.kappa == 0.0 and self.bath.gamma == 0.0:
+            # the resonant Purcell rate 4 g^2 / k has no finite limit as the linewidth k -> 0
+            raise ConfigError("regime 'weak' needs cavity.kappa > 0 or bath.gamma > 0")
 
     @property
     def regime(self) -> RegimeSpec:

@@ -318,9 +318,14 @@ def assemble_rate_matrix(
             )
             # squared factors are symmetric in the two patterns: one matrix serves both ways
             fc = np.array([[franck_condon(m, n, lam_a, lam_b) for n in patterns] for m in patterns])
-            for i, j in ((a, b), (b, a)):
-                de = Ev[j, :, :, None] - Ev[i, :, None, :]
-                Kv[j, spectator, :, i, spectator, :] = reactive_rate(c, fc, de, bath.temperature)
+            de = Ev[b, :, :, None] - Ev[a, :, None, :]  # a -> b; b -> a has the negated transpose
+            forward = reactive_rate(c, fc, de, bath.temperature)
+            backward = reactive_rate(c, fc, -de.transpose(0, 2, 1), bath.temperature)
+            # a rate underflowing alone breaks detailed balance: drop both below normal doubles
+            dead = np.minimum(forward, backward.transpose(0, 2, 1)) < np.finfo(float).tiny
+            forward[dead] = backward[dead.transpose(0, 2, 1)] = 0.0
+            Kv[b, spectator, :, a, spectator, :] = forward
+            Kv[a, spectator, :, b, spectator, :] = backward
 
     if kind == "weak":
         out = K.sum(axis=0)  # bare out-rates; the diagonal is still zero here

@@ -1,10 +1,15 @@
 """Config loading, orchestration, deterministic export, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vsckinetics
 from vsckinetics.cli import main
 from vsckinetics.config import (
     ConfigError,
@@ -213,6 +218,17 @@ class TestSchema:
         # labels and names are never converted with str(): {"label": 5} is an error
         with pytest.raises(ConfigError, match=f"{field} must be a string"):
             config_from_dict(fast_dict(**mutation))
+
+    def test_weak_without_linewidth_rejected(self):
+        # the resonant Purcell rate 4 g^2 / k has no finite limit as k -> 0
+        raw = fast_dict(regime="weak", cavity={"kappa": 0.0}, bath={"gamma": 0.0})
+        with pytest.raises(ConfigError, match=r"cavity\.kappa.*bath\.gamma"):
+            config_from_dict(raw)
+        for kind in ("bare", "vsc"):
+            config_from_dict(dict(raw, regime=kind))
+        base = config_from_dict(dict(raw, bath={"gamma": 0.01}))
+        with pytest.raises(ConfigError, match=r"gamma=0\.0.*cavity\.kappa.*bath\.gamma"):
+            run_sweep(SweepSpec(parameter="gamma", values=(0.0,), base=base))
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -482,6 +498,34 @@ class TestCli:
         assert "species.label" in err
         assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_weak_without_linewidth_exits_2(self, tmp_path, capsys):
+        raw = fast_dict(regime="weak", cavity={"kappa": 0.0}, bath={"gamma": 0.0})
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "cavity.kappa" in err and "bath.gamma" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_cli_never_imports_scipy(self):
+        # the spectral propagator needs numpy only; scipy loads for the expm fallback
+        code = (
+            "import sys\n"
+            "from vsckinetics import cli\n"
+            "assert cli.main(['criterion', '--epsilon', '1', '--n-molecules', '2',"
+            " '--k-r', '1', '--k-d', '1']) == 0\n"
+            "assert cli.main(['fcf', '--lam', '1.5', '--m-to', '1']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(vsckinetics.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
     @pytest.mark.parametrize("name", ["reaction1", "reaction2", "reaction3"])
     @pytest.mark.parametrize("omega_c", [1.0, 0.975])

@@ -1,13 +1,21 @@
-"""Propagation: time grids, expm evolution, observables, scaling criterion."""
+"""Propagation: time grids, spectral evolution against expm, observables, scaling criterion."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 
 from conftest import with_regime
-from vsckinetics.config import build_generator
+from test_properties import configs
+from vsckinetics import propagate as propagate_module
+from vsckinetics.config import build_generator, config_from_dict
 from vsckinetics.propagate import (
     DEFAULT_GRID_END,
     DEFAULT_GRID_POINTS,
@@ -17,7 +25,7 @@ from vsckinetics.propagate import (
     propagate,
     vsc_scaling_criterion,
 )
-from vsckinetics.rates import RateMatrix, RegimeSpec
+from vsckinetics.rates import REGIME_KINDS, RateMatrix, RegimeSpec
 from vsckinetics.states import CompositeState, initial_distribution
 
 
@@ -141,6 +149,149 @@ class TestPropagate:
         signed[0], signed[1] = 1.5, -0.5
         with pytest.raises(ValueError):
             propagate(r1_vsc, signed, grid)
+
+
+def expm_oracle(matrix: np.ndarray, p0: np.ndarray, times) -> np.ndarray:
+    """exp(K t) p0 by one dense scipy exponential per time point."""
+    return np.array([expm(matrix * t) @ p0 for t in times])
+
+
+@pytest.fixture()
+def expm_calls(monkeypatch):
+    """Counts the fallback's calls: it imports scipy.linalg.expm when it runs."""
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return expm(matrix)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    return calls
+
+
+class TestSpectralPropagator:
+    @pytest.mark.parametrize("scenario", ["reaction1", "reaction2", "reaction3"])
+    @pytest.mark.parametrize("kind", REGIME_KINDS)
+    @pytest.mark.parametrize("omega_c", [None, 1800.0, 2150.0])
+    def test_matches_expm_on_bundled_cases(self, request, expm_calls, scenario, kind, omega_c):
+        config = with_regime(request.getfixturevalue(scenario), kind)
+        if omega_c is not None:
+            config = replace(config, cavity=replace(config.cavity, omega_c=omega_c))
+        gen = build_generator(config)
+        p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
+        traj = propagate(gen, p0, config.grid)
+        assert expm_calls == []  # the spectral path served the whole grid
+        expected = expm_oracle(gen.matrix, p0, config.grid.points)
+        assert np.abs(traj.state_populations - expected).max() <= 1e-10
+
+    def test_random_configs_match_expm(self, expm_calls):
+        # reducible generators (kappa, gamma or eta = 0, uncoupled species)
+        # always fall back to expm; irreducible ones take the spectral path
+        # unless a guard rejects their eigenbasis
+        grid = TimeGrid(points=(0.0, *np.geomspace(0.1, 5.0e4, 40)), spacing="log")
+        paths = set()
+
+        @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @given(configs(), st.sampled_from(REGIME_KINDS))
+        def check(raw, kind):
+            no_linewidth = raw["cavity"]["kappa"] == 0.0 and raw["bath"]["gamma"] == 0.0
+            assume(not (kind == "weak" and no_linewidth))
+            config = config_from_dict(dict(raw, regime=kind))
+            gen = build_generator(config)
+            K = gen.matrix
+            p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
+            expm_calls.clear()
+            traj = propagate(gen, p0, grid)
+            # a dense float graph would read its smallest rates as missing edges
+            irreducible = connected_components(K != 0.0, connection="strong")[0] == 1
+            spectral = expm_calls == []
+            assert irreducible or not spectral
+            paths.add(spectral)
+            expected = expm_oracle(K, p0, grid.points)
+            assert np.abs(traj.state_populations - expected).max() <= 1e-9
+
+        check()
+        assert paths == {True, False}
+
+    @pytest.mark.parametrize(
+        "species, couplings, kappa, gamma, temperature",
+        [
+            # eigenvalues drift by 6e-13 from rates of 1e-12; unguarded error 1.6e-8
+            (
+                [(704.2070344674353, 0.0), (-226.66510476062808, 0.0),
+                 (-414.2845928153539, 1.66630417996875), (2.2080711194703817e-157, 0.0)],
+                [("S0", "S1", 0.1, 100.0), ("S1", "S3", 41.578526136508394, 424.5276934797683),
+                 ("S2", "S3", 29.321713341145575, 142.55459554761154)],
+                0.001, 0.0, 150.0,
+            ),
+            # four near-null eigenvalues; unguarded populations reach -4.6e-9
+            (
+                [(-706.1698252124872, 0.0), (-866.3651048160182, 2.487196997071779),
+                 (-471.92719586450096, 0.0001), (876.7965613401532, 2.211958563391229e-133)],
+                [("S0", "S2", 47.35116967982097, 135.70125430361375), ("S0", "S3", 0.1, 100.0),
+                 ("S1", "S3", 36.41855376476217, 383.37351335213566)],
+                0.7036634291839128, 0.0001, 216.7681245439037,
+            ),
+            # slow eigenvectors that keep their stationary component leak 5.5e-9
+            (
+                [(1.171245818736261e-98, 0.8858044526468571), (395.4114155972468, 0.0),
+                 (-597.149970443234, 0.0), (1.9, 0.0)],
+                [("S0", "S3", 34.6296693714366, 100.0), ("S1", "S2", 0.10000000000000002, 409.755890768015),
+                 ("S1", "S3", 48.33968756162514, 464.5243275620517)],
+                6.3933506891863505, 0.0, 150.0,
+            ),
+        ],
+    )
+    def test_nearly_decomposable_generators_match_expm(
+        self, species, couplings, kappa, gamma, temperature
+    ):
+        # irreducible, but weak couplings leave slow rates near the roundoff
+        # of a dense eigensolver
+        config = config_from_dict(
+            {
+                "species": [
+                    {"label": f"S{i}", "energy": e, "displacement": d}
+                    for i, (e, d) in enumerate(species)
+                ],
+                "couplings": [
+                    {"pair": [a, b], "J": J, "lambda_s": lam} for a, b, J, lam in couplings
+                ],
+                "cavity": {"omega_c": 2000.0, "g": 0.0, "kappa": kappa},
+                "bath": {"gamma": gamma, "eta": 0.0, "temperature": temperature},
+                "regime": "bare",
+            }
+        )
+        gen = build_generator(config)
+        assert connected_components(gen.matrix != 0.0, connection="strong")[0] == 1
+        p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
+        traj = propagate(gen, p0, config.grid)
+        expected = expm_oracle(gen.matrix, p0, config.grid.points)
+        assert np.abs(traj.state_populations - expected).max() <= 1e-10
+
+    def test_ill_conditioned_eigenbasis_falls_back(self, reaction3, expm_calls, monkeypatch):
+        monkeypatch.setattr(propagate_module, "EIGENBASIS_COND_LIMIT", 1.0)
+        config = with_regime(reaction3, "vsc")
+        gen = build_generator(config)
+        p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
+        traj = propagate(gen, p0, config.grid)
+        assert len(expm_calls) == len(config.grid.points)
+        expected = expm_oracle(gen.matrix, p0, config.grid.points)
+        assert np.abs(traj.state_populations - expected).max() <= 1e-10
+
+    def test_transient_state_falls_back(self, expm_calls):
+        # B decays into the absorbing A: every state reaches A, but B is transient
+        k = 0.17
+        irreversible = two_state_generator(k)
+        gen = replace(irreversible, matrix=irreversible.matrix[::-1, ::-1].copy())
+        grid = TimeGrid.linear(0.0, 40.0, 9)
+        traj = propagate(gen, np.array([0.0, 1.0]), grid)
+        assert len(expm_calls) == len(grid.points)
+        assert traj.state_populations[:, 1] == pytest.approx(np.exp(-k * traj.times), rel=1e-12)
+
+    def test_time_zero_returns_p0_exactly(self, r1_vsc, r1_vsc_p0, expm_calls):
+        traj = propagate(r1_vsc, r1_vsc_p0, TimeGrid.linear(0.0, 100.0, 5))
+        assert expm_calls == []
+        assert np.array_equal(traj.state_populations[0], r1_vsc_p0)
 
 
 class TestObservables:

@@ -7,10 +7,8 @@ under the bare and vsc regimes. Each generator must
 conserve probability column by column, keep every off-diagonal rate
 non-negative and pair every rate by detailed balance.
 
-The domain keeps every rate a normal float, so no rate of a reactive pair
-underflows to 0 while its partner does not: activation exponents stay below
-~500, and a nonzero displacement is at least 0.01 (a displacement of 1e-158
-gives one-quantum factors below the smallest double).
+Nonzero displacements reach down to 1e-160, whose one-quantum factors fall
+below the smallest normal double, so reactive pairs that underflow are drawn.
 """
 
 import numpy as np
@@ -36,7 +34,7 @@ def configs(draw):
         {
             "label": label,
             "energy": draw(st.floats(-1000.0, 1000.0)),
-            "displacement": draw(zero_or(0.01, 3.0)),
+            "displacement": draw(zero_or(1e-160, 3.0)),
         }
         for label in labels
     ]

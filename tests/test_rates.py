@@ -13,7 +13,7 @@ from conftest import (
     reference_assembly,
     with_regime,
 )
-from vsckinetics.config import build_generator, run_scenario
+from vsckinetics.config import build_generator, config_from_dict, run_scenario
 from vsckinetics.eigenmodes import (
     CavitySpec,
     bare_mode_basis,
@@ -540,6 +540,28 @@ class TestAssembly:
     def test_detailed_balance(self, request, scenario, kind):
         config = request.getfixturevalue(scenario)
         gen = build_generator(with_regime(config, kind))
+        energies = np.array([s.energy for s in gen.states])
+        kT = thermal_energy(config.bath.temperature)
+        assert detailed_balance_worst(gen.matrix, energies, kT) <= 1e-10
+
+    def test_underflowing_reactive_pairs_are_dropped(self):
+        # S0's one-quantum factors (displacement 1.28e-158) fall below the
+        # smallest double: six rates would be 5e-324 with partners of 0
+        config = config_from_dict(
+            {
+                "species": [
+                    {"label": "S0", "energy": 626.0, "displacement": 1.28e-158},
+                    {"label": "S1", "energy": 0.0, "displacement": 0.0},
+                    {"label": "S2", "energy": -559.0, "displacement": 0.0},
+                ],
+                "couplings": [{"pair": ["S0", "S2"], "J": 1.0, "lambda_s": 100.0}],
+                "bath": {"temperature": 150.0},
+                "regime": "bare",
+            }
+        )
+        gen = build_generator(config)
+        off = off_diagonal(gen.matrix)
+        assert not np.any((off > 0.0) & (off < np.finfo(float).tiny))
         energies = np.array([s.energy for s in gen.states])
         kT = thermal_energy(config.bath.temperature)
         assert detailed_balance_worst(gen.matrix, energies, kT) <= 1e-10
