@@ -12,6 +12,12 @@ in one mode basis, the polariton eigenmodes for "vsc" and the identity rotation
 otherwise.
 """
 
+import os
+
+# BLAS threads never pay on a few dozen states, and an OpenBLAS worker spins after
+# it starts (0.12 s of CPU per CLI call on 2 cores); this must precede numpy's import.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .config import (
     ConfigError,
     SweepSpec,

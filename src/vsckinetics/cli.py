@@ -108,18 +108,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_out(args: argparse.Namespace, config_name: str) -> str:
-    if args.out is not None:
-        return args.out
-    return f"{config_name}.{args.format}"
+def _export(args: argparse.Namespace, results: List, default_stem: str) -> int:
+    out = args.out if args.out is not None else f"{default_stem}.{args.format}"
+    for path in export(results, args.format, out):
+        print(path)
+    return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    result = run_scenario(config)
-    for path in export([result], args.format, _resolve_out(args, config.name)):
-        print(path)
-    return 0
+    return _export(args, [run_scenario(config)], config.name)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -128,21 +126,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     for kind in regimes:
         if kind not in REGIME_KINDS:
             raise ConfigError(f"unknown regime {kind!r}; choose from {REGIME_KINDS}")
-    results = run_comparison(config, regimes)
-    out = _resolve_out(args, f"{config.name}_compare")
-    for path in export(results, args.format, out):
-        print(path)
-    return 0
+    return _export(args, run_comparison(config, regimes), f"{config.name}_compare")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     sweep = SweepSpec(parameter=args.param, values=tuple(args.values), base=config)
-    results = run_sweep(sweep)
-    out = _resolve_out(args, f"{config.name}_sweep_{args.param}")
-    for path in export(results, args.format, out):
-        print(path)
-    return 0
+    return _export(args, run_sweep(sweep), f"{config.name}_sweep_{args.param}")
 
 
 def _cmd_criterion(args: argparse.Namespace) -> int:
@@ -196,13 +186,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

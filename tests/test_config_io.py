@@ -527,6 +527,29 @@ class TestCli:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
 
+    @pytest.mark.parametrize("preset", [None, "2"])
+    def test_package_import_runs_openblas_on_one_thread(self, preset):
+        # a worker thread never pays on generators this small; a value the user set is kept
+        code = (
+            "import os, vsckinetics\n"
+            "tasks = '/proc/self/task'\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'],"
+            " len(os.listdir(tasks)) if os.path.isdir(tasks) else 1)\n"
+        )
+        src = str(Path(vsckinetics.__file__).parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        value, threads = done.stdout.split()
+        assert value == (preset or "1")
+        if preset is None:
+            assert threads == "1"
+
     @pytest.mark.parametrize("name", ["reaction1", "reaction2", "reaction3"])
     @pytest.mark.parametrize("omega_c", [1.0, 0.975])
     def test_vsc_g_sweep_from_zero(self, tmp_path, capsys, name, omega_c):
