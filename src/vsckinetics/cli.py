@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional, Sequence
 
@@ -32,6 +33,16 @@ from .propagate import NumericalError, vsc_scaling_criterion
 from .rates import REGIME_KINDS, displacement_matrix_element, franck_condon
 
 __all__ = ["main", "build_parser"]
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _csv_floats(text: str) -> List[float]:
@@ -85,15 +96,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.set_defaults(func=_cmd_sweep)
 
     p_cri = sub.add_parser("criterion", help="collective-scaling criterion calculator")
-    p_cri.add_argument("--epsilon", required=True, type=float, help="relative single-molecule rate change")
-    p_cri.add_argument("--n-molecules", required=True, type=float, help="number of coupled molecules N")
-    p_cri.add_argument("--k-r", required=True, type=float, help="reverse reactive rate, ps^-1")
-    p_cri.add_argument("--k-d", required=True, type=float, help="hot-product decay rate, ps^-1")
-    p_cri.add_argument("--k-f", type=float, default=None, help="forward rate for the net-rate report, ps^-1")
+    p_cri.add_argument("--epsilon", required=True, type=_finite_float, help="relative single-molecule rate change")
+    p_cri.add_argument("--n-molecules", required=True, type=_finite_float, help="number of coupled molecules N")
+    p_cri.add_argument("--k-r", required=True, type=_finite_float, help="reverse reactive rate, ps^-1")
+    p_cri.add_argument("--k-d", required=True, type=_finite_float, help="hot-product decay rate, ps^-1")
+    p_cri.add_argument("--k-f", type=_finite_float, default=None, help="forward rate for the net-rate report, ps^-1")
     p_cri.set_defaults(func=_cmd_criterion)
 
     p_fcf = sub.add_parser("fcf", help="displacement matrix elements / Franck-Condon factors")
-    p_fcf.add_argument("--lam", type=float, default=None, help="displacement for a single matrix element")
+    p_fcf.add_argument("--lam", type=_finite_float, default=None, help="displacement for a single matrix element")
     p_fcf.add_argument("--m-from", type=int, default=0, help="initial occupation")
     p_fcf.add_argument("--m-to", type=int, default=0, help="final occupation")
     p_fcf.add_argument("--config", default=None, help="scenario config for a full multimode factor")
@@ -175,7 +186,7 @@ def _cmd_fcf(args: argparse.Namespace) -> int:
         mode_displacements(basis, args.molecule, config.network.displacement(label))
         for label in (args.species_from, args.species_to)
     )
-    factor = franck_condon(occ_to, occ_from, lam_from, lam_to)
+    factor = float(franck_condon([occ_to], [occ_from], lam_from, lam_to)[0, 0])
     print(f"|FC|^2 [{args.regime}] {args.species_from}->{args.species_to} "
           f"molecule {args.molecule} {occ_from}->{occ_to} = {factor!r}")
     return 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ __all__ = [
     "build_mode_basis",
     "bare_mode_basis",
     "mode_displacements",
-    "composite_energy",
+    "state_energies",
     "VSC_MODE_LABELS",
     "BARE_MODE_LABELS",
 ]
@@ -142,29 +142,31 @@ def mode_displacements(basis: ModeBasis, molecule: int, lam: float) -> Tuple[flo
     )
 
 
-def composite_energy(
-    config: Tuple[str, ...],
-    occupations: Sequence[int] | np.ndarray,
-    basis: ModeBasis,
-    network: "ReactionNetwork",
-) -> float | np.ndarray:
-    """Energy (cm^-1) of |config; occupations> in ``basis``.
+def state_energies(network: "ReactionNetwork", basis: ModeBasis) -> np.ndarray:
+    """Energy (cm^-1) of every composite state over ``basis``, shape (S, S, 1 + M).
 
-    Sum of electronic energies and mode quanta, plus the polaron shift
+    Axes: species of molecule 1 and of molecule 2 in declaration order, then
+    the occupation pattern (ground, then one quantum in each of the M modes in
+    basis order), the layout of ``enumerate_states``. Each energy is the sum
+    of electronic energies and mode quanta, plus the polaron shift
     omega_v * sum_i lambda_phi_i^2 - sum_q omega_q * lambda_config_q^2 that
     the basis rotation leaves behind. The shift vanishes in the identity
     basis, where each vibration is displaced along its own coordinate.
-    ``occupations`` is one pattern, or a stack of patterns (one per row) that
-    share the configuration and so its shift; a stack gives one energy per row.
+
+    Swapping the molecules maps (a, b) onto (b, a) and fixes the shift, but
+    in the identity basis its roundoff depends on the order in which the two
+    vibrations are subtracted; (b, a) with a < b therefore takes the shift of
+    (a, b), so the energies are exchange-symmetric bit for bit.
     """
-    displacements = [network.displacement(phi) for phi in config]
-    energy = sum([network.energy(phi) for phi in config])
-    energy = energy + np.asarray(occupations) @ np.asarray(basis.frequencies)
-    shift = basis.omega_v * sum([lam**2 for lam in displacements])
-    per_molecule = [
-        mode_displacements(basis, i, lam) for i, lam in enumerate(displacements, start=1)
-    ]
-    for omega_q, lams in zip(basis.frequencies, zip(*per_molecule)):
-        lam = sum(lams)
-        shift -= omega_q * lam * lam
-    return energy + shift
+    energies = np.array([s.energy for s in network.species])
+    lams = [s.displacement for s in network.species]
+    squares = np.array([lam**2 for lam in lams])
+    mol1, mol2 = (np.array([mode_displacements(basis, i, lam) for lam in lams]) for i in (1, 2))
+    shift = basis.omega_v * (squares[:, None] + squares[None, :])
+    for q, omega_q in enumerate(basis.frequencies):
+        lam = mol1[:, None, q] + mol2[None, :, q]
+        shift = shift - omega_q * lam * lam
+    species = np.arange(len(lams))
+    shift = np.where(species[:, None] > species, shift.T, shift)
+    quanta = np.array([0.0, *basis.frequencies])
+    return (energies[:, None, None] + energies[None, :, None] + quanta) + shift[:, :, None]

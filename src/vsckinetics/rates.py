@@ -17,8 +17,11 @@ Assembly follows the same split. Two molecules over S species give S^2
 configurations of P = 4 occupation patterns each, so K is an S^2 x S^2 grid
 of P x P blocks. Loss, gain and exchange stay inside a configuration: one
 block, shared by every diagonal cell. A reactive jump changes one molecule's
-species: per coupled pair, direction and molecule, one P x P Franck-Condon
-matrix fills the cells of every spectator species at once.
+species: per coupled pair and direction, one P x P Franck-Condon matrix fills
+molecule 1's cells for every spectator species at once, and molecule 2's
+cells are their exact image under the exchange of the two molecules. K
+commutes with that exchange, which ``RateMatrix.exchange`` records as a state
+permutation for the propagator to lump on.
 
 Rates are in ps^-1, energies in cm^-1. The generator K is column-conservative:
 K[j][i] is the rate i -> j and each diagonal entry carries minus its column's
@@ -30,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,11 +54,14 @@ __all__ = [
     "gain_rate",
     "exchange_rate",
     "purcell_exchange_rate",
+    "exchange_permutation",
     "assemble_rate_matrix",
 ]
 
 REGIME_KINDS = ("bare", "weak", "vsc")
 WEAK_COUPLING_DIVISOR = 100.0
+# column sums of the same rates in another order: a few ulps of each entry
+EXCHANGE_RTOL = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -102,11 +108,18 @@ class RegimeSpec:
 
 @dataclass(frozen=True)
 class RateMatrix:
-    """Master-equation generator over an ordered state list."""
+    """Master-equation generator over an ordered state list.
+
+    ``exchange`` is the state permutation that swaps the two molecules:
+    state i maps onto state exchange[i]. K commutes with it up to roundoff,
+    so a start distribution it leaves unchanged stays so for all times.
+    Hand-built generators default to the identity, which every K commutes with.
+    """
 
     states: Tuple[CompositeState, ...]
     matrix: np.ndarray  # K[j, i] = rate of states[i] -> states[j]
     regime: RegimeSpec
+    exchange: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         n = len(self.states)
@@ -117,6 +130,17 @@ class RateMatrix:
         off = self.matrix - np.diag(np.diag(self.matrix))
         if np.any(off < 0.0):
             raise ValueError("negative off-diagonal rate")
+        identity = np.arange(n)
+        if self.exchange is None:
+            object.__setattr__(self, "exchange", identity)
+        perm = self.exchange
+        if perm.shape != (n,) or not np.array_equal(np.sort(perm), identity):
+            raise ValueError("exchange must be a permutation of the states")
+        if not np.array_equal(perm[perm], identity):
+            raise ValueError("exchange must undo itself: it swaps two molecules")
+        drift = np.abs(self.matrix[perm][:, perm] - self.matrix)
+        if np.any(drift > EXCHANGE_RTOL * np.abs(self.matrix)):
+            raise ValueError("rate matrix does not commute with the molecule exchange")
 
     @property
     def out_rates(self) -> np.ndarray:
@@ -153,27 +177,36 @@ def displacement_matrix_element(m_to: int, m_from: int, lam: float) -> float:
 
 
 def franck_condon(
-    occ_to: Sequence[int],
-    occ_from: Sequence[int],
+    occ_to: Sequence[Sequence[int]],
+    occ_from: Sequence[Sequence[int]],
     lam_from: Sequence[float],
     lam_to: Sequence[float],
-) -> float:
-    """Squared Franck-Condon factor of one molecule's reaction.
+) -> np.ndarray:
+    """Squared Franck-Condon factors of one molecule's reaction, indexed [to, from].
 
-    ``lam_from``/``lam_to`` are the reacting molecule's per-mode displacements
-    (``mode_displacements``) before and after the reaction. The factor is the
-    product over modes of displacement elements for the change; a mode the
-    molecule does not displace keeps its occupation or the factor is 0.
+    ``occ_to`` and ``occ_from`` are stacks of occupation patterns, one per
+    row. ``lam_from``/``lam_to`` are the reacting molecule's per-mode
+    displacements (``mode_displacements``) before and after the reaction.
+    Each factor is the product over modes of displacement elements for the
+    change, read from one table of elements per mode; a mode the molecule
+    does not displace keeps its occupation or the factor is 0.
     """
-    amp = 1.0
-    for m_to, m_from, a, b in zip(occ_to, occ_from, lam_from, lam_to):
+    to, frm = np.array(occ_to), np.array(occ_from)
+    if min(to.min(), frm.min()) < 0:
+        raise ValueError("occupation numbers must be non-negative")
+    levels = int(max(to.max(), frm.max())) + 1
+    amp = np.ones((len(to), len(frm)))
+    for q, (a, b) in enumerate(zip(lam_from, lam_to)):
         if b == a:  # undisplaced mode: the element is 1 or 0
-            if m_to != m_from:
-                return 0.0
-            continue
-        amp *= displacement_matrix_element(m_to, m_from, b - a)
-        if amp == 0.0:
-            return 0.0
+            table = np.eye(levels)
+        else:
+            table = np.array(
+                [
+                    [displacement_matrix_element(m, n, b - a) for n in range(levels)]
+                    for m in range(levels)
+                ]
+            )
+        amp = amp * table[to[:, None, q], frm[None, :, q]]
     return amp * amp
 
 
@@ -242,23 +275,38 @@ def exchange_rate(q_from: str, q_to: str, basis: ModeBasis, bath: BathSpec) -> f
 
 
 def purcell_exchange_rate(
-    k_out_cavity: float, k_out_vib: float, g: float, delta: float
-) -> float:
+    k_out_cavity: float | np.ndarray, k_out_vib: float | np.ndarray, g: float, delta: float
+) -> float | np.ndarray:
     """Cavity-vibration exchange rate in the perturbative regime.
 
     gamma' = 4 g^2 k / (4 Delta^2 + k^2) with k the summed out-rates of the
     two exchanging states; g (cm^-1) and the detuning Delta (cm^-1) are
     converted to angular frequency so the result is ps^-1. The rate is
-    symmetric in the two states. Requires a nonzero total linewidth.
+    symmetric in the two states. Requires a nonzero total linewidth. The
+    out-rates may be arrays of matching shape, one rate per pair.
     """
-    if k_out_cavity < 0.0 or k_out_vib < 0.0:
+    if min(np.min(k_out_cavity), np.min(k_out_vib)) < 0.0:
         raise ValueError("out-rates must be >= 0")
     k_total = k_out_cavity + k_out_vib
-    if k_total == 0.0:
+    if np.any(k_total == 0.0):
         raise ValueError("Purcell exchange undefined for two non-decaying states")
     g_ang = wavenumber_to_angular(g)
     d_ang = wavenumber_to_angular(delta)
     return 4.0 * g_ang * g_ang * k_total / (4.0 * d_ang * d_ang + k_total * k_total)
+
+
+def exchange_permutation(basis: ModeBasis, n_species: int) -> np.ndarray:
+    """State permutation that swaps the two molecules over the layout (S, S, P).
+
+    State (a, b, p) maps onto (b, a, sigma(p)). Swapping the bare vibrations
+    turns each mode's coefficient row into plus or minus the row of mode
+    sigma(q): v1 and v2 trade places in the identity basis, while +, - and d
+    stay put under VSC, where the sign of the dark row is unobservable.
+    """
+    rows = np.array(basis.coefficients)
+    sigma = np.abs(rows[:, [0, 2, 1]] @ rows.T).argmax(axis=1)
+    cells = np.arange(n_species * n_species * (1 + len(rows))).reshape(n_species, n_species, -1)
+    return cells.transpose(1, 0, 2)[:, :, [0, *(1 + sigma)]].ravel()
 
 
 def assemble_rate_matrix(
@@ -275,7 +323,9 @@ def assemble_rate_matrix(
     (S, S, P, S, S, P): destination species of molecules 1 and 2 and pattern,
     then the same for the source. The shared mode block holds loss/gain and,
     under "vsc" (eigenmode basis), bath exchange between eigenmodes; reactive
-    blocks fill the cells where one molecule changes species. "weak" (identity
+    blocks fill the cells where one molecule changes species. Molecule 2's
+    reactive blocks are the exact exchange image of molecule 1's, and the
+    result carries that exchange (``exchange_permutation``). "weak" (identity
     basis) then adds the symmetric Purcell cavity-vibration exchange, whose
     linewidths are the bare out-rates of the two exchanging states; "bare"
     adds none. Observable rates must not depend on the arbitrary dark-row
@@ -302,38 +352,40 @@ def assemble_rate_matrix(
     if kind == "vsc":
         for (q, q_from), (r, q_to) in permutations(enumerate(basis.labels, start=1), 2):
             block[r, q] = exchange_rate(q_from, q_to, basis, bath)
-    K = np.kron(np.eye(S * S), block)
+    configs = np.arange(S * S)
+    K = np.zeros((S * S, P, S * S, P))
+    K[configs, :, configs, :] = block
+    K = K.reshape(S * S * P, S * S * P)
 
-    # molecule 2's blocks are molecule 1's in the view with the molecules swapped
-    K6 = K.reshape(S, S, P, S, S, P)
+    # molecule 1 reacts in R; molecule 2's reactions are its image under the exchange
+    R = np.zeros((S, S, P, S, S, P))
     E = np.array([s.energy for s in states]).reshape(S, S, P)
-    views = ((K6, E), (K6.transpose(1, 0, 2, 4, 3, 5), E.transpose(1, 0, 2)))
     spectator = np.arange(S)
     for c in [c for c in network.couplings if c.J != 0.0]:
         a, b = (labels.index(phi) for phi in c.pair)
-        for molecule, (Kv, Ev) in enumerate(views, start=1):
-            lam_a, lam_b = (
-                mode_displacements(basis, molecule, network.species[i].displacement)
-                for i in (a, b)
-            )
-            # squared factors are symmetric in the two patterns: one matrix serves both ways
-            fc = np.array([[franck_condon(m, n, lam_a, lam_b) for n in patterns] for m in patterns])
-            de = Ev[b, :, :, None] - Ev[a, :, None, :]  # a -> b; b -> a has the negated transpose
-            forward = reactive_rate(c, fc, de, bath.temperature)
-            backward = reactive_rate(c, fc, -de.transpose(0, 2, 1), bath.temperature)
-            # a rate underflowing alone breaks detailed balance: drop both below normal doubles
-            dead = np.minimum(forward, backward.transpose(0, 2, 1)) < np.finfo(float).tiny
-            forward[dead] = backward[dead.transpose(0, 2, 1)] = 0.0
-            Kv[b, spectator, :, a, spectator, :] = forward
-            Kv[a, spectator, :, b, spectator, :] = backward
+        lam_a, lam_b = (
+            mode_displacements(basis, 1, network.species[i].displacement) for i in (a, b)
+        )
+        # squared factors are symmetric in the two patterns: one matrix serves both ways
+        fc = franck_condon(patterns, patterns, lam_a, lam_b)
+        de = E[b, :, :, None] - E[a, :, None, :]  # a -> b; b -> a has the negated transpose
+        forward = reactive_rate(c, fc, de, bath.temperature)
+        backward = reactive_rate(c, fc, -de.transpose(0, 2, 1), bath.temperature)
+        # a rate underflowing alone breaks detailed balance: drop both below normal doubles
+        dead = np.minimum(forward, backward.transpose(0, 2, 1)) < np.finfo(float).tiny
+        forward[dead] = backward[dead.transpose(0, 2, 1)] = 0.0
+        R[b, spectator, :, a, spectator, :] = forward
+        R[a, spectator, :, b, spectator, :] = backward
+    exchange = exchange_permutation(basis, S)
+    R = R.reshape(K.shape)
+    K += R + R[exchange][:, exchange]
 
     if kind == "weak":
-        out = K.sum(axis=0)  # bare out-rates; the diagonal is still zero here
+        out = K.sum(axis=0).reshape(S * S, P)  # bare out-rates; the diagonal is still zero here
         delta = cavity.omega_c - basis.omega_v
-        for i_c in range(1, S * S * P, P):  # the cavity-excited state of each configuration
-            for i_v in (i_c + 1, i_c + 2):
-                gamma_p = purcell_exchange_rate(out[i_c], out[i_v], regime.g_effective, delta)
-                K[i_v, i_c] = K[i_c, i_v] = gamma_p
+        gamma_p = purcell_exchange_rate(out[:, 1:2], out[:, 2:], regime.g_effective, delta)
+        i_c = np.arange(1, S * S * P, P)[:, None]  # the cavity-excited state of each configuration
+        K[i_c + [1, 2], i_c] = K[i_c, i_c + [1, 2]] = gamma_p
 
     np.fill_diagonal(K, -K.sum(axis=0))
-    return RateMatrix(states=tuple(states), matrix=K, regime=regime)
+    return RateMatrix(states=tuple(states), matrix=K, regime=regime, exchange=exchange)

@@ -10,17 +10,22 @@ configuration (declaration order) and then by occupation pattern (ground,
 then one quantum in each mode in basis order). A state vector therefore
 reshapes to (S, S, P): species of molecule 1, species of molecule 2, pattern;
 the generator assembly in ``rates`` relies on exactly this layout.
+
+The two molecules are identical, so swapping them maps state (a, b, p) onto
+(b, a, sigma(p)), where sigma trades v1 and v2 in the identity basis and
+fixes every eigenmode under VSC. State energies are invariant under that
+swap bit for bit, and so is the thermal start of ``initial_distribution``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .eigenmodes import ModeBasis, composite_energy
+from .eigenmodes import ModeBasis, state_energies
 from .units import thermal_energy
 
 __all__ = [
@@ -67,9 +72,6 @@ class CouplingSpec:
         if self.lambda_s < 0.0:
             raise ValueError(f"lambda_s must be >= 0, got {self.lambda_s}")
 
-    def involves(self, a: str, b: str) -> bool:
-        return {a, b} == set(self.pair)
-
 
 @dataclass(frozen=True)
 class ReactionNetwork:
@@ -109,12 +111,6 @@ class ReactionNetwork:
     def displacement(self, label: str) -> float:
         return self._lookup(label).displacement
 
-    def coupling(self, a: str, b: str) -> Optional[CouplingSpec]:
-        for c in self.couplings:
-            if c.involves(a, b):
-                return c
-        return None
-
 
 @dataclass(frozen=True)
 class CompositeState:
@@ -150,20 +146,18 @@ def occupation_patterns(n_modes: int) -> Tuple[Tuple[int, ...], ...]:
 def enumerate_states(network: ReactionNetwork, basis: ModeBasis) -> Tuple[CompositeState, ...]:
     """Enumerate all composite states over the modes of ``basis``.
 
-    Energies come from ``composite_energy`` in that basis, one call per
-    configuration for all of its occupation patterns. Ordering is
-    deterministic: configuration-major in species declaration order,
-    occupation pattern minor, so state (a, b, p) has index (a*S + b)*P + p.
+    Energies come from ``state_energies`` in that basis, one array for every
+    configuration and occupation pattern, exchange-symmetric bit for bit.
+    Ordering is deterministic: configuration-major in species declaration
+    order, occupation pattern minor, so state (a, b, p) has index
+    (a*S + b)*P + p.
     """
     patterns = occupation_patterns(len(basis.labels))
-    cells = [
-        (config, occ, float(energy))
-        for config in product(network.labels(), repeat=2)
-        for occ, energy in zip(patterns, composite_energy(config, patterns, basis, network))
-    ]
+    cells = product(product(network.labels(), repeat=2), patterns)
+    energies = state_energies(network, basis).ravel().tolist()
     return tuple(
         CompositeState(k, config, occ, basis.labels, energy)
-        for k, (config, occ, energy) in enumerate(cells)
+        for k, ((config, occ), energy) in enumerate(zip(cells, energies))
     )
 
 

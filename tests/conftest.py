@@ -3,9 +3,10 @@
 Oracles here deliberately avoid the package's own closed-form code paths:
 displacement elements come from exponentiating the truncated displacement
 generator, the stochastic route samples jump processes directly from a
-rate matrix, and the reference assembly fills the generator pair by pair
-from the state labels instead of block by block. Tests compare the two
-routes instead of trusting either alone.
+rate matrix, the reference assembly fills the generator pair by pair
+from the state labels instead of block by block, and the reference energy
+sums one configuration's terms in plain Python instead of one array
+expression. Tests compare the two routes instead of trusting either alone.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from scipy.linalg import expm
 from vsckinetics.config import ScenarioConfig, bundled_config_path, load_config
 from vsckinetics.eigenmodes import mode_displacements
 from vsckinetics.rates import (
+    displacement_matrix_element,
     exchange_rate,
-    franck_condon,
     gain_rate,
     loss_rate,
     purcell_exchange_rate,
@@ -55,6 +56,60 @@ def with_regime(config: ScenarioConfig, kind: str, **overrides) -> ScenarioConfi
     if overrides:
         raise TypeError(f"unknown overrides {sorted(overrides)}")
     return out
+
+
+def coupling(network, a: str, b: str):
+    """The coupling of the unordered species pair {a, b}, or None."""
+    return next((c for c in network.couplings if set(c.pair) == {a, b}), None)
+
+
+def swapped_label(label: str) -> str:
+    """Label of the state with the two molecules swapped.
+
+    The configuration reverses; v1 and v2 trade places, and every other mode
+    (the cavity, and the eigenmodes under VSC) stays put.
+    """
+    config, mode = label.split("|")
+    mode = {"v1": "v2", "v2": "v1"}.get(mode, mode)
+    return f"{'.'.join(reversed(config.split('.')))}|{mode}"
+
+
+def reference_energy(config, occupations, basis, network) -> float:
+    """Energy (cm^-1) of one state, term by term in declaration order.
+
+    Electronic energies, then mode quanta, then the polaron shift
+    omega_v * sum_i lambda_phi_i^2 - sum_q omega_q * lambda_config_q^2 with
+    the modes subtracted in basis order.
+    """
+    displacements = [network.displacement(phi) for phi in config]
+    energy = sum([network.energy(phi) for phi in config])
+    energy = energy + sum(n * omega for n, omega in zip(occupations, basis.frequencies))
+    shift = basis.omega_v * sum([lam**2 for lam in displacements])
+    per_molecule = [
+        mode_displacements(basis, i, lam) for i, lam in enumerate(displacements, start=1)
+    ]
+    for omega_q, lams in zip(basis.frequencies, zip(*per_molecule)):
+        lam = sum(lams)
+        shift -= omega_q * lam * lam
+    return energy + shift
+
+
+def reference_franck_condon(occ_to, occ_from, lam_from, lam_to) -> float:
+    """Squared Franck-Condon factor of one pattern pair, one mode at a time.
+
+    Modes the molecule does not displace keep their occupation or give 0;
+    the others multiply their displacement elements in basis order.
+    """
+    amp = 1.0
+    for m_to, m_from, a, b in zip(occ_to, occ_from, lam_from, lam_to):
+        if b == a:
+            if m_to != m_from:
+                return 0.0
+            continue
+        amp *= displacement_matrix_element(m_to, m_from, b - a)
+        if amp == 0.0:
+            return 0.0
+    return amp * amp
 
 
 def detailed_balance_worst(matrix: np.ndarray, energies: np.ndarray, kT: float) -> float:
@@ -139,8 +194,9 @@ def reference_assembly(states, network, basis, cavity, bath, regime) -> np.ndarr
 
     Same rate laws as ``assemble_rate_matrix`` but none of its layout: each
     pair is classified by the molecules whose species differ and by its
-    quanta, reactive rates are the Marcus-Levich-Jortner formula written out
-    with ``math.exp``, and Purcell partners are found by searching the list.
+    quanta, Franck-Condon factors are taken one pattern pair at a time,
+    reactive rates are the Marcus-Levich-Jortner formula written out with
+    ``math.exp``, and Purcell partners are found by searching the list.
     """
     n_mol = len(basis.coefficients[0]) - 1
     kT = thermal_energy(bath.temperature)
@@ -155,17 +211,19 @@ def reference_assembly(states, network, basis, cavity, bath, regime) -> np.ndarr
             if len(diff) == 1:
                 mol = diff[0] + 1
                 phi_from, phi_to = s_from.config[diff[0]], s_to.config[diff[0]]
-                coupling = network.coupling(phi_from, phi_to)
-                if coupling is None or coupling.J == 0.0:
+                spec = coupling(network, phi_from, phi_to)
+                if spec is None or spec.J == 0.0:
                     continue
                 lam_from, lam_to = (
                     mode_displacements(basis, mol, network.displacement(phi))
                     for phi in (phi_from, phi_to)
                 )
-                fc = franck_condon(s_to.occupations, s_from.occupations, lam_from, lam_to)
-                lam_s = coupling.lambda_s
+                fc = reference_franck_condon(
+                    s_to.occupations, s_from.occupations, lam_from, lam_to
+                )
+                lam_s = spec.lambda_s
                 de = s_to.energy - s_from.energy
-                prefactor = math.sqrt(math.pi / (lam_s * kT)) * coupling.J**2 / HBAR
+                prefactor = math.sqrt(math.pi / (lam_s * kT)) * spec.J**2 / HBAR
                 K[s_to.index, s_from.index] = (
                     prefactor * fc * math.exp(-((de + lam_s) ** 2) / (4.0 * lam_s * kT))
                 )

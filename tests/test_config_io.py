@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import vsckinetics
+from conftest import coupling
 from vsckinetics.cli import main
 from vsckinetics.config import (
     ConfigError,
@@ -68,7 +69,7 @@ class TestBundledConfigs:
         assert net.labels() == ("A", "B")
         assert net.energy("B") == pytest.approx(-1200.0, rel=1e-15)
         assert net.displacement("B") == 1.5
-        c = net.coupling("A", "B")
+        c = coupling(net, "A", "B")
         assert c.J == pytest.approx(20.0, rel=1e-15)
         assert c.lambda_s == pytest.approx(160.0, rel=1e-15)
 
@@ -76,7 +77,7 @@ class TestBundledConfigs:
         net = reaction2.network
         assert net.energy("B") == pytest.approx(1900.0, rel=1e-15)
         assert net.displacement("B") == 1.0
-        c = net.coupling("A", "B")
+        c = coupling(net, "A", "B")
         assert c.J == pytest.approx(4.0, rel=1e-15)
         assert c.lambda_s == pytest.approx(100.0, rel=1e-15)
 
@@ -87,11 +88,11 @@ class TestBundledConfigs:
         assert net.energy("C") == pytest.approx(-2700.0, rel=1e-15)
         assert net.displacement("B") == 1.5
         assert net.displacement("C") == 4.5
-        assert net.coupling("A", "B").J == pytest.approx(0.6, rel=1e-12)
-        assert net.coupling("A", "B").lambda_s == pytest.approx(100.0, rel=1e-15)
-        assert net.coupling("B", "C").J == pytest.approx(40.0, rel=1e-15)
-        assert net.coupling("B", "C").lambda_s == pytest.approx(600.0, rel=1e-15)
-        assert net.coupling("A", "C") is None
+        assert coupling(net, "A", "B").J == pytest.approx(0.6, rel=1e-12)
+        assert coupling(net, "A", "B").lambda_s == pytest.approx(100.0, rel=1e-15)
+        assert coupling(net, "B", "C").J == pytest.approx(40.0, rel=1e-15)
+        assert coupling(net, "B", "C").lambda_s == pytest.approx(600.0, rel=1e-15)
+        assert coupling(net, "A", "C") is None
 
     def test_unknown_bundle_rejected(self):
         with pytest.raises(ConfigError):
@@ -128,8 +129,8 @@ class TestSchema:
         assert scaled.network.energy("B") == pytest.approx(
             in_wavenumbers.network.energy("B"), rel=1e-12
         )
-        assert scaled.network.coupling("A", "B").J == pytest.approx(20.0, rel=1e-12)
-        assert scaled.network.coupling("A", "B").lambda_s == pytest.approx(160.0, rel=1e-12)
+        assert coupling(scaled.network, "A", "B").J == pytest.approx(20.0, rel=1e-12)
+        assert coupling(scaled.network, "A", "B").lambda_s == pytest.approx(160.0, rel=1e-12)
         # displacements and rates are not energies and must never rescale
         assert scaled.network.displacement("B") == 1.5
         assert scaled.cavity.kappa == in_wavenumbers.cavity.kappa
@@ -611,6 +612,50 @@ class TestCli:
         assert main(
             ["criterion", "--epsilon", "1", "--n-molecules", "0.5", "--k-r", "1", "--k-d", "1"]
         ) == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--epsilon", "nan"),
+            ("--n-molecules", "inf"),
+            ("--k-r", "inf"),
+            ("--k-d", "-inf"),
+            ("--k-f", "nan"),
+        ],
+    )
+    def test_criterion_rejects_non_finite_values(self, capsys, flag, value):
+        args = {"--epsilon": "1", "--n-molecules": "2", "--k-r": "1", "--k-d": "1", "--k-f": "1"}
+        args[flag] = value
+        with pytest.raises(SystemExit) as exc:
+            main(["criterion", *[f"{name}={text}" for name, text in args.items()]])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: expected a finite number, got '{value}'" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_fcf_rejects_non_finite_lam(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["fcf", f"--lam={value}", "--m-to", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument --lam: expected a finite number, got '{value}'" in captured.err
+        assert captured.out == ""
+
+    def test_non_finite_argument_exits_2_from_the_shell(self):
+        src = str(Path(vsckinetics.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["criterion", "--epsilon", "nan", "--n-molecules", "2", "--k-r", "1", "--k-d", "1"]
+        done = subprocess.run(
+            [sys.executable, "-m", "vsckinetics.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 2
+        assert "--epsilon" in done.stderr and "Traceback" not in done.stderr
+        assert done.stdout == ""
 
     def test_fcf_element(self, capsys):
         assert main(["fcf", "--lam", "1.5", "--m-to", "1"]) == 0

@@ -9,8 +9,8 @@ from vsckinetics.eigenmodes import (
     CavitySpec,
     bare_mode_basis,
     build_mode_basis,
-    composite_energy,
     mode_displacements,
+    state_energies,
 )
 from vsckinetics.states import ReactionNetwork, SpeciesSpec
 
@@ -134,34 +134,36 @@ def test_displacement_redistribution():
             mode_displacements(basis, bad, 1.5)
 
 
+# state_energies axes: species of molecule 1 and 2 (A = 0, B = 1), then the
+# pattern: 0 ground, 1..3 one quantum in the basis modes in order
 def test_composite_energy_bare():
     network = r1_network()
     basis = bare_mode_basis(CavitySpec(omega_c=2000.0, g=0.0, kappa=1.0), OMEGA_V)
-    assert composite_energy(("A", "A"), (0, 0, 0), basis, network) == 0.0
-    assert composite_energy(("B", "A"), (0, 1, 0), basis, network) == pytest.approx(800.0)
-    assert composite_energy(("B", "B"), (1, 0, 0), basis, network) == pytest.approx(-400.0)
-    assert composite_energy(("A", "B"), (0, 0, 1), basis, network) == pytest.approx(800.0)
+    energies = state_energies(network, basis)
+    assert energies.shape == (2, 2, 4)
+    assert energies[0, 0, 0] == 0.0
+    assert energies[1, 0, 2] == pytest.approx(800.0)  # B.A|v1
+    assert energies[1, 1, 1] == pytest.approx(-400.0)  # B.B|c
+    assert energies[0, 1, 3] == pytest.approx(800.0)  # A.B|v2
     # no polaron shift: each vibration is displaced along its own coordinate
-    assert composite_energy(("B", "B"), (0, 0, 0), basis, network) == -2400.0
+    assert energies[1, 1, 0] == -2400.0
 
 
 def test_composite_energy_vsc_polaron_shift():
     network = r1_network()
-    basis = resonant_basis()
+    energies = state_energies(network, resonant_basis())
     # frozen values from independent evaluation of the shift formula
-    e_ba = composite_energy(("B", "A"), (0, 0, 0), basis, network)
-    assert e_ba == pytest.approx(-1200.0 - 2.0268241417265926, rel=1e-12)
-    e_bb = composite_energy(("B", "B"), (0, 0, 0), basis, network)
-    assert e_bb == pytest.approx(-2400.0 - 8.107296566909099, rel=1e-12)
+    assert energies[1, 0, 0] == pytest.approx(-1200.0 - 2.0268241417265926, rel=1e-12)
+    assert energies[1, 1, 0] == pytest.approx(-2400.0 - 8.107296566909099, rel=1e-12)
     # undisplaced configuration has no shift; quanta add eigenmode energies
-    assert composite_energy(("A", "A"), (0, 0, 0), basis, network) == 0.0
-    assert composite_energy(("A", "A"), (1, 0, 0), basis, network) == pytest.approx(2060.0)
-    assert composite_energy(("A", "A"), (0, 0, 1), basis, network) == pytest.approx(2000.0)
+    assert energies[0, 0, 0] == 0.0
+    assert energies[0, 0, 1] == pytest.approx(2060.0)  # A.A|+
+    assert energies[0, 0, 3] == pytest.approx(2000.0)  # A.A|d
 
 
 def test_vsc_energy_approaches_bare_as_g_vanishes():
     network = r1_network()
     for g in (1.0, 0.1, 0.01):
         basis = build_mode_basis(CavitySpec(omega_c=OMEGA_V, g=g, kappa=1.0), OMEGA_V)
-        e = composite_energy(("B", "A"), (0, 0, 0), basis, network)
+        e = state_energies(network, basis)[1, 0, 0]
         assert abs(e - (-1200.0)) < 2e-3 * g * g  # polaron shift dies off quadratically

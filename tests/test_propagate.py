@@ -12,10 +12,10 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
 
-from conftest import with_regime
+from conftest import swapped_label, with_regime
 from test_properties import configs
 from vsckinetics import propagate as propagate_module
-from vsckinetics.config import build_generator, config_from_dict
+from vsckinetics.config import build_generator, config_from_dict, run_scenario
 from vsckinetics.propagate import (
     DEFAULT_GRID_END,
     DEFAULT_GRID_POINTS,
@@ -292,6 +292,70 @@ class TestSpectralPropagator:
         traj = propagate(r1_vsc, r1_vsc_p0, TimeGrid.linear(0.0, 100.0, 5))
         assert expm_calls == []
         assert np.array_equal(traj.state_populations[0], r1_vsc_p0)
+
+
+@pytest.fixture()
+def core_sizes(monkeypatch):
+    """State counts that reach the spectral core, one per propagate call."""
+    sizes = []
+    spectral = propagate_module._spectral_populations
+
+    def recorded(K, p0, times):
+        sizes.append(len(K))
+        return spectral(K, p0, times)
+
+    monkeypatch.setattr(propagate_module, "_spectral_populations", recorded)
+    return sizes
+
+
+class TestExchangeLumping:
+    @pytest.mark.parametrize(
+        "scenario, kind, states, orbits",
+        [
+            ("reaction1", "bare", 16, 10),
+            ("reaction1", "weak", 16, 10),
+            ("reaction1", "vsc", 16, 12),
+            ("reaction3", "bare", 36, 21),
+            ("reaction3", "weak", 36, 21),
+            ("reaction3", "vsc", 36, 24),
+        ],
+    )
+    def test_thermal_starts_reach_the_core_as_orbits(
+        self, request, core_sizes, expm_calls, scenario, kind, states, orbits
+    ):
+        config = with_regime(request.getfixturevalue(scenario), kind)
+        gen = build_generator(config)
+        p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
+        assert len(p0) == states
+        assert np.array_equal(p0[gen.exchange], p0)
+        propagate(gen, p0, config.grid)  # test_matches_expm_on_bundled_cases checks the result
+        assert core_sizes == [orbits]
+        assert expm_calls == []
+
+    @pytest.mark.parametrize("kind", REGIME_KINDS)
+    def test_asymmetric_start_propagates_every_state(
+        self, reaction3, core_sizes, expm_calls, kind
+    ):
+        config = with_regime(reaction3, kind)
+        gen = build_generator(config)
+        labels = [s.label for s in gen.states]
+        p0 = np.zeros(len(labels))
+        p0[labels.index("A.B|0")] = 0.7  # molecule 2 has already reacted, molecule 1 not
+        p0[labels.index("B.C|0")] = 0.3
+        traj = propagate(gen, p0, config.grid)
+        assert core_sizes == [36]
+        assert expm_calls == []
+        expected = expm_oracle(gen.matrix, p0, config.grid.points)
+        assert np.abs(traj.state_populations - expected).max() <= 1e-10
+
+    @pytest.mark.parametrize("scenario", ["reaction1", "reaction2", "reaction3"])
+    @pytest.mark.parametrize("kind", REGIME_KINDS)
+    def test_run_scenario_output_is_exchange_symmetric(self, request, scenario, kind):
+        # p(a.b|v1) == p(b.a|v2) and every other state with its image, bit for bit
+        traj = run_scenario(with_regime(request.getfixturevalue(scenario), kind)).trajectory
+        labels = [s.label for s in traj.states]
+        images = [labels.index(swapped_label(label)) for label in labels]
+        assert np.array_equal(traj.state_populations[:, images], traj.state_populations)
 
 
 class TestObservables:

@@ -5,7 +5,9 @@ displacements and couplings, a cavity that may sit on resonance and may be
 uncoupled (g = 0), kappa/gamma/eta that may be 0, and T in [150, 450] K,
 under the bare and vsc regimes. Each generator must
 conserve probability column by column, keep every off-diagonal rate
-non-negative and pair every rate by detailed balance.
+non-negative, pair every rate by detailed balance and commute with the
+exchange of the two molecules, whose state energies it maps onto each
+other bit for bit.
 
 Nonzero displacements reach down to 1e-160, whose one-quantum factors fall
 below the smallest normal double, so reactive pairs that underflow are drawn.
@@ -85,3 +87,10 @@ def test_generator_invariants(raw):
     energies = np.array([s.energy for s in gen.states])
     kT = thermal_energy(config.bath.temperature)
     assert detailed_balance_worst(K, energies, kT) <= 1e-10
+
+    perm = gen.exchange
+    assert np.array_equal(energies[perm], energies)
+    swapped = K[perm][:, perm]
+    assert np.array_equal(swapped - np.diag(np.diag(swapped)), off)
+    # the diagonal sums the same rates in another order
+    assert np.all(np.abs(np.diag(swapped) - np.diag(K)) <= 4 * np.finfo(float).eps * gen.out_rates)

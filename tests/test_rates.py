@@ -1,16 +1,19 @@
 """Rate laws: displacement elements, Franck-Condon factors, channel rates, assembly."""
 
-from dataclasses import replace
-
 import math
+from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 
 from conftest import (
+    coupling,
     detailed_balance_worst,
     displacement_oracle,
     reference_assembly,
+    reference_franck_condon,
+    swapped_label,
     with_regime,
 )
 from vsckinetics.config import build_generator, config_from_dict, run_scenario
@@ -23,9 +26,11 @@ from vsckinetics.eigenmodes import (
 from vsckinetics.rates import (
     REGIME_KINDS,
     BathSpec,
+    RateMatrix,
     RegimeSpec,
     assemble_rate_matrix,
     displacement_matrix_element,
+    exchange_permutation,
     exchange_rate,
     franck_condon,
     gain_rate,
@@ -158,7 +163,7 @@ def fc_factor(basis, network, occ_to, occ_from, molecule, species_from, species_
         mode_displacements(basis, molecule, network.displacement(label))
         for label in (species_from, species_to)
     )
-    return franck_condon(occ_to, occ_from, lam_from, lam_to)
+    return franck_condon([occ_to], [occ_from], lam_from, lam_to)[0, 0]
 
 
 class TestFranckCondon:
@@ -213,10 +218,10 @@ class TestReactiveRate:
         fc = fc_factor(
             r1_bare_basis, r1_network, s_to.occupations, s_from.occupations, 1, "A", "B"
         )
-        coupling = r1_network.coupling("A", "B")
+        spec = coupling(r1_network, "A", "B")
         de = s_to.energy - s_from.energy
-        fwd = reactive_rate(coupling, fc, de, 298.0)
-        rev = reactive_rate(coupling, fc, -de, 298.0)
+        fwd = reactive_rate(spec, fc, de, 298.0)
+        rev = reactive_rate(spec, fc, -de, 298.0)
         assert fwd == pytest.approx(1.6636456340688764e-4, rel=1e-12)
         assert rev == pytest.approx(7.916225616532685e-3, rel=1e-12)
         # and the assembled generator carries exactly these entries
@@ -230,10 +235,10 @@ class TestReactiveRate:
         fc = fc_factor(
             r1_bare_basis, r1_network, s_to.occupations, s_from.occupations, 1, "A", "B"
         )
-        coupling = r1_network.coupling("A", "B")
+        spec = coupling(r1_network, "A", "B")
         de = s_to.energy - s_from.energy
-        fwd = reactive_rate(coupling, fc, de, 298.0)
-        rev = reactive_rate(coupling, fc, -de, 298.0)
+        fwd = reactive_rate(spec, fc, de, 298.0)
+        rev = reactive_rate(spec, fc, -de, 298.0)
         boltzmann = math.exp(-(s_to.energy - s_from.energy) / thermal_energy(298.0))
         assert fwd / rev == pytest.approx(boltzmann, rel=1e-13)
 
@@ -255,13 +260,13 @@ class TestReactiveRate:
         )
 
     def test_arrays_match_scalars(self, r1_network):
-        coupling = r1_network.coupling("A", "B")
+        spec = coupling(r1_network, "A", "B")
         fc = np.array([[1.0, 0.25], [0.5, 0.0]])
         de = np.array([[-1200.0, 800.0], [-3200.0, 10.0]])
-        rates = reactive_rate(coupling, fc, de, 298.0)
+        rates = reactive_rate(spec, fc, de, 298.0)
         assert rates.shape == (2, 2)
         for idx in np.ndindex(2, 2):
-            assert rates[idx] == reactive_rate(coupling, fc[idx], de[idx], 298.0)
+            assert rates[idx] == reactive_rate(spec, fc[idx], de[idx], 298.0)
 
     def test_two_molecule_jump_rejected(self, r1_bare, r1_weak, r1_vsc):
         # A.A -> B.B would have both molecules react at once: the generator
@@ -445,7 +450,7 @@ class TestAssembly:
 
     def test_uncoupled_species_never_connect(self, reaction3):
         # reaction3 couples A-B and B-C only: no single-molecule A <-> C entry
-        assert reaction3.network.coupling("A", "C") is None
+        assert coupling(reaction3.network, "A", "C") is None
         for kind in REGIME_KINDS:
             gen = build_generator(with_regime(reaction3, kind))
             for s_from in gen.states:
@@ -615,3 +620,86 @@ class TestAssembly:
                 reaction1.bath,
                 RegimeSpec.for_kind("bare", reaction1.cavity.g),
             )
+
+
+class TestMoleculeExchange:
+    @pytest.mark.parametrize("scenario", ["reaction1", "reaction2", "reaction3"])
+    @pytest.mark.parametrize("kind", REGIME_KINDS)
+    @pytest.mark.parametrize("omega_c", [None, 1800.0, 2150.0])
+    def test_generator_commutes_with_the_exchange(self, request, scenario, kind, omega_c):
+        config = with_regime(request.getfixturevalue(scenario), kind)
+        if omega_c is not None:
+            config = replace(config, cavity=replace(config.cavity, omega_c=omega_c))
+        gen = build_generator(config)
+        perm = gen.exchange
+        labels = [s.label for s in gen.states]
+        assert [labels[j] for j in perm] == [swapped_label(label) for label in labels]
+        energies = np.array([s.energy for s in gen.states])
+        assert np.array_equal(energies[perm], energies)  # bit for bit
+        K = gen.matrix
+        assert np.array_equal(off_diagonal(K[perm][:, perm]), off_diagonal(K))
+        # the diagonal sums the same rates in another order
+        diag = np.diag(K)
+        assert np.all(np.abs(diag[perm] - diag) <= 4 * np.finfo(float).eps * np.abs(diag))
+
+    def test_dark_row_sign_keeps_the_exchange(self, reaction1, r1_basis, r1_vsc):
+        flipped = replace(
+            r1_basis,
+            coefficients=tuple(
+                tuple(-c for c in row) if label == "d" else row
+                for label, row in zip(r1_basis.labels, r1_basis.coefficients)
+            ),
+        )
+        assert np.array_equal(exchange_permutation(flipped, 2), r1_vsc.exchange)
+
+    def test_franck_condon_tables_match_pairwise_factors_bit_for_bit(self, reaction3):
+        network = reaction3.network
+        one_quantum = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+        deeper = ((0, 2, 0), (1, 1, 0), (0, 0, 3))
+        for basis in (
+            bare_mode_basis(reaction3.cavity, reaction3.omega_v),
+            build_mode_basis(reaction3.cavity, reaction3.omega_v),
+        ):
+            for a, b in (("A", "B"), ("B", "C"), ("C", "A"), ("B", "B")):
+                lam_a, lam_b = (
+                    mode_displacements(basis, 1, network.displacement(phi)) for phi in (a, b)
+                )
+                for to, frm in ((one_quantum, one_quantum), (deeper, one_quantum)):
+                    matrix = franck_condon(to, frm, lam_a, lam_b)
+                    assert matrix.shape == (len(to), len(frm))
+                    for (m, occ_to), (n, occ_from) in product(enumerate(to), enumerate(frm)):
+                        expected = reference_franck_condon(occ_to, occ_from, lam_a, lam_b)
+                        assert matrix[m, n] == expected
+
+    def test_franck_condon_rejects_negative_occupations(self, r1_bare_basis):
+        lam = mode_displacements(r1_bare_basis, 1, 1.5)
+        with pytest.raises(ValueError, match="non-negative"):
+            franck_condon([(-1, 0, 0)], [(0, 0, 0)], (0.0, 0.0, 0.0), lam)
+
+    def test_hand_built_generators_default_to_the_identity(self, r1_vsc):
+        gen = RateMatrix(states=r1_vsc.states, matrix=r1_vsc.matrix, regime=r1_vsc.regime)
+        assert np.array_equal(gen.exchange, np.arange(16))
+
+    def test_exchange_is_validated(self, r1_vsc):
+        def rebuild(exchange, matrix=r1_vsc.matrix):
+            return RateMatrix(r1_vsc.states, matrix, r1_vsc.regime, exchange=exchange)
+
+        rebuild(r1_vsc.exchange)
+        with pytest.raises(ValueError, match="permutation"):
+            rebuild(np.arange(15))
+        with pytest.raises(ValueError, match="permutation"):
+            rebuild(np.zeros(16, dtype=int))
+        with pytest.raises(ValueError, match="undo itself"):
+            rebuild(np.roll(np.arange(16), 1))
+        # A.A|0 -> B.A|0 has a rate; the swap of A.A|+ and A.A|0 does not map it onto itself
+        swap = np.arange(16)
+        swap[[0, 1]] = [1, 0]
+        with pytest.raises(ValueError, match="commute"):
+            rebuild(swap)
+        # one molecule's reaction made faster than the other's breaks the symmetry
+        skewed = r1_vsc.matrix.copy()
+        i, j = index_of(r1_vsc, "B.A|0"), index_of(r1_vsc, "A.A|0")
+        skewed[i, j] *= 1.0 + 1e-9
+        skewed[j, j] -= skewed[i, j] - r1_vsc.matrix[i, j]
+        with pytest.raises(ValueError, match="commute"):
+            rebuild(r1_vsc.exchange, skewed)

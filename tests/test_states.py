@@ -5,12 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from vsckinetics.eigenmodes import (
-    CavitySpec,
-    bare_mode_basis,
-    build_mode_basis,
-    composite_energy,
-)
+from conftest import coupling, reference_energy, swapped_label
+from vsckinetics.eigenmodes import CavitySpec, bare_mode_basis, build_mode_basis
 from vsckinetics.states import (
     CouplingSpec,
     ReactionNetwork,
@@ -80,13 +76,14 @@ def test_network_lookups():
     assert net.labels() == ("A", "B")
     assert net.energy("B") == -1200.0
     assert net.displacement("B") == 1.5
-    assert net.coupling("B", "A").J == 20.0  # unordered lookup
-    assert net.coupling("A", "C") is None
+    assert coupling(net, "B", "A").J == 20.0  # unordered lookup
+    assert coupling(net, "A", "C") is None
     with pytest.raises(KeyError):
         net.energy("Z")
 
 
 def test_enumeration_count_and_order():
+    assert occupation_patterns(3) == ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
     states = enumerate_states(network_ab(), BARE)
     assert len(states) == 16
     assert [s.index for s in states] == list(range(16))
@@ -105,24 +102,30 @@ def test_enumeration_count_and_order():
 
 
 def test_enumeration_energies_share_code_path():
-    net = network_ab()
-    for basis in (VSC, BARE):
-        for s in enumerate_states(net, basis):
-            assert s.mode_labels == basis.labels
-            assert s.energy == composite_energy(s.config, s.occupations, basis, net)
+    # one array expression reproduces the per-state formula bit for bit
+    for net in (network_ab(), network_abc()):
+        for basis in (VSC, BARE):
+            for s in enumerate_states(net, basis):
+                assert s.mode_labels == basis.labels
+                assert s.energy == reference_energy(s.config, s.occupations, basis, net)
 
 
-def test_composite_energy_of_a_pattern_stack():
-    # one call per configuration gives every pattern's energy, bit for bit
-    net = network_abc()
-    patterns = occupation_patterns(3)
-    assert patterns == ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
-    for basis in (VSC, BARE):
-        for config in (("A", "A"), ("B", "C"), ("C", "B")):
-            stacked = composite_energy(config, patterns, basis, net)
-            assert stacked.shape == (4,)
-            for occ, energy in zip(patterns, stacked):
-                assert energy == composite_energy(config, occ, basis, net)
+def test_energies_are_exchange_symmetric_bit_for_bit():
+    # in the identity basis the vanishing shift keeps a roundoff that depends
+    # on which vibration is subtracted first: term by term, these displacements
+    # give A.B and B.A different bits, while the enumeration gives B.A those of A.B
+    net = ReactionNetwork(species=(SpeciesSpec("A", 300.0, 0.7), SpeciesSpec("B", 10.0, 1.1)))
+    ground = (0, 0, 0)
+    assert reference_energy(("A", "B"), ground, BARE, net) != reference_energy(
+        ("B", "A"), ground, BARE, net
+    )
+    for basis in (BARE, VSC):
+        states = enumerate_states(net, basis)
+        energy = {s.label: s.energy for s in states}
+        for s in states:
+            assert energy[swapped_label(s.label)] == s.energy
+            if list(s.config) == sorted(s.config):
+                assert s.energy == reference_energy(s.config, s.occupations, basis, net)
 
 
 def test_initial_distribution_bare():
