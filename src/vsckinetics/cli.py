@@ -197,7 +197,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NumericalError as exc:
+    except (NumericalError, OverflowError) as exc:  # finite inputs whose arithmetic overflows
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError) as exc:  # ConfigError is a ValueError

@@ -50,13 +50,7 @@ from .propagate import (
     propagate,
 )
 from .rates import REGIME_KINDS, BathSpec, RateMatrix, RegimeSpec, assemble_rate_matrix
-from .states import (
-    CouplingSpec,
-    ReactionNetwork,
-    SpeciesSpec,
-    enumerate_states,
-    initial_distribution,
-)
+from .states import MOLECULES, CouplingSpec, ReactionNetwork, SpeciesSpec, initial_distribution
 from .units import ANGULAR_PER_WAVENUMBER, HBAR, KB, SPEED_OF_LIGHT_CM_PER_PS
 
 __all__ = [
@@ -87,6 +81,9 @@ DEFAULT_ETA = 0.001
 DEFAULT_TEMPERATURE = 298.0  # K
 DEFAULT_OMEGA_CUT_FACTOR = 0.1  # omega_cut = 0.1 * omega_v
 DEFAULT_G_FACTOR = 0.03 / math.sqrt(2.0)  # g = 0.03 * omega_v / sqrt(2)
+
+# state labels join species with "." and "|", and CSV headers join columns with ","
+_LABEL_FORBIDDEN = re.compile(r"[.|,\x00-\x1f\x7f-\x9f]")
 
 _SCHEMA_KEYS = {
     "name",
@@ -233,22 +230,29 @@ def _resolve_config(raw: Dict[str, Any], name: str) -> ScenarioConfig:
         block = _as_block(entry, "species entry")
         _check_keys(block, {"label", "energy", "displacement"}, f"species entry {block.get('label')!r}")
         _require("label" in block, "species entry missing 'label'")
+        label = _as_str(block["label"], "species.label")
+        _require(
+            not _LABEL_FORBIDDEN.search(label),
+            f"species.label must not contain '.', '|', ',' or control characters, got {label!r}",
+        )
         species.append(
             SpeciesSpec(
-                label=_as_str(block["label"], "species.label"),
+                label=label,
                 energy=_as_float(block.get("energy", 0.0), "species.energy") * scale,
                 displacement=_as_float(block.get("displacement", 0.0), "species.displacement"),
             )
         )
 
+    couplings_raw = raw.get("couplings", [])
+    _require(isinstance(couplings_raw, list), f"couplings must be a list, got {couplings_raw!r}")
     couplings = []
-    for entry in raw.get("couplings", []):
+    for entry in couplings_raw:
         block = _as_block(entry, "coupling entry")
         _check_keys(block, {"pair", "J", "lambda_s"}, f"coupling entry {block.get('pair')!r}")
         pair = block.get("pair")
         _require(
             isinstance(pair, list) and len(pair) == 2,
-            f"coupling pair must be a two-element list, got {pair!r}",
+            f"coupling.pair must be a two-element list, got {pair!r}",
         )
         couplings.append(
             CouplingSpec(
@@ -381,7 +385,7 @@ def _metadata(config: ScenarioConfig, rate_matrix: RateMatrix) -> Dict[str, Any]
             "g_effective": regime.g_effective,
             "basis": "vsc" if regime.kind == "vsc" else "bare",
             "state_count": len(rate_matrix.states),
-            "state_labels": [s.label for s in rate_matrix.states],
+            "state_labels": list(rate_matrix.states.labels()),
         },
         "constants": {
             "hbar_cm_ps": HBAR,
@@ -393,7 +397,7 @@ def _metadata(config: ScenarioConfig, rate_matrix: RateMatrix) -> Dict[str, Any]
 
 
 def build_generator(config: ScenarioConfig) -> RateMatrix:
-    """Choose the regime's mode basis once; enumerate states and assemble the generator.
+    """Choose the regime's mode basis once and assemble the generator over its states.
 
     VSC works in the polariton/dark eigenmodes; bare and weak work in the
     identity rotation over the uncoupled cavity and vibrations.
@@ -401,10 +405,7 @@ def build_generator(config: ScenarioConfig) -> RateMatrix:
     regime = config.regime
     make_basis = build_mode_basis if regime.kind == "vsc" else bare_mode_basis
     basis = make_basis(config.cavity, config.omega_v)
-    states = enumerate_states(config.network, basis)
-    return assemble_rate_matrix(
-        states, config.network, basis, config.cavity, config.bath, regime
-    )
+    return assemble_rate_matrix(config.network, basis, config.cavity, config.bath, regime)
 
 
 def run_scenario(config: ScenarioConfig, label: Optional[str] = None) -> ScenarioResult:
@@ -464,9 +465,8 @@ def _csv_lines(result: ScenarioResult) -> List[str]:
     traj = result.trajectory
     state_pop = clamp_for_output(traj.state_populations)
     species_pop = clamp_for_output(traj.species_populations)
-    n_mol = traj.n_molecules
     header = ["time_ps"]
-    header += [f"p[{s.label}]" for s in traj.states]
+    header += [f"p[{label}]" for label in traj.states.labels()]
     header += [f"N_{lab}" for lab in traj.species_labels]
     header += [f"frac_{lab}" for lab in traj.species_labels]
     lines = [f"# fingerprint={result.metadata['fingerprint']}", ",".join(header)]
@@ -474,7 +474,7 @@ def _csv_lines(result: ScenarioResult) -> List[str]:
         row = [repr(float(t))]
         row += [repr(float(x)) for x in state_pop[k]]
         row += [repr(float(x)) for x in species_pop[k]]
-        row += [repr(float(x / n_mol)) for x in species_pop[k]]
+        row += [repr(float(x / MOLECULES)) for x in species_pop[k]]
         lines.append(",".join(row))
     return lines
 
@@ -483,18 +483,17 @@ def _json_run(result: ScenarioResult) -> Dict[str, Any]:
     traj = result.trajectory
     state_pop = clamp_for_output(traj.state_populations)
     species_pop = clamp_for_output(traj.species_populations)
-    n_mol = traj.n_molecules
     return {
         "label": result.label,
         "fingerprint": result.metadata["fingerprint"],
         "metadata": result.metadata,
         "time_ps": [float(t) for t in traj.grid.points],
-        "states": [s.label for s in traj.states],
+        "states": list(traj.states.labels()),
         "state_populations": [[float(x) for x in row] for row in state_pop],
         "species": {
             lab: {
                 "raw": [float(x) for x in species_pop[:, i]],
-                "normalized": [float(x / n_mol) for x in species_pop[:, i]],
+                "normalized": [float(x / MOLECULES) for x in species_pop[:, i]],
             }
             for i, lab in enumerate(traj.species_labels)
         },

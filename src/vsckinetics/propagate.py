@@ -13,12 +13,13 @@ eigenvector methods fail (Moler and Van Loan, SIAM Rev. 45, 2003), scipy's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .rates import RateMatrix
-from .states import CompositeState
+from .states import MOLECULES, StateSpace
 
 __all__ = [
     "NumericalError",
@@ -96,18 +97,20 @@ class Trajectory:
 
     ``state_populations[k]`` is the state distribution at ``grid.points[k]``;
     ``species_populations[k]`` holds the raw molecule counts N_phi(t) in
-    [0, n_molecules], columns aligned with ``species_labels``.
+    [0, 2], columns aligned with ``species_labels``, the species of the space.
     """
 
     grid: TimeGrid
-    states: Tuple[CompositeState, ...]
+    states: StateSpace
     state_populations: np.ndarray
-    species_labels: Tuple[str, ...]
-    species_populations: np.ndarray
 
     @property
-    def n_molecules(self) -> int:
-        return len(self.states[0].config)
+    def species_labels(self) -> Tuple[str, ...]:
+        return self.states.species
+
+    @cached_property
+    def species_populations(self) -> np.ndarray:
+        return self.state_populations @ self.states.counts()
 
     @property
     def times(self) -> np.ndarray:
@@ -121,16 +124,7 @@ class Trajectory:
 
     def normalized_series(self, label: str) -> np.ndarray:
         """N_phi(t) divided by the molecule count, in [0, 1]."""
-        return self.species_series(label) / self.n_molecules
-
-
-def _species_order(states: Sequence[CompositeState]) -> Tuple[str, ...]:
-    seen: list[str] = []
-    for s in states:
-        for lab in s.config:
-            if lab not in seen:
-                seen.append(lab)
-    return tuple(seen)
+        return self.species_series(label) / MOLECULES
 
 
 def _stationary_vector(K: np.ndarray) -> Optional[np.ndarray]:
@@ -189,15 +183,14 @@ def _orbits(exchange: np.ndarray, p0: np.ndarray) -> Tuple[np.ndarray, np.ndarra
 def propagate(rate_matrix: RateMatrix, p0: np.ndarray, grid: TimeGrid) -> Trajectory:
     """Evaluate p(t) = exp(K t) p0 on every grid point.
 
-    K commutes with the exchange of the two molecules (``RateMatrix.exchange``),
+    K commutes with the exchange of the two molecules (``StateSpace.exchange``),
     so from a start that the exchange leaves unchanged, such as every thermal
     start, p(t) is exchange-symmetric and the chain lumps exactly onto the
     orbits {i, exchange[i]} (Kemeny and Snell, Finite Markov Chains, 1960;
     Buchholz, J. Appl. Probab. 31, 1994): K~[O', O] = sum_{j in O'} K[j, i0]
-    for any i0 in O, and p_i = p_O / |O|. Other starts, and hand-built
-    generators, keep one orbit per state. Two molecules over S species then
-    propagate 10/12 (S = 2) or 21/24 (S = 3) orbits instead of 16 or 36 states
-    under bare/weak and vsc.
+    for any i0 in O, and p_i = p_O / |O|. Other starts keep one orbit per
+    state. Two molecules over S species then propagate 10/12 (S = 2) or 21/24
+    (S = 3) orbits instead of 16 or 36 states under bare/weak and vsc.
 
     K~ is diagonalised once, its eigenvalue nearest 0 set to 0 with the GTH
     stationary vector (Grassmann, Taksar and Heyman, Oper. Res. 33, 1985) as
@@ -220,7 +213,7 @@ def propagate(rate_matrix: RateMatrix, p0: np.ndarray, grid: TimeGrid) -> Trajec
     if p0.min() < 0.0:
         raise ValueError("p0 must be nonnegative")
 
-    orbit, members = _orbits(rate_matrix.exchange, p0)
+    orbit, members = _orbits(states.exchange, p0)
     lump = np.zeros((len(members), len(states)))
     lump[orbit, np.arange(len(states))] = 1.0
     K_lumped, p0_lumped = lump @ K[:, members], lump @ p0
@@ -239,15 +232,7 @@ def propagate(rate_matrix: RateMatrix, p0: np.ndarray, grid: TimeGrid) -> Trajec
     if worst_neg < NEGATIVITY_TOL:
         raise NumericalError(f"population went negative: {worst_neg:.3e}")
 
-    labels = _species_order(states)
-    counts = np.array([[s.count(lab) for lab in labels] for s in states], dtype=float)
-    return Trajectory(
-        grid=grid,
-        states=states,
-        state_populations=result,
-        species_labels=labels,
-        species_populations=result @ counts,
-    )
+    return Trajectory(grid=grid, states=states, state_populations=result)
 
 
 def clamp_for_output(populations: np.ndarray) -> np.ndarray:

@@ -20,8 +20,8 @@ block, shared by every diagonal cell. A reactive jump changes one molecule's
 species: per coupled pair and direction, one P x P Franck-Condon matrix fills
 molecule 1's cells for every spectator species at once, and molecule 2's
 cells are their exact image under the exchange of the two molecules. K
-commutes with that exchange, which ``RateMatrix.exchange`` records as a state
-permutation for the propagator to lump on.
+commutes with that exchange, the state permutation ``StateSpace.exchange``
+that the propagator lumps on.
 
 Rates are in ps^-1, energies in cm^-1. The generator K is column-conservative:
 K[j][i] is the rate i -> j and each diagonal entry carries minus its column's
@@ -32,13 +32,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations, product
-from typing import Optional, Sequence, Tuple
+from itertools import permutations
+from typing import Sequence
 
 import numpy as np
 
 from .eigenmodes import VSC_MODE_LABELS, CavitySpec, ModeBasis, mode_displacements
-from .states import CompositeState, CouplingSpec, ReactionNetwork, occupation_patterns
+from .states import (
+    CouplingSpec,
+    ReactionNetwork,
+    StateSpace,
+    enumerate_states,
+    occupation_patterns,
+)
 from .units import HBAR, thermal_energy, wavenumber_to_angular
 
 __all__ = [
@@ -54,7 +60,6 @@ __all__ = [
     "gain_rate",
     "exchange_rate",
     "purcell_exchange_rate",
-    "exchange_permutation",
     "assemble_rate_matrix",
 ]
 
@@ -108,18 +113,16 @@ class RegimeSpec:
 
 @dataclass(frozen=True)
 class RateMatrix:
-    """Master-equation generator over an ordered state list.
+    """Master-equation generator over a state space.
 
-    ``exchange`` is the state permutation that swaps the two molecules:
-    state i maps onto state exchange[i]. K commutes with it up to roundoff,
-    so a start distribution it leaves unchanged stays so for all times.
-    Hand-built generators default to the identity, which every K commutes with.
+    K commutes with the exchange of the two molecules (``states.exchange``)
+    up to roundoff, so a start distribution the exchange leaves unchanged
+    stays so for all times.
     """
 
-    states: Tuple[CompositeState, ...]
-    matrix: np.ndarray  # K[j, i] = rate of states[i] -> states[j]
+    states: StateSpace
+    matrix: np.ndarray  # K[j, i] = rate of state i -> state j
     regime: RegimeSpec
-    exchange: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         n = len(self.states)
@@ -130,14 +133,7 @@ class RateMatrix:
         off = self.matrix - np.diag(np.diag(self.matrix))
         if np.any(off < 0.0):
             raise ValueError("negative off-diagonal rate")
-        identity = np.arange(n)
-        if self.exchange is None:
-            object.__setattr__(self, "exchange", identity)
-        perm = self.exchange
-        if perm.shape != (n,) or not np.array_equal(np.sort(perm), identity):
-            raise ValueError("exchange must be a permutation of the states")
-        if not np.array_equal(perm[perm], identity):
-            raise ValueError("exchange must undo itself: it swaps two molecules")
+        perm = self.states.exchange
         drift = np.abs(self.matrix[perm][:, perm] - self.matrix)
         if np.any(drift > EXCHANGE_RTOL * np.abs(self.matrix)):
             raise ValueError("rate matrix does not commute with the molecule exchange")
@@ -295,54 +291,32 @@ def purcell_exchange_rate(
     return 4.0 * g_ang * g_ang * k_total / (4.0 * d_ang * d_ang + k_total * k_total)
 
 
-def exchange_permutation(basis: ModeBasis, n_species: int) -> np.ndarray:
-    """State permutation that swaps the two molecules over the layout (S, S, P).
-
-    State (a, b, p) maps onto (b, a, sigma(p)). Swapping the bare vibrations
-    turns each mode's coefficient row into plus or minus the row of mode
-    sigma(q): v1 and v2 trade places in the identity basis, while +, - and d
-    stay put under VSC, where the sign of the dark row is unobservable.
-    """
-    rows = np.array(basis.coefficients)
-    sigma = np.abs(rows[:, [0, 2, 1]] @ rows.T).argmax(axis=1)
-    cells = np.arange(n_species * n_species * (1 + len(rows))).reshape(n_species, n_species, -1)
-    return cells.transpose(1, 0, 2)[:, :, [0, *(1 + sigma)]].ravel()
-
-
 def assemble_rate_matrix(
-    states: Sequence[CompositeState],
     network: ReactionNetwork,
     basis: ModeBasis,
     cavity: CavitySpec,
     bath: BathSpec,
     regime: RegimeSpec,
 ) -> RateMatrix:
-    """Build the full generator for ``states`` over the modes of ``basis``.
+    """Build the full generator of ``network`` over the modes of ``basis``.
 
-    ``states`` must be ``enumerate_states(network, basis)``, so K reshapes to
+    The states are ``enumerate_states(network, basis)``, so K reshapes to
     (S, S, P, S, S, P): destination species of molecules 1 and 2 and pattern,
     then the same for the source. The shared mode block holds loss/gain and,
     under "vsc" (eigenmode basis), bath exchange between eigenmodes; reactive
     blocks fill the cells where one molecule changes species. Molecule 2's
-    reactive blocks are the exact exchange image of molecule 1's, and the
-    result carries that exchange (``exchange_permutation``). "weak" (identity
-    basis) then adds the symmetric Purcell cavity-vibration exchange, whose
-    linewidths are the bare out-rates of the two exchanging states; "bare"
-    adds none. Observable rates must not depend on the arbitrary dark-row
-    sign of the eigenmode basis.
+    reactive blocks are the exact image of molecule 1's under the exchange of
+    the space. "weak" (identity basis) then adds the symmetric Purcell
+    cavity-vibration exchange, whose linewidths are the bare out-rates of the
+    two exchanging states; "bare" adds none. Observable rates must not depend
+    on the arbitrary dark-row sign of the eigenmode basis.
     """
     kind = regime.kind
     if (kind == "vsc") != (basis.labels == VSC_MODE_LABELS):
         raise ValueError(f"regime {kind!r} does not work in the mode basis {basis.labels}")
-    labels = network.labels()
+    space = enumerate_states(network, basis)
     patterns = occupation_patterns(len(basis.labels))
-    S, P = len(labels), len(patterns)
-    cells = enumerate(product(product(labels, repeat=2), patterns))
-    expected = [(k, config, occ, basis.labels) for k, (config, occ) in cells]
-    if [(s.index, s.config, s.occupations, s.mode_labels) for s in states] != expected:
-        raise ValueError(
-            f"states are not the enumeration of species {labels} over mode labels {basis.labels}"
-        )
+    S, _, P = space.energies.shape
 
     # pattern 0 is the ground state, pattern q one quantum in mode q - 1
     block = np.zeros((P, P))
@@ -359,10 +333,10 @@ def assemble_rate_matrix(
 
     # molecule 1 reacts in R; molecule 2's reactions are its image under the exchange
     R = np.zeros((S, S, P, S, S, P))
-    E = np.array([s.energy for s in states]).reshape(S, S, P)
+    E = space.energies
     spectator = np.arange(S)
     for c in [c for c in network.couplings if c.J != 0.0]:
-        a, b = (labels.index(phi) for phi in c.pair)
+        a, b = (space.species.index(phi) for phi in c.pair)
         lam_a, lam_b = (
             mode_displacements(basis, 1, network.species[i].displacement) for i in (a, b)
         )
@@ -376,9 +350,8 @@ def assemble_rate_matrix(
         forward[dead] = backward[dead.transpose(0, 2, 1)] = 0.0
         R[b, spectator, :, a, spectator, :] = forward
         R[a, spectator, :, b, spectator, :] = backward
-    exchange = exchange_permutation(basis, S)
     R = R.reshape(K.shape)
-    K += R + R[exchange][:, exchange]
+    K += R + R[space.exchange][:, space.exchange]
 
     if kind == "weak":
         out = K.sum(axis=0).reshape(S * S, P)  # bare out-rates; the diagonal is still zero here
@@ -388,4 +361,4 @@ def assemble_rate_matrix(
         K[i_c + [1, 2], i_c] = K[i_c, i_c + [1, 2]] = gamma_p
 
     np.fill_diagonal(K, -K.sum(axis=0))
-    return RateMatrix(states=tuple(states), matrix=K, regime=regime, exchange=exchange)
+    return RateMatrix(states=space, matrix=K, regime=regime)

@@ -1,4 +1,4 @@
-"""Reaction network description and composite vibronic state enumeration.
+"""Reaction network description and the composite state space.
 
 A composite state pairs an electronic configuration (one species label per
 molecule) with a vibrational occupation pattern over the three modes of the
@@ -7,9 +7,11 @@ over cavity and bare vibrations otherwise), truncated to at most one total
 quantum. For two molecules and S species that gives S^2 configurations of
 P = 4 occupation patterns each, 4*S^2 states, ordered lexicographically by
 configuration (declaration order) and then by occupation pattern (ground,
-then one quantum in each mode in basis order). A state vector therefore
-reshapes to (S, S, P): species of molecule 1, species of molecule 2, pattern;
-the generator assembly in ``rates`` relies on exactly this layout.
+then one quantum in each mode in basis order). ``StateSpace`` is that layout:
+a state vector reshapes to (S, S, P), species of molecule 1, species of
+molecule 2, pattern, and a state's energy, species counts, exchange image and
+label all follow from its index by arithmetic. The generator assembly in
+``rates`` relies on exactly this layout.
 
 The two molecules are identical, so swapping them maps state (a, b, p) onto
 (b, a, sigma(p)), where sigma trades v1 and v2 in the identity basis and
@@ -20,8 +22,9 @@ swap bit for bit, and so is the thermal start of ``initial_distribution``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -32,11 +35,13 @@ __all__ = [
     "SpeciesSpec",
     "CouplingSpec",
     "ReactionNetwork",
-    "CompositeState",
+    "StateSpace",
     "occupation_patterns",
     "enumerate_states",
     "initial_distribution",
 ]
+
+MOLECULES = 2  # every layout holds two identical molecules
 
 
 @dataclass(frozen=True)
@@ -112,30 +117,49 @@ class ReactionNetwork:
         return self._lookup(label).displacement
 
 
-@dataclass(frozen=True)
-class CompositeState:
-    """One basis state of the master equation: configuration + occupations + energy."""
+@dataclass(frozen=True, eq=False)
+class StateSpace:
+    """Every composite state of two molecules, as one (S, S, P) layout.
 
-    index: int
-    config: Tuple[str, ...]
-    occupations: Tuple[int, ...]
-    mode_labels: Tuple[str, ...]
-    energy: float  # cm^-1
+    State (a, b, p), molecule 1 in species a, molecule 2 in species b and
+    occupation pattern p, has index (a*S + b)*P + p, and ``energies[a, b, p]``
+    is its energy (cm^-1). Pattern 0 is the ground state and pattern q one
+    quantum in mode ``modes[q - 1]``. Swapping the molecules turns mode
+    ``modes[m]`` into ``modes[mode_swap[m]]``.
+    """
 
-    @property
-    def total_quanta(self) -> int:
-        return sum(self.occupations)
+    species: Tuple[str, ...]
+    modes: Tuple[str, ...]
+    energies: np.ndarray  # (S, S, P), cm^-1
+    mode_swap: Tuple[int, ...]
 
-    @property
-    def label(self) -> str:
-        if self.total_quanta == 0:
-            vib = "0"
-        else:
-            vib = self.mode_labels[self.occupations.index(1)]
-        return f"{'.'.join(self.config)}|{vib}"
+    def __post_init__(self) -> None:
+        S, M = len(self.species), len(self.modes)
+        if self.energies.shape != (S, S, 1 + M) or sorted(self.mode_swap) != list(range(M)):
+            raise ValueError(f"no layout of {S} species over modes {self.modes}")
 
-    def count(self, species_label: str) -> int:
-        return self.config.count(species_label)
+    def __len__(self) -> int:
+        return self.energies.size
+
+    @cached_property
+    def exchange(self) -> np.ndarray:
+        """State permutation that swaps the molecules: (a, b, p) maps onto (b, a, sigma(p))."""
+        cells = np.arange(len(self)).reshape(self.energies.shape)
+        perm = cells.transpose(1, 0, 2)[:, :, [0, *(1 + q for q in self.mode_swap)]].ravel()
+        perm.flags.writeable = False
+        return perm
+
+    def counts(self) -> np.ndarray:
+        """Molecules of each species in each state, shape (len, S)."""
+        S, _, P = self.energies.shape
+        one = np.eye(S)
+        return np.repeat((one[:, None, :] + one[None, :, :]).reshape(S * S, S), P, axis=0)
+
+    def labels(self) -> Tuple[str, ...]:
+        """``a.b|q`` per state: the two species, then the excited mode or 0."""
+        return tuple(
+            f"{a}.{b}|{q}" for a, b in product(self.species, repeat=2) for q in ("0", *self.modes)
+        )
 
 
 def occupation_patterns(n_modes: int) -> Tuple[Tuple[int, ...], ...]:
@@ -143,29 +167,24 @@ def occupation_patterns(n_modes: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(int(j == k) for j in range(n_modes)) for k in range(-1, n_modes))
 
 
-def enumerate_states(network: ReactionNetwork, basis: ModeBasis) -> Tuple[CompositeState, ...]:
-    """Enumerate all composite states over the modes of ``basis``.
+def enumerate_states(network: ReactionNetwork, basis: ModeBasis) -> StateSpace:
+    """The state space of ``network`` over the modes of ``basis``.
 
     Energies come from ``state_energies`` in that basis, one array for every
     configuration and occupation pattern, exchange-symmetric bit for bit.
-    Ordering is deterministic: configuration-major in species declaration
-    order, occupation pattern minor, so state (a, b, p) has index
-    (a*S + b)*P + p.
+    Swapping the bare vibrations turns each mode's coefficient row into plus
+    or minus the row of mode sigma(q): v1 and v2 trade places in the identity
+    basis, while +, - and d stay put under VSC, where the sign of the dark row
+    is unobservable.
     """
-    patterns = occupation_patterns(len(basis.labels))
-    cells = product(product(network.labels(), repeat=2), patterns)
-    energies = state_energies(network, basis).ravel().tolist()
-    return tuple(
-        CompositeState(k, config, occ, basis.labels, energy)
-        for k, ((config, occ), energy) in enumerate(zip(cells, energies))
-    )
+    rows = np.array(basis.coefficients)
+    sigma = np.abs(rows[:, [0, 2, 1]] @ rows.T).argmax(axis=1)
+    energies = state_energies(network, basis)
+    energies.flags.writeable = False
+    return StateSpace(network.labels(), basis.labels, energies, tuple(sigma.tolist()))
 
 
-def initial_distribution(
-    states: Sequence[CompositeState],
-    reactant: str,
-    temperature: float,
-) -> np.ndarray:
+def initial_distribution(space: StateSpace, reactant: str, temperature: float) -> np.ndarray:
     """Thermal distribution restricted to the all-``reactant`` configuration.
 
     Weights are Boltzmann factors at ``temperature`` over the vibrational
@@ -173,12 +192,10 @@ def initial_distribution(
     all other states get probability 0. The result sums to 1.
     """
     kT = thermal_energy(temperature)
-    declared = {lab for s in states for lab in s.config}
-    if reactant not in declared:
+    if reactant not in space.species:
         raise ValueError(f"reactant {reactant!r} not among declared species")
-    p = np.zeros(len(states))
-    target = [s for s in states if all(lab == reactant for lab in s.config)]
-    e_min = min(s.energy for s in target)
-    for s in target:
-        p[s.index] = np.exp(-(s.energy - e_min) / kT)
-    return p / p.sum()
+    a = space.species.index(reactant)
+    target = space.energies[a, a]
+    p = np.zeros(space.energies.shape)
+    p[a, a] = np.exp(-(target - target.min()) / kT)
+    return p.ravel() / p.sum()

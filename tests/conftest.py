@@ -189,28 +189,37 @@ def kmc_state_counts(
     return counts
 
 
-def reference_assembly(states, network, basis, cavity, bath, regime) -> np.ndarray:
+def parse_label(label: str, modes) -> tuple:
+    """Configuration and occupation pattern of the state labelled ``a.b|q`` over ``modes``."""
+    config, mode = label.split("|")
+    return tuple(config.split(".")), tuple(int(q == mode) for q in modes)
+
+
+def reference_assembly(space, network, basis, cavity, bath, regime) -> np.ndarray:
     """Generator filled one state pair at a time from the state labels.
 
     Same rate laws as ``assemble_rate_matrix`` but none of its layout: each
-    pair is classified by the molecules whose species differ and by its
-    quanta, Franck-Condon factors are taken one pattern pair at a time,
-    reactive rates are the Marcus-Levich-Jortner formula written out with
-    ``math.exp``, and Purcell partners are found by searching the list.
+    state is parsed from its label, each pair is classified by the molecules
+    whose species differ and by its quanta, Franck-Condon factors are taken
+    one pattern pair at a time, reactive rates are the Marcus-Levich-Jortner
+    formula written out with ``math.exp``, and Purcell partners are found by
+    searching the list.
     """
     n_mol = len(basis.coefficients[0]) - 1
     kT = thermal_energy(bath.temperature)
     losses = [loss_rate(q, basis, cavity, bath) for q in basis.labels]
+    energies = space.energies.ravel().tolist()
+    states = [(i, *parse_label(label, basis.labels)) for i, label in enumerate(space.labels())]
     n = len(states)
     K = np.zeros((n, n))
-    for s_from in states:
-        for s_to in states:
-            if s_to.index == s_from.index:
+    for i_from, config_from, occ_from in states:
+        for i_to, config_to, occ_to in states:
+            if i_to == i_from:
                 continue
-            diff = [k for k in range(n_mol) if s_from.config[k] != s_to.config[k]]
+            diff = [k for k in range(n_mol) if config_from[k] != config_to[k]]
             if len(diff) == 1:
                 mol = diff[0] + 1
-                phi_from, phi_to = s_from.config[diff[0]], s_to.config[diff[0]]
+                phi_from, phi_to = config_from[diff[0]], config_to[diff[0]]
                 spec = coupling(network, phi_from, phi_to)
                 if spec is None or spec.J == 0.0:
                     continue
@@ -218,39 +227,35 @@ def reference_assembly(states, network, basis, cavity, bath, regime) -> np.ndarr
                     mode_displacements(basis, mol, network.displacement(phi))
                     for phi in (phi_from, phi_to)
                 )
-                fc = reference_franck_condon(
-                    s_to.occupations, s_from.occupations, lam_from, lam_to
-                )
+                fc = reference_franck_condon(occ_to, occ_from, lam_from, lam_to)
                 lam_s = spec.lambda_s
-                de = s_to.energy - s_from.energy
+                de = energies[i_to] - energies[i_from]
                 prefactor = math.sqrt(math.pi / (lam_s * kT)) * spec.J**2 / HBAR
-                K[s_to.index, s_from.index] = (
+                K[i_to, i_from] = (
                     prefactor * fc * math.exp(-((de + lam_s) ** 2) / (4.0 * lam_s * kT))
                 )
             elif not diff:
-                t_from, t_to = s_from.total_quanta, s_to.total_quanta
+                t_from, t_to = sum(occ_from), sum(occ_to)
                 if t_from == 1 and t_to == 0:
-                    K[s_to.index, s_from.index] = losses[s_from.occupations.index(1)]
+                    K[i_to, i_from] = losses[occ_from.index(1)]
                 elif t_from == 0 and t_to == 1:
-                    q_to = s_to.occupations.index(1)
-                    K[s_to.index, s_from.index] = gain_rate(
+                    q_to = occ_to.index(1)
+                    K[i_to, i_from] = gain_rate(
                         losses[q_to], basis.frequencies[q_to], bath.temperature
                     )
                 elif t_from == 1 and t_to == 1 and regime.kind == "vsc":
-                    q_from = basis.labels[s_from.occupations.index(1)]
-                    q_to = basis.labels[s_to.occupations.index(1)]
-                    K[s_to.index, s_from.index] = exchange_rate(q_from, q_to, basis, bath)
+                    q_from = basis.labels[occ_from.index(1)]
+                    q_to = basis.labels[occ_to.index(1)]
+                    K[i_to, i_from] = exchange_rate(q_from, q_to, basis, bath)
     if regime.kind == "weak":
         out = K.sum(axis=0)
         delta = cavity.omega_c - basis.omega_v
-        for s_c in states:
-            if s_c.total_quanta != 1 or s_c.occupations[0] != 1:
+        for i_c, config_c, occ_c in states:
+            if sum(occ_c) != 1 or occ_c[0] != 1:
                 continue
-            for s_v in states:
-                if s_v.config == s_c.config and s_v.total_quanta == 1 and s_v.occupations[0] == 0:
-                    rate = purcell_exchange_rate(
-                        out[s_c.index], out[s_v.index], regime.g_effective, delta
-                    )
-                    K[s_v.index, s_c.index] = K[s_c.index, s_v.index] = rate
+            for i_v, config_v, occ_v in states:
+                if config_v == config_c and sum(occ_v) == 1 and occ_v[0] == 0:
+                    rate = purcell_exchange_rate(out[i_c], out[i_v], regime.g_effective, delta)
+                    K[i_v, i_c] = K[i_c, i_v] = rate
     np.fill_diagonal(K, -K.sum(axis=0))
     return K

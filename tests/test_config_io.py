@@ -220,6 +220,25 @@ class TestSchema:
         with pytest.raises(ConfigError, match=f"{field} must be a string"):
             config_from_dict(fast_dict(**mutation))
 
+    @pytest.mark.parametrize(
+        "label", ["A.A", "A|0", "A,x", "A\nx", "A\rx", "A\tx", "A\x00", "A\x7f", "A\x85"]
+    )
+    def test_label_separators_rejected(self, label):
+        # "." and "|" build state labels, "," separates CSV columns, control characters split lines
+        raw = fast_dict(species=[{"label": "A"}, {"label": label}], couplings=[])
+        with pytest.raises(ConfigError, match="species.label must not contain"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("label", ["B-1", "B_2", "B+", "product B", "Ω"])
+    def test_other_labels_load(self, label):
+        config = config_from_dict(fast_dict(species=[{"label": "A"}, {"label": label}], couplings=[]))
+        assert config.network.labels() == ("A", label)
+
+    @pytest.mark.parametrize("couplings", [5, {"a": 1}, "AB", None])
+    def test_couplings_must_be_a_list(self, couplings):
+        with pytest.raises(ConfigError, match="couplings must be a list"):
+            config_from_dict(fast_dict(couplings=couplings))
+
     def test_weak_without_linewidth_rejected(self):
         # the resonant Purcell rate 4 g^2 / k has no finite limit as k -> 0
         raw = fast_dict(regime="weak", cavity={"kappa": 0.0}, bath={"gamma": 0.0})
@@ -479,6 +498,12 @@ class TestCli:
             ({"grid": {"points": 2.9}}, "grid.points"),
             ({"grid": {"points": "5"}}, "grid.points"),
             ({"cavity": {"n_molecules": 2}}, "n_molecules"),
+            ({"species": [{"label": "A"}, {"label": "A.A"}], "couplings": []}, "species.label"),
+            ({"species": [{"label": "A"}, {"label": "A,x"}], "couplings": []}, "species.label"),
+            ({"species": [{"label": "A"}, {"label": "A\nx"}], "couplings": []}, "species.label"),
+            ({"couplings": 5}, "couplings"),
+            ({"couplings": {"a": 1}}, "couplings"),
+            ({"couplings": "AB"}, "couplings"),
         ],
     )
     def test_bad_config_numbers_exit_2(self, tmp_path, capsys, mutation, field):
@@ -497,6 +522,26 @@ class TestCli:
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
         assert "species.label" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            *(
+                {"regime": kind, "species": [{"label": "A", "displacement": 1e200}, {"label": "B"}]}
+                for kind in ("bare", "weak", "vsc")
+            ),
+            {"regime": "vsc", "bath": {"temperature": 1e-300}},
+        ],
+    )
+    def test_overflow_exits_3(self, tmp_path, capsys, mutation):
+        # finite inputs whose arithmetic overflows are a numerical failure, not a traceback
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(fast_dict(**mutation)))
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:")
         assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
 

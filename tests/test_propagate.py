@@ -26,17 +26,22 @@ from vsckinetics.propagate import (
     vsc_scaling_criterion,
 )
 from vsckinetics.rates import REGIME_KINDS, RateMatrix, RegimeSpec
-from vsckinetics.states import CompositeState, initial_distribution
+from vsckinetics.states import StateSpace, initial_distribution
 
 
-def two_state_generator(k: float) -> RateMatrix:
-    """Irreversible A -> B at rate k, no vibrations involved."""
-    states = (
-        CompositeState(0, ("A",), (0,), ("v1",), 0.0),
-        CompositeState(1, ("B",), (0,), ("v1",), 0.0),
+def two_species_generator(k: float) -> RateMatrix:
+    """Each molecule reacts A -> B irreversibly at rate k; no modes, so N_A(t) = 2 exp(-k t)."""
+    space = StateSpace(("A", "B"), (), np.zeros((2, 2, 1)), ())
+    # states A.A, A.B, B.A, B.B; K[j, i] is the rate i -> j
+    matrix = np.array(
+        [
+            [-2.0 * k, 0.0, 0.0, 0.0],
+            [k, -k, 0.0, 0.0],
+            [k, 0.0, -k, 0.0],
+            [0.0, k, k, 0.0],
+        ]
     )
-    matrix = np.array([[-k, 0.0], [k, 0.0]])
-    return RateMatrix(states=states, matrix=matrix, regime=RegimeSpec("bare", 0.0))
+    return RateMatrix(states=space, matrix=matrix, regime=RegimeSpec("bare", 0.0))
 
 
 @pytest.fixture(scope="module")
@@ -87,19 +92,19 @@ class TestTimeGrid:
 
 class TestPropagate:
     def test_zero_generator_is_stationary(self):
-        gen = two_state_generator(0.0)
-        p0 = np.array([0.3, 0.7])
+        gen = two_species_generator(0.0)
+        p0 = np.array([0.1, 0.2, 0.3, 0.4])
         traj = propagate(gen, p0, TimeGrid.linear(0.0, 100.0, 5))
         assert np.abs(traj.state_populations - p0).max() == 0.0
 
     def test_matches_closed_form_decay(self):
         k = 0.17
-        gen = two_state_generator(k)
+        gen = two_species_generator(k)
         grid = TimeGrid.linear(0.0, 40.0, 9)
-        traj = propagate(gen, np.array([1.0, 0.0]), grid)
+        traj = propagate(gen, np.array([1.0, 0.0, 0.0, 0.0]), grid)
         expected = np.exp(-k * traj.times)
-        assert traj.state_populations[:, 0] == pytest.approx(expected, rel=1e-12)
-        assert traj.state_populations[:, 1] == pytest.approx(1.0 - expected, rel=1e-10)
+        assert traj.species_series("A") == pytest.approx(2.0 * expected, rel=1e-12)
+        assert traj.species_series("B") == pytest.approx(2.0 * (1.0 - expected), rel=1e-10)
         assert traj.state_populations[0, 0] == 1.0  # t = 0 reproduces p0 exactly
 
     def test_conserves_probability_and_positivity(self, r1_vsc, r1_vsc_p0):
@@ -279,14 +284,14 @@ class TestSpectralPropagator:
         assert np.abs(traj.state_populations - expected).max() <= 1e-10
 
     def test_transient_state_falls_back(self, expm_calls):
-        # B decays into the absorbing A: every state reaches A, but B is transient
+        # B decays into the absorbing A: every state reaches A.A, but B.B is transient
         k = 0.17
-        irreversible = two_state_generator(k)
+        irreversible = two_species_generator(k)
         gen = replace(irreversible, matrix=irreversible.matrix[::-1, ::-1].copy())
         grid = TimeGrid.linear(0.0, 40.0, 9)
-        traj = propagate(gen, np.array([0.0, 1.0]), grid)
+        traj = propagate(gen, np.array([0.0, 0.0, 0.0, 1.0]), grid)
         assert len(expm_calls) == len(grid.points)
-        assert traj.state_populations[:, 1] == pytest.approx(np.exp(-k * traj.times), rel=1e-12)
+        assert traj.species_series("B") == pytest.approx(2.0 * np.exp(-k * traj.times), rel=1e-12)
 
     def test_time_zero_returns_p0_exactly(self, r1_vsc, r1_vsc_p0, expm_calls):
         traj = propagate(r1_vsc, r1_vsc_p0, TimeGrid.linear(0.0, 100.0, 5))
@@ -327,7 +332,7 @@ class TestExchangeLumping:
         gen = build_generator(config)
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
         assert len(p0) == states
-        assert np.array_equal(p0[gen.exchange], p0)
+        assert np.array_equal(p0[gen.states.exchange], p0)
         propagate(gen, p0, config.grid)  # test_matches_expm_on_bundled_cases checks the result
         assert core_sizes == [orbits]
         assert expm_calls == []
@@ -338,7 +343,7 @@ class TestExchangeLumping:
     ):
         config = with_regime(reaction3, kind)
         gen = build_generator(config)
-        labels = [s.label for s in gen.states]
+        labels = gen.states.labels()
         p0 = np.zeros(len(labels))
         p0[labels.index("A.B|0")] = 0.7  # molecule 2 has already reacted, molecule 1 not
         p0[labels.index("B.C|0")] = 0.3
@@ -353,7 +358,7 @@ class TestExchangeLumping:
     def test_run_scenario_output_is_exchange_symmetric(self, request, scenario, kind):
         # p(a.b|v1) == p(b.a|v2) and every other state with its image, bit for bit
         traj = run_scenario(with_regime(request.getfixturevalue(scenario), kind)).trajectory
-        labels = [s.label for s in traj.states]
+        labels = traj.states.labels()
         images = [labels.index(swapped_label(label)) for label in labels]
         assert np.array_equal(traj.state_populations[:, images], traj.state_populations)
 
@@ -364,7 +369,7 @@ class TestObservables:
         """One-point trajectory under a zero generator from a delta on ``label``."""
         states = rate_matrix.states
         zero = RateMatrix(states=states, matrix=np.zeros((16, 16)), regime=rate_matrix.regime)
-        p0 = np.array([1.0 if s.label == label else 0.0 for s in states])
+        p0 = np.array([1.0 if x == label else 0.0 for x in states.labels()])
         return propagate(zero, p0, TimeGrid(points=(1.0,), spacing="linear"))
 
     def test_species_population_counts_molecules(self, r1_vsc):
@@ -387,7 +392,7 @@ class TestObservables:
     def test_trajectory_species_accounting(self, r1_vsc, r1_vsc_p0):
         traj = propagate(r1_vsc, r1_vsc_p0, TimeGrid.logarithmic(0.1, 1.0e4, 12))
         assert traj.species_labels == ("A", "B")
-        assert traj.n_molecules == 2
+        assert np.array_equal(traj.states.counts().sum(axis=1), np.full(16, 2.0))
         total = traj.species_series("A") + traj.species_series("B")
         assert total == pytest.approx(np.full(12, 2.0), abs=1e-9)
         frac = traj.normalized_series("B")

@@ -13,12 +13,27 @@ Nonzero displacements reach down to 1e-160, whose one-quantum factors fall
 below the smallest normal double, so reactive pairs that underflow are drawn.
 """
 
+import copy
+import json
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import detailed_balance_worst
-from vsckinetics.config import build_generator, config_from_dict
+from vsckinetics.config import (
+    ENERGY_UNITS,
+    ConfigError,
+    build_generator,
+    config_from_dict,
+    effective_config_dict,
+    export,
+    run_scenario,
+)
 from vsckinetics.units import thermal_energy
 
 OMEGA_V = 2000.0
@@ -84,13 +99,119 @@ def test_generator_invariants(raw):
     off = K - np.diag(np.diag(K))
     assert np.all(off >= 0.0)
 
-    energies = np.array([s.energy for s in gen.states])
+    energies = gen.states.energies.ravel()
     kT = thermal_energy(config.bath.temperature)
     assert detailed_balance_worst(K, energies, kT) <= 1e-10
 
-    perm = gen.exchange
+    perm = gen.states.exchange
     assert np.array_equal(energies[perm], energies)
     swapped = K[perm][:, perm]
     assert np.array_equal(swapped - np.diag(np.diag(swapped)), off)
     # the diagonal sums the same rates in another order
     assert np.all(np.abs(np.diag(swapped) - np.diag(K)) <= 4 * np.finfo(float).eps * gen.out_rates)
+
+
+def in_units_of_omega_v(raw):
+    """The same draw with its energy-like fields read as multiples of omega_v."""
+    scaled = copy.deepcopy(raw)
+    scaled["energy_unit"] = "hbar_omega_v"
+    for species in scaled["species"]:
+        species["energy"] /= OMEGA_V
+    for coupling in scaled["couplings"]:
+        coupling["J"] /= OMEGA_V
+        coupling["lambda_s"] /= OMEGA_V
+    for key in ("omega_c", "g"):
+        scaled["cavity"][key] /= OMEGA_V
+    return scaled
+
+
+@st.composite
+def scenarios(draw):
+    """A ``configs`` draw in either energy unit, on a short log or linear grid."""
+    raw = draw(configs())
+    if draw(st.booleans()):
+        raw = in_units_of_omega_v(raw)
+    spacing = draw(st.sampled_from(["log", "linear"]))
+    start = draw(st.floats(0.01, 10.0) if spacing == "log" else zero_or(0.01, 10.0))
+    raw["grid"] = {
+        "spacing": spacing,
+        "start": start,
+        "end": start + draw(st.floats(1.0, 1e5)),
+        "points": draw(st.integers(2, 12)),
+    }
+    return raw
+
+
+def test_effective_config_round_trips():
+    kinds = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(scenarios())
+    def check(raw):
+        config = config_from_dict(raw)
+        assert config_from_dict(effective_config_dict(config)) == config
+        kinds.add((raw.get("energy_unit", "cm-1"), config.grid.spacing))
+
+    check()
+    assert kinds == {(u, s) for u in ENERGY_UNITS for s in ("log", "linear")}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(scenarios())
+def test_embedded_config_reexports_identical_bytes(raw):
+    first = run_scenario(config_from_dict(raw))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        (exported,) = export([first], "json", out / "first.json")
+        embedded = json.loads(exported.read_text())["runs"][0]["metadata"]["config"]
+        again = run_scenario(config_from_dict(embedded))
+        export([first], "csv", out / "first.csv")
+        for fmt in ("json", "csv"):
+            export([again], fmt, out / f"again.{fmt}")
+            assert (out / f"again.{fmt}").read_bytes() == (out / f"first.{fmt}").read_bytes()
+
+
+BAD_VALUES = {
+    float: ["2000", None, True, [1.0], {"x": 1.0}, math.nan, math.inf, -math.inf],
+    int: ["4", None, True, 4.0, 2.5, math.nan, [4]],
+    str: [5, None, 1.5, ["A"], {"A": 1}],
+    list: [5, None, "AB", {"a": 1}, 1.5],
+    dict: [5, None, "x", [1.0]],
+}
+
+
+def fields(value, path=()):
+    """Path of every value in a raw config, containers included."""
+    found = [path] if path else []
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return found
+    for key, item in items:
+        found += fields(item, (*path, key))
+    return found
+
+
+def field_name(path) -> str:
+    """How a load error names the field at ``path``: keys joined by '.', list indices dropped."""
+    keys = [key for key in path if isinstance(key, str)]
+    if path[0] == "couplings" and len(path) > 1:
+        keys[0] = "coupling"  # the entries of "couplings" report as coupling, coupling.J, ...
+    return ".".join(keys)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(scenarios(), st.data())
+def test_one_wrong_field_is_named(raw, data):
+    # a valid config with one value made wrong-typed, non-finite or not a list/object
+    path = data.draw(st.sampled_from(fields(raw)))
+    bad = copy.deepcopy(raw)
+    parent = bad
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = data.draw(st.sampled_from(BAD_VALUES[type(parent[path[-1]])]))
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(bad)
+    assert field_name(path) in str(info.value)

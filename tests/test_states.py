@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import coupling, reference_energy, swapped_label
+from conftest import coupling, parse_label, reference_energy, swapped_label
 from vsckinetics.eigenmodes import CavitySpec, bare_mode_basis, build_mode_basis
 from vsckinetics.states import (
     CouplingSpec,
     ReactionNetwork,
     SpeciesSpec,
+    StateSpace,
     enumerate_states,
     initial_distribution,
     occupation_patterns,
@@ -84,30 +85,56 @@ def test_network_lookups():
 
 def test_enumeration_count_and_order():
     assert occupation_patterns(3) == ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
-    states = enumerate_states(network_ab(), BARE)
-    assert len(states) == 16
-    assert [s.index for s in states] == list(range(16))
+    space = enumerate_states(network_ab(), BARE)
+    assert len(space) == 16
+    assert space.energies.shape == (2, 2, 4)
+    assert (space.species, space.modes) == (("A", "B"), BARE.labels)
     # configuration-major, declaration order; ground first, then one quantum per mode
-    assert [s.label for s in states[:8]] == [
+    assert space.labels()[:8] == (
         "A.A|0", "A.A|c", "A.A|v1", "A.A|v2",
         "A.B|0", "A.B|c", "A.B|v1", "A.B|v2",
-    ]
-    assert states[4].config == ("A", "B")
-    assert all(s.total_quanta <= 1 for s in states)
+    )
+    assert len(set(space.labels())) == 16
 
-    vsc_states = enumerate_states(network_ab(), VSC)
-    assert [s.label for s in vsc_states[:4]] == ["A.A|0", "A.A|+", "A.A|-", "A.A|d"]
+    vsc_space = enumerate_states(network_ab(), VSC)
+    assert vsc_space.labels()[:4] == ("A.A|0", "A.A|+", "A.A|-", "A.A|d")
     abc = enumerate_states(network_abc(), VSC)
     assert len(abc) == 36
+
+
+def test_layout_arithmetic_matches_the_labels():
+    # counts and the exchange follow from the index; check them against the labels
+    for net in (network_ab(), network_abc()):
+        for basis in (VSC, BARE):
+            space = enumerate_states(net, basis)
+            labels = space.labels()
+            configs = [parse_label(label, basis.labels)[0] for label in labels]
+            expected = [[config.count(phi) for phi in space.species] for config in configs]
+            assert np.array_equal(space.counts(), expected)
+            assert [labels[j] for j in space.exchange] == [swapped_label(x) for x in labels]
+            assert np.array_equal(space.exchange[space.exchange], np.arange(len(space)))
+
+
+def test_state_space_rejects_a_foreign_layout():
+    energies = np.zeros((2, 2, 4))
+    StateSpace(("A", "B"), BARE.labels, energies, (0, 2, 1))
+    with pytest.raises(ValueError, match="layout"):
+        StateSpace(("A",), BARE.labels, energies, (0, 2, 1))
+    with pytest.raises(ValueError, match="layout"):
+        StateSpace(("A", "B"), ("c", "v1"), energies, (0, 1))
+    with pytest.raises(ValueError, match="layout"):
+        StateSpace(("A", "B"), BARE.labels, energies, (0, 0, 1))
 
 
 def test_enumeration_energies_share_code_path():
     # one array expression reproduces the per-state formula bit for bit
     for net in (network_ab(), network_abc()):
         for basis in (VSC, BARE):
-            for s in enumerate_states(net, basis):
-                assert s.mode_labels == basis.labels
-                assert s.energy == reference_energy(s.config, s.occupations, basis, net)
+            space = enumerate_states(net, basis)
+            assert space.modes == basis.labels
+            for label, energy in zip(space.labels(), space.energies.ravel().tolist()):
+                config, occupations = parse_label(label, basis.labels)
+                assert energy == reference_energy(config, occupations, basis, net)
 
 
 def test_energies_are_exchange_symmetric_bit_for_bit():
@@ -120,37 +147,40 @@ def test_energies_are_exchange_symmetric_bit_for_bit():
         ("B", "A"), ground, BARE, net
     )
     for basis in (BARE, VSC):
-        states = enumerate_states(net, basis)
-        energy = {s.label: s.energy for s in states}
-        for s in states:
-            assert energy[swapped_label(s.label)] == s.energy
-            if list(s.config) == sorted(s.config):
-                assert s.energy == reference_energy(s.config, s.occupations, basis, net)
+        space = enumerate_states(net, basis)
+        energy = dict(zip(space.labels(), space.energies.ravel().tolist()))
+        for label, e in energy.items():
+            assert energy[swapped_label(label)] == e
+            config, occupations = parse_label(label, basis.labels)
+            if list(config) == sorted(config):
+                assert e == reference_energy(config, occupations, basis, net)
 
 
 def test_initial_distribution_bare():
-    states = enumerate_states(network_ab(), BARE)
-    p0 = initial_distribution(states, "A", 298.0)
+    space = enumerate_states(network_ab(), BARE)
+    p0 = initial_distribution(space, "A", 298.0)
     assert p0.sum() == pytest.approx(1.0, abs=1e-14)
     assert np.all(p0 >= 0.0)
+    labels = space.labels()
+    energies = space.energies.ravel()
     # support only on the all-reactant configuration
-    for s in states:
-        if s.config != ("A", "A"):
-            assert p0[s.index] == 0.0
+    for i, label in enumerate(labels):
+        if not label.startswith("A.A|"):
+            assert p0[i] == 0.0
     # Boltzmann ratios within the manifold
     kT = KB * 298.0
-    ground = next(s for s in states if s.label == "A.A|0")
-    for s in states:
-        if s.config == ("A", "A") and s is not ground:
-            expected = math.exp(-(s.energy - ground.energy) / kT)
-            assert p0[s.index] / p0[ground.index] == pytest.approx(expected, rel=1e-12)
+    ground = labels.index("A.A|0")
+    for i, label in enumerate(labels):
+        if label.startswith("A.A|") and i != ground:
+            expected = math.exp(-(energies[i] - energies[ground]) / kT)
+            assert p0[i] / p0[ground] == pytest.approx(expected, rel=1e-12)
     # nearly all weight sits in the ground state at 298 K for 2000 cm^-1 quanta
-    assert p0[ground.index] > 0.999
+    assert p0[ground] > 0.999
 
 
 def test_initial_distribution_errors():
-    states = enumerate_states(network_ab(), BARE)
+    space = enumerate_states(network_ab(), BARE)
     with pytest.raises(ValueError):
-        initial_distribution(states, "Q", 298.0)
+        initial_distribution(space, "Q", 298.0)
     with pytest.raises(ValueError):
-        initial_distribution(states, "A", -10.0)
+        initial_distribution(space, "A", -10.0)
