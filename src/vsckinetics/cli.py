@@ -20,6 +20,7 @@ from typing import List, Optional, Sequence
 
 from . import __version__
 from .config import (
+    SWEEP_PARAMETERS,
     ConfigError,
     SweepSpec,
     export,
@@ -30,7 +31,7 @@ from .config import (
 )
 from .eigenmodes import bare_mode_basis, build_mode_basis, mode_displacements
 from .propagate import NumericalError, vsc_scaling_criterion
-from .rates import REGIME_KINDS, displacement_matrix_element, franck_condon
+from .rates import displacement_matrix_element, franck_condon
 
 __all__ = ["main", "build_parser"]
 
@@ -88,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp = sub.add_parser("sweep", help="run a parameter family")
     add_io_flags(p_swp)
     p_swp.add_argument(
-        "--param", required=True, choices=("kappa", "eta", "gamma", "g"), help="swept parameter"
+        "--param", required=True, choices=SWEEP_PARAMETERS, help="swept parameter"
     )
     p_swp.add_argument(
         "--values", required=True, type=_csv_floats, help="comma-separated parameter values"
@@ -134,9 +135,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     regimes = [tok.strip() for tok in args.regimes.split(",") if tok.strip()]
-    for kind in regimes:
-        if kind not in REGIME_KINDS:
-            raise ConfigError(f"unknown regime {kind!r}; choose from {REGIME_KINDS}")
     return _export(args, run_comparison(config, regimes), f"{config.name}_compare")
 
 
@@ -182,11 +180,13 @@ def _cmd_fcf(args: argparse.Namespace) -> int:
         raise ConfigError("occupation vectors must have three entries")
     make_basis = build_mode_basis if args.regime == "vsc" else bare_mode_basis
     basis = make_basis(config.cavity, config.omega_v)
-    lam_from, lam_to = (
-        mode_displacements(basis, args.molecule, config.network.displacement(label))
-        for label in (args.species_from, args.species_to)
-    )
-    factor = float(franck_condon([occ_to], [occ_from], lam_from, lam_to)[0, 0])
+    displacements = {s.label: s.displacement for s in config.network.species}
+    lams = []  # the reacting molecule's mode displacements before and after
+    for flag, label in (("--species-from", args.species_from), ("--species-to", args.species_to)):
+        if label not in displacements:
+            raise ConfigError(f"{flag}: unknown species {label!r}")
+        lams.append(mode_displacements(basis, args.molecule, displacements[label]))
+    factor = float(franck_condon([occ_to], [occ_from], *lams)[0, 0])
     print(f"|FC|^2 [{args.regime}] {args.species_from}->{args.species_to} "
           f"molecule {args.molecule} {occ_from}->{occ_to} = {factor!r}")
     return 0

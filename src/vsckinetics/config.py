@@ -49,7 +49,7 @@ from .propagate import (
     clamp_for_output,
     propagate,
 )
-from .rates import REGIME_KINDS, BathSpec, RateMatrix, RegimeSpec, assemble_rate_matrix
+from .rates import REGIME_KINDS, BathSpec, RateMatrix, assemble_rate_matrix, effective_coupling
 from .states import MOLECULES, CouplingSpec, ReactionNetwork, SpeciesSpec, initial_distribution
 from .units import ANGULAR_PER_WAVENUMBER, HBAR, KB, SPEED_OF_LIGHT_CM_PER_PS
 
@@ -72,7 +72,9 @@ __all__ = [
 ]
 
 ENERGY_UNITS = ("cm-1", "hbar_omega_v")
-SWEEP_PARAMETERS = ("kappa", "eta", "gamma", "g")
+# each sweep parameter and the config block that holds it
+_SWEEP_BLOCKS = {"kappa": "cavity", "eta": "bath", "gamma": "bath", "g": "cavity"}
+SWEEP_PARAMETERS = tuple(_SWEEP_BLOCKS)
 
 DEFAULT_OMEGA_V = 2000.0  # cm^-1
 DEFAULT_KAPPA = 1.0  # ps^-1
@@ -82,8 +84,9 @@ DEFAULT_TEMPERATURE = 298.0  # K
 DEFAULT_OMEGA_CUT_FACTOR = 0.1  # omega_cut = 0.1 * omega_v
 DEFAULT_G_FACTOR = 0.03 / math.sqrt(2.0)  # g = 0.03 * omega_v / sqrt(2)
 
-# state labels join species with "." and "|", and CSV headers join columns with ","
-_LABEL_FORBIDDEN = re.compile(r"[.|,\x00-\x1f\x7f-\x9f]")
+# state labels join species with "." and "|", CSV headers join columns with ",", and
+# str.splitlines() also breaks at control characters and U+2028/U+2029
+_LABEL_FORBIDDEN = re.compile(r"[.|,\x00-\x1f\x7f-\x9f\u2028\u2029]")
 
 _SCHEMA_KEYS = {
     "name",
@@ -128,10 +131,6 @@ class ScenarioConfig:
         if self.regime_kind == "weak" and self.cavity.kappa == 0.0 and self.bath.gamma == 0.0:
             # the resonant Purcell rate 4 g^2 / k has no finite limit as the linewidth k -> 0
             raise ConfigError("regime 'weak' needs cavity.kappa > 0 or bath.gamma > 0")
-
-    @property
-    def regime(self) -> RegimeSpec:
-        return RegimeSpec.for_kind(self.regime_kind, self.cavity.g)
 
 
 @dataclass(frozen=True)
@@ -231,9 +230,11 @@ def _resolve_config(raw: Dict[str, Any], name: str) -> ScenarioConfig:
         _check_keys(block, {"label", "energy", "displacement"}, f"species entry {block.get('label')!r}")
         _require("label" in block, "species entry missing 'label'")
         label = _as_str(block["label"], "species.label")
+        _require(label != "", "species.label must be non-empty")
         _require(
             not _LABEL_FORBIDDEN.search(label),
-            f"species.label must not contain '.', '|', ',' or control characters, got {label!r}",
+            "species.label must not contain '.', '|', ',', control characters or line"
+            f" separators, got {label!r}",
         )
         species.append(
             SpeciesSpec(
@@ -377,13 +378,13 @@ def config_fingerprint(config: ScenarioConfig) -> str:
 
 
 def _metadata(config: ScenarioConfig, rate_matrix: RateMatrix) -> Dict[str, Any]:
-    regime = config.regime
+    kind = config.regime_kind
     return {
         "config": effective_config_dict(config),
         "fingerprint": config_fingerprint(config),
         "derived": {
-            "g_effective": regime.g_effective,
-            "basis": "vsc" if regime.kind == "vsc" else "bare",
+            "g_effective": effective_coupling(kind, config.cavity.g),
+            "basis": "vsc" if kind == "vsc" else "bare",
             "state_count": len(rate_matrix.states),
             "state_labels": list(rate_matrix.states.labels()),
         },
@@ -402,10 +403,10 @@ def build_generator(config: ScenarioConfig) -> RateMatrix:
     VSC works in the polariton/dark eigenmodes; bare and weak work in the
     identity rotation over the uncoupled cavity and vibrations.
     """
-    regime = config.regime
-    make_basis = build_mode_basis if regime.kind == "vsc" else bare_mode_basis
+    kind = config.regime_kind
+    make_basis = build_mode_basis if kind == "vsc" else bare_mode_basis
     basis = make_basis(config.cavity, config.omega_v)
-    return assemble_rate_matrix(config.network, basis, config.cavity, config.bath, regime)
+    return assemble_rate_matrix(config.network, basis, config.cavity, config.bath, kind)
 
 
 def run_scenario(config: ScenarioConfig, label: Optional[str] = None) -> ScenarioResult:
@@ -423,29 +424,22 @@ def run_scenario(config: ScenarioConfig, label: Optional[str] = None) -> Scenari
 
 
 def run_comparison(config: ScenarioConfig, regimes: Sequence[str]) -> List[ScenarioResult]:
-    """Run the same scenario under several regimes on a shared grid."""
+    """Run the same scenario under several regimes on a shared grid.
+
+    Every regime is validated before the first run starts.
+    """
     if not regimes:
         raise ConfigError("comparison needs at least one regime")
-    results = []
-    for kind in regimes:
-        variant = replace(config, regime_kind=kind)
-        results.append(run_scenario(variant, label=kind))
-    return results
+    variants = [replace(config, regime_kind=kind) for kind in regimes]
+    return [run_scenario(variant, label=variant.regime_kind) for variant in variants]
 
 
 def _apply_sweep_value(base: ScenarioConfig, parameter: str, value: float) -> ScenarioConfig:
+    block = _SWEEP_BLOCKS[parameter]  # SweepSpec has checked the parameter
     try:
-        if parameter == "kappa":
-            return replace(base, cavity=replace(base.cavity, kappa=value))
-        if parameter == "g":
-            return replace(base, cavity=replace(base.cavity, g=value))
-        if parameter == "gamma":
-            return replace(base, bath=replace(base.bath, gamma=value))
-        if parameter == "eta":
-            return replace(base, bath=replace(base.bath, eta=value))
+        return replace(base, **{block: replace(getattr(base, block), **{parameter: value})})
     except ValueError as exc:
         raise ConfigError(f"sweep value {parameter}={value!r} rejected: {exc}") from exc
-    raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {parameter!r}")
 
 
 def run_sweep(sweep: SweepSpec) -> List[ScenarioResult]:

@@ -6,8 +6,10 @@ rows diagonalize the bilinear cavity-vibration Hamiltonian, giving two
 polaritons ("+", "-") and a dark combination ("d"). Outside the cavity, and
 in the perturbative weak regime, the basis is the identity rotation over the
 bare modes ("c", "v1", "v2"). Displacements, energies, Franck-Condon factors
-and loss rates are then one formula for every regime. Everything is expressed
-in wavenumbers (cm^-1); a quantum of mode q carries energy omega_q directly.
+and the mode block of loss, gain and exchange (``rates.mode_block``) are then
+one formula for every regime, reading modes by position; labels only name them
+in state labels and exports. Everything is expressed in wavenumbers (cm^-1);
+a quantum of mode q carries energy omega_q directly.
 """
 
 from __future__ import annotations
@@ -60,25 +62,18 @@ class ModeBasis:
     """Modes of the cavity-vibration block.
 
     ``coefficients[q][i]`` is the amplitude of bare mode i (0 = cavity,
-    1..2 = molecular vibrations) in mode q; rows are orthonormal.
-    ``frequencies`` aligns with ``labels``.
+    1..2 = molecular vibrations) in mode q; rows are orthonormal. Mode q is
+    position q of ``labels``, ``frequencies`` and ``coefficients`` alike.
     """
 
     labels: Tuple[str, ...]
     frequencies: Tuple[float, ...]  # cm^-1
     coefficients: Tuple[Tuple[float, ...], ...]
-    mixing_angle: float  # rad
     omega_v: float  # cm^-1, bare vibration (= dark mode) frequency
 
     def __post_init__(self) -> None:
         if self.omega_v <= 0.0:
             raise ValueError(f"omega_v must be > 0, got {self.omega_v}")
-
-    def frequency(self, label: str) -> float:
-        return self.frequencies[self.labels.index(label)]
-
-    def coefficient(self, label: str, bare_index: int) -> float:
-        return self.coefficients[self.labels.index(label)][bare_index]
 
 
 def build_mode_basis(cavity: CavitySpec, omega_v: float) -> ModeBasis:
@@ -109,7 +104,6 @@ def build_mode_basis(cavity: CavitySpec, omega_v: float) -> ModeBasis:
         labels=VSC_MODE_LABELS,
         frequencies=(omega_plus, omega_minus, omega_v),
         coefficients=coefficients,
-        mixing_angle=theta,
         omega_v=omega_v,
     )
 
@@ -120,7 +114,6 @@ def bare_mode_basis(cavity: CavitySpec, omega_v: float) -> ModeBasis:
         labels=BARE_MODE_LABELS,
         frequencies=(cavity.omega_c, omega_v, omega_v),
         coefficients=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
-        mixing_angle=0.0,
         omega_v=omega_v,
     )
 

@@ -10,18 +10,20 @@ Three process families populate the generator:
 
 Every regime shares one mode basis: the polariton/dark eigenmodes under VSC,
 the identity rotation over cavity and bare vibrations otherwise. Franck-Condon
-factors, losses and gains are therefore one formula each; the regime only
-decides which exchange family joins them.
+factors, losses and gains are therefore one formula each, indexed by mode
+position; the regime is a plain kind out of ``REGIME_KINDS`` that only
+decides which exchange family joins them and, through ``effective_coupling``,
+which coupling the weak Purcell term sees.
 
 Assembly follows the same split. Two molecules over S species give S^2
 configurations of P = 4 occupation patterns each, so K is an S^2 x S^2 grid
-of P x P blocks. Loss, gain and exchange stay inside a configuration: one
-block, shared by every diagonal cell. A reactive jump changes one molecule's
-species: per coupled pair and direction, one P x P Franck-Condon matrix fills
-molecule 1's cells for every spectator species at once, and molecule 2's
-cells are their exact image under the exchange of the two molecules. K
-commutes with that exchange, the state permutation ``StateSpace.exchange``
-that the propagator lumps on.
+of P x P blocks. Loss, gain and bath exchange stay inside a configuration:
+one block from ``mode_block``, shared by every diagonal cell. A reactive jump
+changes one molecule's species: per coupled pair and direction, one P x P
+Franck-Condon matrix fills molecule 1's cells for every spectator species at
+once, and molecule 2's cells are their exact image under the exchange of the
+two molecules. K commutes with that exchange, the state permutation
+``StateSpace.exchange`` that the propagator lumps on.
 
 Rates are in ps^-1, energies in cm^-1. The generator K is column-conservative:
 K[j][i] is the rate i -> j and each diagonal entry carries minus its column's
@@ -49,16 +51,14 @@ from .units import HBAR, thermal_energy, wavenumber_to_angular
 
 __all__ = [
     "BathSpec",
-    "RegimeSpec",
     "RateMatrix",
     "REGIME_KINDS",
     "WEAK_COUPLING_DIVISOR",
     "displacement_matrix_element",
     "franck_condon",
     "reactive_rate",
-    "loss_rate",
-    "gain_rate",
-    "exchange_rate",
+    "effective_coupling",
+    "mode_block",
     "purcell_exchange_rate",
     "assemble_rate_matrix",
 ]
@@ -89,26 +89,11 @@ class BathSpec:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
 
 
-@dataclass(frozen=True)
-class RegimeSpec:
-    """Light-matter coupling regime and the coupling strength it actually uses.
-
-    The effective single-molecule coupling is g for "vsc", g/100 for "weak"
-    (perturbative regime) and 0 for "bare".
-    """
-
-    kind: str
-    g_effective: float  # cm^-1
-
-    def __post_init__(self) -> None:
-        if self.kind not in REGIME_KINDS:
-            raise ValueError(f"regime kind must be one of {REGIME_KINDS}, got {self.kind!r}")
-        if self.g_effective < 0.0:
-            raise ValueError(f"g_effective must be >= 0, got {self.g_effective}")
-
-    @classmethod
-    def for_kind(cls, kind: str, g: float) -> "RegimeSpec":
-        return cls(kind, {"vsc": g, "weak": g / WEAK_COUPLING_DIVISOR}.get(kind, 0.0))
+def effective_coupling(kind: str, g: float) -> float:
+    """Single-molecule coupling (cm^-1) a regime uses: g under "vsc", g/100 under "weak", 0 bare."""
+    if kind not in REGIME_KINDS:
+        raise ValueError(f"regime kind must be one of {REGIME_KINDS}, got {kind!r}")
+    return {"vsc": g, "weak": g / WEAK_COUPLING_DIVISOR}.get(kind, 0.0)
 
 
 @dataclass(frozen=True)
@@ -122,7 +107,6 @@ class RateMatrix:
 
     states: StateSpace
     matrix: np.ndarray  # K[j, i] = rate of state i -> state j
-    regime: RegimeSpec
 
     def __post_init__(self) -> None:
         n = len(self.states)
@@ -225,49 +209,46 @@ def reactive_rate(
     return prefactor * fc * np.exp(-((de + lam_s) ** 2) / (4.0 * lam_s * kT))
 
 
-def loss_rate(q: str, basis: ModeBasis, cavity: CavitySpec, bath: BathSpec) -> float:
-    """Decay rate of one quantum in mode q: its cavity and vibrational weights mix the channels."""
-    c0 = basis.coefficient(q, 0)
-    vib_weight = sum(
-        basis.coefficient(q, i) ** 2 for i in range(1, len(basis.coefficients[0]))
-    )
-    return c0 * c0 * cavity.kappa + vib_weight * bath.gamma
+def mode_block(basis: ModeBasis, cavity: CavitySpec, bath: BathSpec, kind: str) -> np.ndarray:
+    """Rates among the P = 1 + M occupation patterns of one configuration, indexed [to, from].
 
+    Pattern 0 is the ground state and pattern q one quantum in mode q - 1 of
+    ``basis``. A quantum decays at its cavity weight times kappa plus its
+    vibrational weight times gamma, C[:,0]^2 kappa + sum_i C[:,i]^2 gamma, and
+    the gain from the ground state pairs with each loss by detailed balance.
 
-def gain_rate(loss: float, omega: float, temperature: float) -> float:
-    """Thermal excitation rate paired to ``loss`` by detailed balance."""
-    if loss < 0.0:
-        raise ValueError(f"loss rate must be >= 0, got {loss}")
-    return loss * math.exp(-omega / thermal_energy(temperature))
-
-
-def exchange_rate(q_from: str, q_to: str, basis: ModeBasis, bath: BathSpec) -> float:
-    """One-quantum relaxation between distinct eigenmodes via the anharmonic bath.
-
-    Ohmic spectral density J(w) = eta * w * exp(-(w/w_cut)^2) evaluated at the
-    angular gap; downhill moves carry (nbar+1), uphill moves nbar, so the pair
-    satisfies detailed balance. Degenerate modes (zero gap, e.g. g = 0 on
-    resonance) exchange at the w -> 0 limit 2 pi * overlap * eta * kT in
-    angular units, the same both ways.
+    Under "vsc" (eigenmode basis) quanta also relax between distinct modes
+    through the anharmonic bath: Ohmic spectral density J(w) = eta * w *
+    exp(-(w/w_cut)^2) at the angular gap, weighted by the modes' vibrational
+    overlap sum_i C[r,i]^2 C[q,i]^2; downhill moves carry (nbar+1) and uphill
+    moves nbar, so each pair satisfies detailed balance. Degenerate modes (zero
+    gap, e.g. g = 0 on resonance) exchange at the w -> 0 limit
+    2 pi * overlap * eta * kT in angular units, the same both ways.
     """
-    if q_from == q_to:
-        raise ValueError("exchange needs two distinct modes")
-    d_omega = basis.frequency(q_to) - basis.frequency(q_from)  # cm^-1
-    gap = abs(d_omega)
-    n_mol = len(basis.coefficients[0]) - 1
-    overlap = sum(
-        basis.coefficient(q_to, i) ** 2 * basis.coefficient(q_from, i) ** 2
-        for i in range(1, n_mol + 1)
-    )
+    C = np.array(basis.coefficients)
+    weights = C[:, 1:] ** 2  # vibrational weight of each mode, per molecule
+    loss = C[:, 0] * C[:, 0] * cavity.kappa + weights.sum(axis=1) * bath.gamma
     kT = thermal_energy(bath.temperature)
-    if gap == 0.0:
-        return 2.0 * math.pi * overlap * bath.eta * wavenumber_to_angular(kT)
-    w = wavenumber_to_angular(gap)
-    w_cut = wavenumber_to_angular(bath.omega_cut)
-    spectral = bath.eta * w * math.exp(-((w / w_cut) ** 2))
-    nbar = 1.0 / math.expm1(gap / kT)
-    occupancy = nbar + 1.0 if d_omega < 0.0 else nbar
-    return 2.0 * math.pi * overlap * occupancy * spectral
+    P = 1 + len(basis.frequencies)
+    block = np.zeros((P, P))
+    block[0, 1:] = loss
+    block[1:, 0] = [x * math.exp(-omega / kT) for x, omega in zip(loss.tolist(), basis.frequencies)]
+    if kind == "vsc":
+        overlap = (weights[:, None, :] * weights[None, :, :]).sum(axis=2).tolist()
+        w_cut = wavenumber_to_angular(bath.omega_cut)
+        for (q, w_from), (r, w_to) in permutations(enumerate(basis.frequencies), 2):
+            d_omega = w_to - w_from  # cm^-1
+            gap = abs(d_omega)
+            if gap == 0.0:
+                rate = 2.0 * math.pi * overlap[r][q] * bath.eta * wavenumber_to_angular(kT)
+            else:
+                w = wavenumber_to_angular(gap)
+                spectral = bath.eta * w * math.exp(-((w / w_cut) ** 2))
+                nbar = 1.0 / math.expm1(gap / kT)
+                occupancy = nbar + 1.0 if d_omega < 0.0 else nbar
+                rate = 2.0 * math.pi * overlap[r][q] * occupancy * spectral
+            block[1 + r, 1 + q] = rate
+    return block
 
 
 def purcell_exchange_rate(
@@ -296,39 +277,32 @@ def assemble_rate_matrix(
     basis: ModeBasis,
     cavity: CavitySpec,
     bath: BathSpec,
-    regime: RegimeSpec,
+    kind: str,
 ) -> RateMatrix:
     """Build the full generator of ``network`` over the modes of ``basis``.
 
-    The states are ``enumerate_states(network, basis)``, so K reshapes to
-    (S, S, P, S, S, P): destination species of molecules 1 and 2 and pattern,
-    then the same for the source. The shared mode block holds loss/gain and,
-    under "vsc" (eigenmode basis), bath exchange between eigenmodes; reactive
-    blocks fill the cells where one molecule changes species. Molecule 2's
-    reactive blocks are the exact image of molecule 1's under the exchange of
-    the space. "weak" (identity basis) then adds the symmetric Purcell
-    cavity-vibration exchange, whose linewidths are the bare out-rates of the
-    two exchanging states; "bare" adds none. Observable rates must not depend
-    on the arbitrary dark-row sign of the eigenmode basis.
+    ``kind`` is one of ``REGIME_KINDS``. The states are
+    ``enumerate_states(network, basis)``, so K reshapes to (S, S, P, S, S, P):
+    destination species of molecules 1 and 2 and pattern, then the same for
+    the source. ``mode_block`` fills every diagonal cell; reactive blocks fill
+    the cells where one molecule changes species. Molecule 2's reactive blocks
+    are the exact image of molecule 1's under the exchange of the space.
+    "weak" (identity basis) then adds the symmetric Purcell cavity-vibration
+    exchange at the coupling ``effective_coupling(kind, cavity.g)``, whose
+    linewidths are the bare out-rates of the two exchanging states; "bare"
+    adds none. Observable rates must not depend on the arbitrary dark-row sign
+    of the eigenmode basis.
     """
-    kind = regime.kind
+    g_effective = effective_coupling(kind, cavity.g)
     if (kind == "vsc") != (basis.labels == VSC_MODE_LABELS):
         raise ValueError(f"regime {kind!r} does not work in the mode basis {basis.labels}")
     space = enumerate_states(network, basis)
     patterns = occupation_patterns(len(basis.labels))
     S, _, P = space.energies.shape
 
-    # pattern 0 is the ground state, pattern q one quantum in mode q - 1
-    block = np.zeros((P, P))
-    for q, (label, omega) in enumerate(zip(basis.labels, basis.frequencies), start=1):
-        block[0, q] = loss_rate(label, basis, cavity, bath)
-        block[q, 0] = gain_rate(block[0, q], omega, bath.temperature)
-    if kind == "vsc":
-        for (q, q_from), (r, q_to) in permutations(enumerate(basis.labels, start=1), 2):
-            block[r, q] = exchange_rate(q_from, q_to, basis, bath)
     configs = np.arange(S * S)
     K = np.zeros((S * S, P, S * S, P))
-    K[configs, :, configs, :] = block
+    K[configs, :, configs, :] = mode_block(basis, cavity, bath, kind)
     K = K.reshape(S * S * P, S * S * P)
 
     # molecule 1 reacts in R; molecule 2's reactions are its image under the exchange
@@ -356,9 +330,9 @@ def assemble_rate_matrix(
     if kind == "weak":
         out = K.sum(axis=0).reshape(S * S, P)  # bare out-rates; the diagonal is still zero here
         delta = cavity.omega_c - basis.omega_v
-        gamma_p = purcell_exchange_rate(out[:, 1:2], out[:, 2:], regime.g_effective, delta)
+        gamma_p = purcell_exchange_rate(out[:, 1:2], out[:, 2:], g_effective, delta)
         i_c = np.arange(1, S * S * P, P)[:, None]  # the cavity-excited state of each configuration
         K[i_c + [1, 2], i_c] = K[i_c, i_c + [1, 2]] = gamma_p
 
     np.fill_diagonal(K, -K.sum(axis=0))
-    return RateMatrix(states=space, matrix=K, regime=regime)
+    return RateMatrix(states=space, matrix=K)

@@ -104,18 +104,6 @@ class ReactionNetwork:
     def labels(self) -> Tuple[str, ...]:
         return tuple(s.label for s in self.species)
 
-    def _lookup(self, label: str) -> SpeciesSpec:
-        for s in self.species:
-            if s.label == label:
-                return s
-        raise KeyError(f"unknown species {label!r}")
-
-    def energy(self, label: str) -> float:
-        return self._lookup(label).energy
-
-    def displacement(self, label: str) -> float:
-        return self._lookup(label).displacement
-
 
 @dataclass(frozen=True, eq=False)
 class StateSpace:

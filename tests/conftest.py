@@ -4,7 +4,8 @@ Oracles here deliberately avoid the package's own closed-form code paths:
 displacement elements come from exponentiating the truncated displacement
 generator, the stochastic route samples jump processes directly from a
 rate matrix, the reference assembly fills the generator pair by pair
-from the state labels instead of block by block, and the reference energy
+from the state labels with every rate law written out as scalar arithmetic
+instead of block by block, and the reference energy
 sums one configuration's terms in plain Python instead of one array
 expression. Tests compare the two routes instead of trusting either alone.
 """
@@ -20,14 +21,8 @@ from scipy.linalg import expm
 
 from vsckinetics.config import ScenarioConfig, bundled_config_path, load_config
 from vsckinetics.eigenmodes import mode_displacements
-from vsckinetics.rates import (
-    displacement_matrix_element,
-    exchange_rate,
-    gain_rate,
-    loss_rate,
-    purcell_exchange_rate,
-)
-from vsckinetics.units import HBAR, thermal_energy
+from vsckinetics.rates import displacement_matrix_element, purcell_exchange_rate
+from vsckinetics.units import HBAR, thermal_energy, wavenumber_to_angular
 
 
 @pytest.fixture(scope="session")
@@ -63,6 +58,11 @@ def coupling(network, a: str, b: str):
     return next((c for c in network.couplings if set(c.pair) == {a, b}), None)
 
 
+def species(network, label: str):
+    """The declared species called ``label``."""
+    return next(s for s in network.species if s.label == label)
+
+
 def swapped_label(label: str) -> str:
     """Label of the state with the two molecules swapped.
 
@@ -81,8 +81,8 @@ def reference_energy(config, occupations, basis, network) -> float:
     omega_v * sum_i lambda_phi_i^2 - sum_q omega_q * lambda_config_q^2 with
     the modes subtracted in basis order.
     """
-    displacements = [network.displacement(phi) for phi in config]
-    energy = sum([network.energy(phi) for phi in config])
+    displacements = [species(network, phi).displacement for phi in config]
+    energy = sum([species(network, phi).energy for phi in config])
     energy = energy + sum(n * omega for n, omega in zip(occupations, basis.frequencies))
     shift = basis.omega_v * sum([lam**2 for lam in displacements])
     per_molecule = [
@@ -195,19 +195,41 @@ def parse_label(label: str, modes) -> tuple:
     return tuple(config.split(".")), tuple(int(q == mode) for q in modes)
 
 
-def reference_assembly(space, network, basis, cavity, bath, regime) -> np.ndarray:
+def reference_loss(basis, cavity, bath, q: int) -> float:
+    """Decay rate of one quantum in mode q: cavity weight * kappa + vibrational weight * gamma."""
+    row = basis.coefficients[q]
+    return row[0] ** 2 * cavity.kappa + sum(c**2 for c in row[1:]) * bath.gamma
+
+
+def reference_exchange(basis, bath, q_from: int, q_to: int) -> float:
+    """Ohmic bath relaxation of one quantum from mode q_from to mode q_to (ps^-1)."""
+    overlap = sum(
+        a**2 * b**2 for a, b in zip(basis.coefficients[q_from][1:], basis.coefficients[q_to][1:])
+    )
+    kT = thermal_energy(bath.temperature)
+    d_omega = basis.frequencies[q_to] - basis.frequencies[q_from]
+    if d_omega == 0.0:  # the w -> 0 limit of J(w) * nbar(w)
+        return 2.0 * math.pi * overlap * bath.eta * wavenumber_to_angular(kT)
+    w = wavenumber_to_angular(abs(d_omega))
+    spectral = bath.eta * w * math.exp(-((w / wavenumber_to_angular(bath.omega_cut)) ** 2))
+    nbar = 1.0 / math.expm1(abs(d_omega) / kT)
+    return 2.0 * math.pi * overlap * (nbar + 1.0 if d_omega < 0.0 else nbar) * spectral
+
+
+def reference_assembly(space, network, basis, cavity, bath, kind) -> np.ndarray:
     """Generator filled one state pair at a time from the state labels.
 
     Same rate laws as ``assemble_rate_matrix`` but none of its layout: each
     state is parsed from its label, each pair is classified by the molecules
     whose species differ and by its quanta, Franck-Condon factors are taken
     one pattern pair at a time, reactive rates are the Marcus-Levich-Jortner
-    formula written out with ``math.exp``, and Purcell partners are found by
-    searching the list.
+    formula written out with ``math.exp``, loss, gain and bath exchange are
+    scalar formulas per mode, and Purcell partners are found by searching the
+    list at g/100.
     """
     n_mol = len(basis.coefficients[0]) - 1
     kT = thermal_energy(bath.temperature)
-    losses = [loss_rate(q, basis, cavity, bath) for q in basis.labels]
+    losses = [reference_loss(basis, cavity, bath, q) for q in range(len(basis.labels))]
     energies = space.energies.ravel().tolist()
     states = [(i, *parse_label(label, basis.labels)) for i, label in enumerate(space.labels())]
     n = len(states)
@@ -224,7 +246,7 @@ def reference_assembly(space, network, basis, cavity, bath, regime) -> np.ndarra
                 if spec is None or spec.J == 0.0:
                     continue
                 lam_from, lam_to = (
-                    mode_displacements(basis, mol, network.displacement(phi))
+                    mode_displacements(basis, mol, species(network, phi).displacement)
                     for phi in (phi_from, phi_to)
                 )
                 fc = reference_franck_condon(occ_to, occ_from, lam_from, lam_to)
@@ -240,14 +262,12 @@ def reference_assembly(space, network, basis, cavity, bath, regime) -> np.ndarra
                     K[i_to, i_from] = losses[occ_from.index(1)]
                 elif t_from == 0 and t_to == 1:
                     q_to = occ_to.index(1)
-                    K[i_to, i_from] = gain_rate(
-                        losses[q_to], basis.frequencies[q_to], bath.temperature
+                    K[i_to, i_from] = losses[q_to] * math.exp(-basis.frequencies[q_to] / kT)
+                elif t_from == 1 and t_to == 1 and kind == "vsc":
+                    K[i_to, i_from] = reference_exchange(
+                        basis, bath, occ_from.index(1), occ_to.index(1)
                     )
-                elif t_from == 1 and t_to == 1 and regime.kind == "vsc":
-                    q_from = basis.labels[occ_from.index(1)]
-                    q_to = basis.labels[occ_to.index(1)]
-                    K[i_to, i_from] = exchange_rate(q_from, q_to, basis, bath)
-    if regime.kind == "weak":
+    if kind == "weak":
         out = K.sum(axis=0)
         delta = cavity.omega_c - basis.omega_v
         for i_c, config_c, occ_c in states:
@@ -255,7 +275,7 @@ def reference_assembly(space, network, basis, cavity, bath, regime) -> np.ndarra
                 continue
             for i_v, config_v, occ_v in states:
                 if config_v == config_c and sum(occ_v) == 1 and occ_v[0] == 0:
-                    rate = purcell_exchange_rate(out[i_c], out[i_v], regime.g_effective, delta)
+                    rate = purcell_exchange_rate(out[i_c], out[i_v], cavity.g / 100.0, delta)
                     K[i_v, i_c] = K[i_c, i_v] = rate
     np.fill_diagonal(K, -K.sum(axis=0))
     return K

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import vsckinetics
-from conftest import coupling
+from conftest import coupling, species
 from vsckinetics.cli import main
 from vsckinetics.config import (
     ConfigError,
@@ -67,16 +67,16 @@ class TestBundledConfigs:
     def test_reaction1_values(self, reaction1):
         net = reaction1.network
         assert net.labels() == ("A", "B")
-        assert net.energy("B") == pytest.approx(-1200.0, rel=1e-15)
-        assert net.displacement("B") == 1.5
+        assert species(net, "B").energy == pytest.approx(-1200.0, rel=1e-15)
+        assert species(net, "B").displacement == 1.5
         c = coupling(net, "A", "B")
         assert c.J == pytest.approx(20.0, rel=1e-15)
         assert c.lambda_s == pytest.approx(160.0, rel=1e-15)
 
     def test_reaction2_values(self, reaction2):
         net = reaction2.network
-        assert net.energy("B") == pytest.approx(1900.0, rel=1e-15)
-        assert net.displacement("B") == 1.0
+        assert species(net, "B").energy == pytest.approx(1900.0, rel=1e-15)
+        assert species(net, "B").displacement == 1.0
         c = coupling(net, "A", "B")
         assert c.J == pytest.approx(4.0, rel=1e-15)
         assert c.lambda_s == pytest.approx(100.0, rel=1e-15)
@@ -84,10 +84,10 @@ class TestBundledConfigs:
     def test_reaction3_values(self, reaction3):
         net = reaction3.network
         assert net.labels() == ("A", "B", "C")
-        assert net.energy("B") == pytest.approx(-2100.0, rel=1e-15)
-        assert net.energy("C") == pytest.approx(-2700.0, rel=1e-15)
-        assert net.displacement("B") == 1.5
-        assert net.displacement("C") == 4.5
+        assert species(net, "B").energy == pytest.approx(-2100.0, rel=1e-15)
+        assert species(net, "C").energy == pytest.approx(-2700.0, rel=1e-15)
+        assert species(net, "B").displacement == 1.5
+        assert species(net, "C").displacement == 4.5
         assert coupling(net, "A", "B").J == pytest.approx(0.6, rel=1e-12)
         assert coupling(net, "A", "B").lambda_s == pytest.approx(100.0, rel=1e-15)
         assert coupling(net, "B", "C").J == pytest.approx(40.0, rel=1e-15)
@@ -126,13 +126,13 @@ class TestSchema:
                 couplings=[{"pair": ["A", "B"], "J": 0.01, "lambda_s": 0.08}],
             )
         )
-        assert scaled.network.energy("B") == pytest.approx(
-            in_wavenumbers.network.energy("B"), rel=1e-12
+        assert species(scaled.network, "B").energy == pytest.approx(
+            species(in_wavenumbers.network, "B").energy, rel=1e-12
         )
         assert coupling(scaled.network, "A", "B").J == pytest.approx(20.0, rel=1e-12)
         assert coupling(scaled.network, "A", "B").lambda_s == pytest.approx(160.0, rel=1e-12)
         # displacements and rates are not energies and must never rescale
-        assert scaled.network.displacement("B") == 1.5
+        assert species(scaled.network, "B").displacement == 1.5
         assert scaled.cavity.kappa == in_wavenumbers.cavity.kappa
         assert scaled.bath.gamma == in_wavenumbers.bath.gamma
 
@@ -221,10 +221,12 @@ class TestSchema:
             config_from_dict(fast_dict(**mutation))
 
     @pytest.mark.parametrize(
-        "label", ["A.A", "A|0", "A,x", "A\nx", "A\rx", "A\tx", "A\x00", "A\x7f", "A\x85"]
+        "label",
+        ["A.A", "A|0", "A,x", "A\nx", "A\rx", "A\tx", "A\x00", "A\x7f", "A\x85", "A\u2028x", "A\u2029x"],
     )
     def test_label_separators_rejected(self, label):
-        # "." and "|" build state labels, "," separates CSV columns, control characters split lines
+        # "." and "|" build state labels, "," separates CSV columns, control characters
+        # and the Unicode line/paragraph separators split lines under str.splitlines()
         raw = fast_dict(species=[{"label": "A"}, {"label": label}], couplings=[])
         with pytest.raises(ConfigError, match="species.label must not contain"):
             config_from_dict(raw)
@@ -443,7 +445,7 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert [run["label"] for run in payload["runs"]] == ["bare", "vsc"]
 
-    def test_compare_unknown_regime(self, config_path, tmp_path):
+    def test_compare_unknown_regime(self, config_path, tmp_path, capsys):
         code = main(
             [
                 "compare",
@@ -456,6 +458,8 @@ class TestCli:
             ]
         )
         assert code == 2
+        assert "'ultrastrong'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
 
     def test_sweep(self, config_path, tmp_path):
         out = tmp_path / "swp.csv"
@@ -501,6 +505,8 @@ class TestCli:
             ({"species": [{"label": "A"}, {"label": "A.A"}], "couplings": []}, "species.label"),
             ({"species": [{"label": "A"}, {"label": "A,x"}], "couplings": []}, "species.label"),
             ({"species": [{"label": "A"}, {"label": "A\nx"}], "couplings": []}, "species.label"),
+            ({"species": [{"label": "A"}, {"label": "A\u2028x"}], "couplings": []}, "species.label"),
+            ({"species": [{"label": "A"}, {"label": ""}], "couplings": []}, "species.label"),
             ({"couplings": 5}, "couplings"),
             ({"couplings": {"a": 1}}, "couplings"),
             ({"couplings": "AB"}, "couplings"),
@@ -728,6 +734,17 @@ class TestCli:
         )
         assert code == 0
         assert "0.23714825526419478" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--species-from", "--species-to"])
+    def test_fcf_unknown_species_exits_2(self, capsys, flag):
+        species = {"--species-from": "A", "--species-to": "B", flag: "Z"}
+        argv = ["fcf", "--config", str(bundled_config_path("reaction1"))]
+        for name, label in species.items():
+            argv += [name, label]
+        assert main([*argv, "--occ-from", "0,0,0", "--occ-to", "0,1,0"]) == 2
+        captured = capsys.readouterr()
+        assert f"{flag}: unknown species 'Z'" in captured.err
+        assert captured.out == ""
 
     def test_fcf_requires_mode(self, capsys):
         assert main(["fcf"]) == 2

@@ -33,18 +33,21 @@ def r1_network():
 
 def test_resonant_frequencies_and_angle():
     basis = resonant_basis()
+    assert basis.labels == ("+", "-", "d")
     # Rabi splitting 2*g*sqrt(2) = 0.06 * omega_v = 120 cm^-1
-    assert basis.frequency("+") == pytest.approx(2060.0, abs=1e-9)
-    assert basis.frequency("-") == pytest.approx(1940.0, abs=1e-9)
-    assert basis.frequency("d") == OMEGA_V
-    assert basis.mixing_angle == pytest.approx(math.pi / 4, rel=1e-14)
+    plus, minus, dark = basis.frequencies
+    assert plus == pytest.approx(2060.0, abs=1e-9)
+    assert minus == pytest.approx(1940.0, abs=1e-9)
+    assert dark == OMEGA_V
+    # mixing angle pi/4: the cavity amplitude of "+" is cos(pi/4)
+    assert basis.coefficients[0][0] == pytest.approx(math.cos(math.pi / 4), rel=1e-14)
 
 
 def test_frequency_sum_rule_and_bracketing():
     for detuning in (-300.0, -50.0, 0.0, 50.0, 300.0):
         cavity = CavitySpec(omega_c=OMEGA_V + detuning, g=G_VSC, kappa=1.0)
         basis = build_mode_basis(cavity, OMEGA_V)
-        wp, wm = basis.frequency("+"), basis.frequency("-")
+        wp, wm, _ = basis.frequencies
         assert wp + wm == pytest.approx(cavity.omega_c + OMEGA_V, rel=1e-13)
         assert wm < min(cavity.omega_c, OMEGA_V) <= max(cavity.omega_c, OMEGA_V) < wp
 
@@ -67,27 +70,30 @@ def test_coefficients_match_dense_diagonalization():
         for row, omega_q in zip(C, basis.frequencies):
             assert np.abs(H @ row - omega_q * row).max() < 1e-9
         # dark row convention is pinned
-        assert basis.coefficient("d", 0) == 0.0
-        assert basis.coefficient("d", 1) == pytest.approx(1 / math.sqrt(2), rel=1e-15)
-        assert basis.coefficient("d", 2) == pytest.approx(-1 / math.sqrt(2), rel=1e-15)
+        dark = basis.coefficients[2]
+        assert dark[0] == 0.0
+        assert dark[1] == pytest.approx(1 / math.sqrt(2), rel=1e-15)
+        assert dark[2] == pytest.approx(-1 / math.sqrt(2), rel=1e-15)
 
 
 def test_resonant_coefficients():
     basis = resonant_basis()
     s = 1 / math.sqrt(2)
-    assert basis.coefficient("+", 0) == pytest.approx(s, rel=1e-14)
-    assert basis.coefficient("+", 1) == pytest.approx(0.5, rel=1e-14)
-    assert basis.coefficient("-", 0) == pytest.approx(s, rel=1e-14)
-    assert basis.coefficient("-", 1) == pytest.approx(-0.5, rel=1e-14)
+    plus, minus, _ = basis.coefficients
+    assert plus[0] == pytest.approx(s, rel=1e-14)
+    assert plus[1] == pytest.approx(0.5, rel=1e-14)
+    assert minus[0] == pytest.approx(s, rel=1e-14)
+    assert minus[1] == pytest.approx(-0.5, rel=1e-14)
 
 
 def test_decoupled_limit():
     # g = 0 keeps an orthonormal basis with a photon-like "+" mode at omega_c
     basis = build_mode_basis(CavitySpec(omega_c=2100.0, g=0.0, kappa=1.0), OMEGA_V)
-    assert basis.frequency("+") == pytest.approx(2100.0)
-    assert basis.frequency("-") == pytest.approx(OMEGA_V)
-    assert basis.coefficient("+", 0) == pytest.approx(1.0)
-    assert basis.mixing_angle == 0.0
+    assert basis.frequencies[0] == pytest.approx(2100.0)
+    assert basis.frequencies[1] == pytest.approx(OMEGA_V)
+    assert basis.coefficients[0][0] == pytest.approx(1.0)
+    # mixing angle 0: "+" is the bare cavity mode exactly
+    assert basis.coefficients[0] == (1.0, 0.0, 0.0)
 
 
 def test_cavity_spec_validation():
@@ -108,7 +114,6 @@ def test_bare_basis_is_identity_rotation():
     assert basis.labels == ("c", "v1", "v2")
     assert basis.frequencies == (2100.0, OMEGA_V, OMEGA_V)
     assert np.array_equal(np.array(basis.coefficients), np.eye(3))
-    assert basis.mixing_angle == 0.0
     # each molecule displaces only its own vibration, by exactly lambda
     assert mode_displacements(basis, 1, 1.5) == (0.0, 1.5, 0.0)
     assert mode_displacements(basis, 2, 1.5) == (0.0, 0.0, 1.5)

@@ -25,7 +25,7 @@ from vsckinetics.propagate import (
     propagate,
     vsc_scaling_criterion,
 )
-from vsckinetics.rates import REGIME_KINDS, RateMatrix, RegimeSpec
+from vsckinetics.rates import REGIME_KINDS, RateMatrix
 from vsckinetics.states import StateSpace, initial_distribution
 
 
@@ -41,7 +41,7 @@ def two_species_generator(k: float) -> RateMatrix:
             [0.0, k, k, 0.0],
         ]
     )
-    return RateMatrix(states=space, matrix=matrix, regime=RegimeSpec("bare", 0.0))
+    return RateMatrix(states=space, matrix=matrix)
 
 
 @pytest.fixture(scope="module")
@@ -368,7 +368,7 @@ class TestObservables:
     def frozen(rate_matrix, label):
         """One-point trajectory under a zero generator from a delta on ``label``."""
         states = rate_matrix.states
-        zero = RateMatrix(states=states, matrix=np.zeros((16, 16)), regime=rate_matrix.regime)
+        zero = RateMatrix(states=states, matrix=np.zeros((16, 16)))
         p0 = np.array([1.0 if x == label else 0.0 for x in states.labels()])
         return propagate(zero, p0, TimeGrid(points=(1.0,), spacing="linear"))
 

@@ -1,4 +1,4 @@
-"""Generator invariants over random valid configs (hypothesis).
+"""Generator invariants and config round trips over random valid configs (hypothesis).
 
 Every generated config is valid input: 1-4 species with random energies,
 displacements and couplings, a cavity that may sit on resonance and may be
@@ -11,9 +11,14 @@ other bit for bit.
 
 Nonzero displacements reach down to 1e-160, whose one-quantum factors fall
 below the smallest normal double, so reactive pairs that underflow are drawn.
+Propagated trajectories must conserve probability under all three regimes,
+and a config with one wrong field must be rejected by name, both at load and
+through the CLI.
 """
 
+import contextlib
 import copy
+import io
 import json
 import math
 import tempfile
@@ -21,10 +26,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import detailed_balance_worst
+from vsckinetics.cli import main
 from vsckinetics.config import (
     ENERGY_UNITS,
     ConfigError,
@@ -34,6 +40,8 @@ from vsckinetics.config import (
     export,
     run_scenario,
 )
+from vsckinetics.propagate import CONSERVATION_TOL, NEGATIVITY_TOL
+from vsckinetics.rates import REGIME_KINDS
 from vsckinetics.units import thermal_energy
 
 OMEGA_V = 2000.0
@@ -156,6 +164,24 @@ def test_effective_config_round_trips():
     assert kinds == {(u, s) for u in ENERGY_UNITS for s in ("log", "linear")}
 
 
+def test_probability_is_conserved():
+    kinds = set()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(scenarios(), st.sampled_from(REGIME_KINDS))
+    def check(raw, kind):
+        # weak needs a linewidth; that rejection is tested in test_config_io
+        assume(kind != "weak" or raw["cavity"]["kappa"] > 0.0 or raw["bath"]["gamma"] > 0.0)
+        config = config_from_dict(dict(raw, regime=kind))
+        populations = run_scenario(config).trajectory.state_populations
+        assert np.abs(populations.sum(axis=1) - 1.0).max() <= CONSERVATION_TOL
+        assert populations.min() >= NEGATIVITY_TOL
+        kinds.add((kind, config.grid.spacing))
+
+    check()
+    assert kinds == {(k, s) for k in REGIME_KINDS for s in ("log", "linear")}
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(scenarios())
 def test_embedded_config_reexports_identical_bytes(raw):
@@ -202,16 +228,37 @@ def field_name(path) -> str:
     return ".".join(keys)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(scenarios(), st.data())
-def test_one_wrong_field_is_named(raw, data):
-    # a valid config with one value made wrong-typed, non-finite or not a list/object
+def with_one_wrong_field(raw, data):
+    """A copy of ``raw`` with one value made wrong-typed, non-finite or not a list/object."""
     path = data.draw(st.sampled_from(fields(raw)))
     bad = copy.deepcopy(raw)
     parent = bad
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = data.draw(st.sampled_from(BAD_VALUES[type(parent[path[-1]])]))
+    return bad, path
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(scenarios(), st.data())
+def test_one_wrong_field_is_named(raw, data):
+    bad, path = with_one_wrong_field(raw, data)
     with pytest.raises(ConfigError) as info:
         config_from_dict(bad)
     assert field_name(path) in str(info.value)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(scenarios(), st.data())
+def test_one_wrong_field_exits_2_from_the_cli(raw, data):
+    bad, path = with_one_wrong_field(raw, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "bad.json", Path(tmp) / "out.csv"
+        config.write_text(json.dumps(bad))  # NaN and Infinity as JSON literals
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["simulate", "--config", str(config), "--out", str(out)])
+        assert code == 2
+        assert field_name(path) in stderr.getvalue()
+        assert "Traceback" not in stderr.getvalue()
+        assert not out.exists()

@@ -14,6 +14,7 @@ from conftest import (
     parse_label,
     reference_assembly,
     reference_franck_condon,
+    species,
     swapped_label,
     with_regime,
 )
@@ -28,13 +29,11 @@ from vsckinetics.rates import (
     REGIME_KINDS,
     BathSpec,
     RateMatrix,
-    RegimeSpec,
     assemble_rate_matrix,
     displacement_matrix_element,
-    exchange_rate,
+    effective_coupling,
     franck_condon,
-    gain_rate,
-    loss_rate,
+    mode_block,
     purcell_exchange_rate,
     reactive_rate,
 )
@@ -157,7 +156,7 @@ def r1_bare_basis(reaction1):
 def fc_factor(basis, network, occ_to, occ_from, molecule, species_from, species_to):
     """Franck-Condon factor of one molecule's reaction, from species labels."""
     lam_from, lam_to = (
-        mode_displacements(basis, molecule, network.displacement(label))
+        mode_displacements(basis, molecule, species(network, label).displacement)
         for label in (species_from, species_to)
     )
     return franck_condon([occ_to], [occ_from], lam_from, lam_to)[0, 0]
@@ -192,7 +191,7 @@ class TestFranckCondon:
     def test_vsc_matches_operator_exponential(self, r1_basis, r1_network):
         # independent route: per-mode oracle elements at the redistributed
         # shifts (species A is undisplaced, so B's shifts are the change)
-        shift = mode_displacements(r1_basis, 1, r1_network.displacement("B"))
+        shift = mode_displacements(r1_basis, 1, species(r1_network, "B").displacement)
         occs = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
         for occ_from in occs:
             for occ_to in occs:
@@ -268,73 +267,84 @@ class TestReactiveRate:
             assert gen.matrix[index_of(gen, "B.A|0"), s_aa] > 0.0
 
 
+def exchange(basis, bath, q_from: str, q_to: str) -> float:
+    """Bath exchange rate from mode q_from to mode q_to, read from the vsc mode block."""
+    cavity = CavitySpec(omega_c=2000.0, g=0.0, kappa=1.0)  # sets the losses only
+    block = mode_block(basis, cavity, bath, "vsc")
+    return block[1 + basis.labels.index(q_to), 1 + basis.labels.index(q_from)]
+
+
 class TestLossAndGain:
+    # row/column 0 of the block is the ground pattern, 1 + q one quantum in mode q
     def test_polariton_loss_mixes_channels(self, r1_basis, reaction1):
         # resonant upper polariton: half cavity, half vibration
-        loss = loss_rate("+", r1_basis, reaction1.cavity, reaction1.bath)
+        block = mode_block(r1_basis, reaction1.cavity, reaction1.bath, "vsc")
+        loss = block[0, 1]
         assert loss == pytest.approx(0.5 * 1.0 + 0.5 * 0.01, rel=1e-12)
-        loss_lower = loss_rate("-", r1_basis, reaction1.cavity, reaction1.bath)
+        loss_lower = block[0, 2]
         assert loss_lower == pytest.approx(loss, rel=1e-12)
 
     def test_dark_loss_is_pure_vibration(self, r1_basis, reaction1):
-        loss = loss_rate("d", r1_basis, reaction1.cavity, reaction1.bath)
+        loss = mode_block(r1_basis, reaction1.cavity, reaction1.bath, "vsc")[0, 3]
         assert loss == pytest.approx(reaction1.bath.gamma, rel=1e-12)
 
     def test_decoupled_limit(self, reaction1):
         cavity = CavitySpec(omega_c=2100.0, g=0.0, kappa=1.0)
-        basis = build_mode_basis(cavity, 2000.0)
-        assert loss_rate("+", basis, cavity, reaction1.bath) == pytest.approx(1.0, rel=1e-12)
-        assert loss_rate("-", basis, cavity, reaction1.bath) == pytest.approx(
-            0.01, rel=1e-12
-        )
+        block = mode_block(build_mode_basis(cavity, 2000.0), cavity, reaction1.bath, "vsc")
+        assert block[0, 1] == pytest.approx(1.0, rel=1e-12)
+        assert block[0, 2] == pytest.approx(0.01, rel=1e-12)
 
     def test_bare_modes_lose_to_their_own_channel(self, r1_bare_basis, reaction1):
         # identity basis: the cavity quantum decays at kappa, each vibration at gamma
         cavity, bath = reaction1.cavity, reaction1.bath
-        assert loss_rate("c", r1_bare_basis, cavity, bath) == cavity.kappa
-        assert loss_rate("v1", r1_bare_basis, cavity, bath) == bath.gamma
-        assert loss_rate("v2", r1_bare_basis, cavity, bath) == bath.gamma
+        block = mode_block(r1_bare_basis, cavity, bath, "bare")
+        assert block[0, 1:].tolist() == [cavity.kappa, bath.gamma, bath.gamma]
 
     def test_gain_factor_frozen(self):
-        assert gain_rate(1.0, 2000.0, 298.0) == pytest.approx(6.402604171400226e-05, rel=1e-12)
-        assert gain_rate(0.505, 2000.0, 298.0) == pytest.approx(
-            0.505 * 6.402604171400226e-05, rel=1e-12
-        )
+        cavity = CavitySpec(omega_c=2000.0, g=0.0, kappa=1.0)
+        bath = BathSpec(gamma=0.505, eta=0.001, omega_cut=200.0, temperature=298.0)
+        block = mode_block(bare_mode_basis(cavity, 2000.0), cavity, bath, "bare")
+        assert block[1, 0] == pytest.approx(6.402604171400226e-05, rel=1e-12)
+        assert block[2, 0] == pytest.approx(0.505 * 6.402604171400226e-05, rel=1e-12)
 
     def test_gain_edge_cases(self):
-        assert gain_rate(0.0, 2000.0, 298.0) == 0.0
-        with pytest.raises(ValueError):
-            gain_rate(-1.0, 2000.0, 298.0)
+        # a mode that cannot lose its quantum cannot gain one either
+        cavity = CavitySpec(omega_c=2000.0, g=0.0, kappa=0.0)
+        bath = BathSpec(gamma=0.01, eta=0.001, omega_cut=200.0, temperature=298.0)
+        block = mode_block(bare_mode_basis(cavity, 2000.0), cavity, bath, "bare")
+        assert block[0, 1] == block[1, 0] == 0.0
 
 
 class TestExchange:
     def test_downhill_frozen(self, r1_basis, reaction1):
-        rate = exchange_rate("+", "d", r1_basis, reaction1.bath)
+        rate = exchange(r1_basis, reaction1.bath, "+", "d")
         assert rate == pytest.approx(0.06451250668355563, rel=1e-12)
 
     def test_uphill_frozen(self, r1_basis, reaction1):
-        rate = exchange_rate("d", "+", r1_basis, reaction1.bath)
+        rate = exchange(r1_basis, reaction1.bath, "d", "+")
         assert rate == pytest.approx(0.04828748838279272, rel=1e-12)
 
     def test_pairwise_detailed_balance(self, r1_basis, reaction1):
         kT = thermal_energy(reaction1.bath.temperature)
         for q_hi, q_lo in (("+", "d"), ("+", "-"), ("d", "-")):
-            down = exchange_rate(q_hi, q_lo, r1_basis, reaction1.bath)
-            up = exchange_rate(q_lo, q_hi, r1_basis, reaction1.bath)
-            gap = r1_basis.frequency(q_hi) - r1_basis.frequency(q_lo)
+            down = exchange(r1_basis, reaction1.bath, q_hi, q_lo)
+            up = exchange(r1_basis, reaction1.bath, q_lo, q_hi)
+            hi, lo = (r1_basis.labels.index(q) for q in (q_hi, q_lo))
+            gap = r1_basis.frequencies[hi] - r1_basis.frequencies[lo]
             assert gap > 0.0
             assert down > up > 0.0
             assert up / down == pytest.approx(math.exp(-gap / kT), rel=1e-12)
 
     def test_linear_in_coupling_strength(self, r1_basis, reaction1):
         doubled = replace(reaction1.bath, eta=2.0 * reaction1.bath.eta)
-        assert exchange_rate("+", "d", r1_basis, doubled) == pytest.approx(
-            2.0 * exchange_rate("+", "d", r1_basis, reaction1.bath), rel=1e-14
+        assert exchange(r1_basis, doubled, "+", "d") == pytest.approx(
+            2.0 * exchange(r1_basis, reaction1.bath, "+", "d"), rel=1e-14
         )
 
-    def test_degenerate_modes_rejected(self, r1_basis, reaction1):
-        with pytest.raises(ValueError):
-            exchange_rate("+", "+", r1_basis, reaction1.bath)
+    def test_degenerate_modes_take_the_zero_gap_limit(self, r1_basis, reaction1):
+        # a mode never exchanges with itself
+        block = mode_block(r1_basis, reaction1.cavity, reaction1.bath, "vsc")
+        assert np.all(np.diag(block) == 0.0)
         # g = 0 on resonance: every mode sits at omega_v and the zero-gap
         # limit 2 pi * overlap * eta * kT applies both ways; '+' (theta = pi/4)
         # and 'd' share a vibrational overlap of 1/4
@@ -343,8 +353,8 @@ class TestExchange:
         limit = 2.0 * math.pi * 0.25 * bath.eta * wavenumber_to_angular(
             thermal_energy(bath.temperature)
         )
-        assert exchange_rate("+", "d", decoupled, bath) == pytest.approx(limit, rel=1e-14)
-        assert exchange_rate("d", "+", decoupled, bath) == exchange_rate("+", "d", decoupled, bath)
+        assert exchange(decoupled, bath, "+", "d") == pytest.approx(limit, rel=1e-14)
+        assert exchange(decoupled, bath, "d", "+") == exchange(decoupled, bath, "+", "d")
 
     def test_zero_gap_is_the_small_gap_limit(self, reaction1):
         bath = reaction1.bath
@@ -352,8 +362,8 @@ class TestExchange:
         for g in (1e-3, 1e-5):
             near = build_mode_basis(CavitySpec(omega_c=2000.0, g=g, kappa=1.0), 2000.0)
             for q_from, q_to in (("+", "-"), ("-", "+"), ("+", "d"), ("d", "-")):
-                assert exchange_rate(q_from, q_to, near, bath) == pytest.approx(
-                    exchange_rate(q_from, q_to, at_zero, bath), rel=g
+                assert exchange(near, bath, q_from, q_to) == pytest.approx(
+                    exchange(at_zero, bath, q_from, q_to), rel=g
                 )
 
 
@@ -397,13 +407,11 @@ class TestSpecValidation:
 
     def test_regime_mapping(self):
         g = 42.426406871192846
-        assert RegimeSpec.for_kind("vsc", g).g_effective == g
-        assert RegimeSpec.for_kind("weak", g).g_effective == g / 100.0
-        assert RegimeSpec.for_kind("bare", g).g_effective == 0.0
-        with pytest.raises(ValueError):
-            RegimeSpec.for_kind("strong", g)
-        with pytest.raises(ValueError):
-            RegimeSpec(kind="vsc", g_effective=-1.0)
+        assert effective_coupling("vsc", g) == g
+        assert effective_coupling("weak", g) == g / 100.0
+        assert effective_coupling("bare", g) == 0.0
+        with pytest.raises(ValueError, match="regime kind must be one of"):
+            effective_coupling("strong", g)
 
 
 class TestAssembly:
@@ -462,7 +470,7 @@ class TestAssembly:
         make_basis = build_mode_basis if kind == "vsc" else bare_mode_basis
         basis = make_basis(config.cavity, config.omega_v)
         expected = reference_assembly(
-            gen.states, config.network, basis, config.cavity, config.bath, config.regime
+            gen.states, config.network, basis, config.cavity, config.bath, kind
         )
         np.testing.assert_allclose(gen.matrix, expected, rtol=1e-14, atol=0.0)
 
@@ -560,27 +568,22 @@ class TestAssembly:
             for label, row in zip(r1_basis.labels, r1_basis.coefficients)
         )
         flipped = replace(r1_basis, coefficients=flipped_rows)
-        assert flipped.coefficient("d", 1) == -r1_basis.coefficient("d", 1)
+        assert flipped.coefficients[2][1] == -r1_basis.coefficients[2][1]  # the "d" row
         alt = assemble_rate_matrix(
-            reaction1.network,
-            flipped,
-            reaction1.cavity,
-            reaction1.bath,
-            RegimeSpec.for_kind("vsc", reaction1.cavity.g),
+            reaction1.network, flipped, reaction1.cavity, reaction1.bath, "vsc"
         )
         assert np.abs(alt.matrix - r1_vsc.matrix).max() <= 1e-12
 
     def test_basis_must_match_regime(self, reaction1, r1_basis, r1_bare_basis):
         # the eigenmode basis belongs to vsc, the identity basis to bare and weak
+        network, cavity, bath = reaction1.network, reaction1.cavity, reaction1.bath
         for kind, basis in (("bare", r1_basis), ("weak", r1_basis), ("vsc", r1_bare_basis)):
             with pytest.raises(ValueError, match="mode basis"):
-                assemble_rate_matrix(
-                    reaction1.network,
-                    basis,
-                    reaction1.cavity,
-                    reaction1.bath,
-                    RegimeSpec.for_kind(kind, reaction1.cavity.g),
-                )
+                assemble_rate_matrix(network, basis, cavity, bath, kind)
+        # a kind outside REGIME_KINDS is rejected by name, in either basis
+        for basis in (r1_basis, r1_bare_basis):
+            with pytest.raises(ValueError, match=r"one of \('bare', 'weak', 'vsc'\)"):
+                assemble_rate_matrix(network, basis, cavity, bath, "strong")
 
 
 class TestMoleculeExchange:
@@ -625,7 +628,8 @@ class TestMoleculeExchange:
         ):
             for a, b in (("A", "B"), ("B", "C"), ("C", "A"), ("B", "B")):
                 lam_a, lam_b = (
-                    mode_displacements(basis, 1, network.displacement(phi)) for phi in (a, b)
+                    mode_displacements(basis, 1, species(network, phi).displacement)
+                    for phi in (a, b)
                 )
                 for to, frm in ((one_quantum, one_quantum), (deeper, one_quantum)):
                     matrix = franck_condon(to, frm, lam_a, lam_b)
@@ -641,7 +645,7 @@ class TestMoleculeExchange:
 
     def test_exchange_is_validated(self, r1_vsc):
         def rebuild(matrix):
-            return RateMatrix(r1_vsc.states, matrix, r1_vsc.regime)
+            return RateMatrix(r1_vsc.states, matrix)
 
         rebuild(r1_vsc.matrix)
         # a generator laid out for another state order: A.A|0 and A.B|0 trade places

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import coupling, parse_label, reference_energy, swapped_label
+from conftest import coupling, parse_label, reference_energy, species, swapped_label
 from vsckinetics.eigenmodes import CavitySpec, bare_mode_basis, build_mode_basis
 from vsckinetics.states import (
     CouplingSpec,
@@ -75,12 +75,10 @@ def test_spec_validation():
 def test_network_lookups():
     net = network_ab()
     assert net.labels() == ("A", "B")
-    assert net.energy("B") == -1200.0
-    assert net.displacement("B") == 1.5
+    assert species(net, "B").energy == -1200.0
+    assert species(net, "B").displacement == 1.5
     assert coupling(net, "B", "A").J == 20.0  # unordered lookup
     assert coupling(net, "A", "C") is None
-    with pytest.raises(KeyError):
-        net.energy("Z")
 
 
 def test_enumeration_count_and_order():
