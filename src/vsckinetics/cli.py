@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from . import __version__
 from .config import (
@@ -46,18 +46,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _csv_floats(text: str) -> List[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
-
-
-def _csv_ints(text: str) -> List[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+def _csv_of(kind: Callable[[str], Any], what: str) -> Callable[[str], List[Any]]:
+    def parse(text: str) -> List[Any]:
+        try:
+            return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}") from exc
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--param", required=True, choices=SWEEP_PARAMETERS, help="swept parameter"
     )
     p_swp.add_argument(
-        "--values", required=True, type=_csv_floats, help="comma-separated parameter values"
+        "--values", required=True, type=_csv_of(float, "numbers"), help="comma-separated parameter values"
     )
     p_swp.set_defaults(func=_cmd_sweep)
 
@@ -113,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fcf.add_argument("--molecule", type=int, default=1, help="reacting molecule (1-based)")
     p_fcf.add_argument("--species-from", default=None, help="initial species label")
     p_fcf.add_argument("--species-to", default=None, help="final species label")
-    p_fcf.add_argument("--occ-from", type=_csv_ints, default=None, help="initial occupations, e.g. 0,0,0")
-    p_fcf.add_argument("--occ-to", type=_csv_ints, default=None, help="final occupations, e.g. 1,0,0")
+    p_fcf.add_argument("--occ-from", type=_csv_of(int, "integers"), default=None, help="initial occupations, e.g. 0,0,0")
+    p_fcf.add_argument("--occ-to", type=_csv_of(int, "integers"), default=None, help="final occupations, e.g. 1,0,0")
     p_fcf.set_defaults(func=_cmd_fcf)
 
     return parser

@@ -44,6 +44,7 @@ from .propagate import (
     DEFAULT_GRID_END,
     DEFAULT_GRID_POINTS,
     DEFAULT_GRID_START,
+    NumericalError,
     TimeGrid,
     Trajectory,
     clamp_for_output,
@@ -405,8 +406,11 @@ def build_generator(config: ScenarioConfig) -> RateMatrix:
     """
     kind = config.regime_kind
     make_basis = build_mode_basis if kind == "vsc" else bare_mode_basis
-    basis = make_basis(config.cavity, config.omega_v)
-    return assemble_rate_matrix(config.network, basis, config.cavity, config.bath, kind)
+    try:
+        basis = make_basis(config.cavity, config.omega_v)
+        return assemble_rate_matrix(config.network, basis, config.cavity, config.bath, kind)
+    except OverflowError as exc:
+        raise NumericalError(f"scenario {config.name!r}: overflow building the generator") from exc
 
 
 def run_scenario(config: ScenarioConfig, label: Optional[str] = None) -> ScenarioResult:
@@ -508,8 +512,7 @@ def export(results: Sequence[ScenarioResult], fmt: str, out_path: str | Path) ->
     out_path = Path(out_path)
     written: List[Path] = []
     try:
-        if out_path.parent and not out_path.parent.exists():
-            out_path.parent.mkdir(parents=True, exist_ok=True)
+        out_path.parent.mkdir(parents=True, exist_ok=True)
         if fmt == "json":
             payload = {"format_version": 1, "runs": [_json_run(r) for r in results]}
             out_path.write_text(json.dumps(payload, indent=2) + "\n")

@@ -6,8 +6,8 @@ identical molecules, the chain lumps exactly onto the orbits of their
 exchange (10-24 instead of 16-36 states). The exact p(t) = exp(K t) p0 on a
 whole grid comes from one eigendecomposition of the lumped generator anchored
 on its Grassmann-Taksar-Heyman stationary vector (Oper. Res. 33, 1985); where
-eigenvector methods fail (Moler and Van Loan, SIAM Rev. 45, 2003), scipy's
-``expm`` runs at each time instead.
+eigenvector methods fail (Moler and Van Loan, SIAM Rev. 45, 2003), a Taylor
+series that never subtracts (Xue and Ye, Math. Comp. 82, 2013) runs instead.
 """
 
 from __future__ import annotations
@@ -64,13 +64,8 @@ class TimeGrid:
             raise ValueError("time grid needs at least one point")
         if self.points[0] < 0.0:
             raise ValueError("time grid must start at t >= 0")
-        for a, b in zip(self.points, self.points[1:]):
-            if b <= a:
-                raise ValueError("time grid must be strictly increasing")
-
-    @property
-    def t_end(self) -> float:
-        return self.points[-1]
+        if any(b <= a for a, b in zip(self.points, self.points[1:])):
+            raise ValueError("time grid must be strictly increasing")
 
     @classmethod
     def logarithmic(cls, start: float, end: float, n: int) -> "TimeGrid":
@@ -85,10 +80,6 @@ class TimeGrid:
         if n < 2 or end <= start:
             raise ValueError("linear grid needs n >= 2 and end > start")
         return cls(points=tuple(float(t) for t in np.linspace(start, end, n)), spacing="linear")
-
-    @classmethod
-    def default(cls) -> "TimeGrid":
-        return cls.logarithmic(DEFAULT_GRID_START, DEFAULT_GRID_END, DEFAULT_GRID_POINTS)
 
 
 @dataclass(frozen=True)
@@ -111,10 +102,6 @@ class Trajectory:
     @cached_property
     def species_populations(self) -> np.ndarray:
         return self.state_populations @ self.states.counts()
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.asarray(self.grid.points)
 
     def species_series(self, label: str) -> np.ndarray:
         """Raw molecule count N_phi(t)."""
@@ -166,6 +153,31 @@ def _spectral_populations(K: np.ndarray, p0: np.ndarray, times: np.ndarray) -> O
     return result if result.min() >= NEGATIVITY_TOL else None  # a drift the estimate missed
 
 
+def _taylor_populations(K: np.ndarray, p0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(K t) p0 for every t by scaling and squaring the Taylor series of K + alpha I >= 0.
+
+    Terms are added until the last one is below roundoff in every entry, which an entry
+    first reached in that term is not. Normalising the columns, after the sum and after
+    every squaring, removes e^(alpha h) and keeps the squarings from leaking probability.
+    """
+    n = len(K)
+    alpha = -K.diagonal().min()
+    squarings = np.ceil(np.log2(np.maximum(2.0 * alpha * times, 1.0))).astype(int)
+    Bh = (K + alpha * np.eye(n)) * (times / 2.0**squarings)[:, None, None]  # alpha h <= 1/2
+    term = exp_h = np.tile(np.eye(n), (len(times), 1, 1))
+    k = 0
+    while np.any(term > np.finfo(float).eps * exp_h):
+        k += 1
+        term = term @ Bh / k
+        exp_h = exp_h + term
+    exp_h /= exp_h.sum(axis=1, keepdims=True)
+    for s in range(squarings.max()):
+        pending = squarings > s
+        squared = exp_h[pending] @ exp_h[pending]
+        exp_h[pending] = squared / squared.sum(axis=1, keepdims=True)
+    return exp_h @ p0
+
+
 def _orbits(exchange: np.ndarray, p0: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Orbit of every state under the molecule exchange, and one member of each orbit.
 
@@ -189,15 +201,14 @@ def propagate(rate_matrix: RateMatrix, p0: np.ndarray, grid: TimeGrid) -> Trajec
     orbits {i, exchange[i]} (Kemeny and Snell, Finite Markov Chains, 1960;
     Buchholz, J. Appl. Probab. 31, 1994): K~[O', O] = sum_{j in O'} K[j, i0]
     for any i0 in O, and p_i = p_O / |O|. Other starts keep one orbit per
-    state. Two molecules over S species then propagate 10/12 (S = 2) or 21/24
-    (S = 3) orbits instead of 16 or 36 states under bare/weak and vsc.
+    state.
 
     K~ is diagonalised once, its eigenvalue nearest 0 set to 0 with the GTH
     stationary vector (Grassmann, Taksar and Heyman, Oper. Res. 33, 1985) as
     eigenvector; t = 0 returns p0 exactly. Reducible K~, cond(V) above
     EIGENBASIS_COND_LIMIT (Moler and Van Loan, SIAM Rev. 45, 2003), eigenvalue
-    drift above EIGENVALUE_DRIFT_LIMIT and negative results use scipy's expm
-    on K~ instead.
+    drift above EIGENVALUE_DRIFT_LIMIT and negative results take the Taylor
+    series of the non-negative K~ + alpha I instead (Xue and Ye, 2013).
 
     p0 must be a normalized distribution over the generator's states.
     Raises NumericalError if the result loses probability beyond 1e-9 or
@@ -217,10 +228,10 @@ def propagate(rate_matrix: RateMatrix, p0: np.ndarray, grid: TimeGrid) -> Trajec
     lump = np.zeros((len(members), len(states)))
     lump[orbit, np.arange(len(states))] = 1.0
     K_lumped, p0_lumped = lump @ K[:, members], lump @ p0
-    lumped = _spectral_populations(K_lumped, p0_lumped, np.asarray(grid.points))
+    times = np.asarray(grid.points)
+    lumped = _spectral_populations(K_lumped, p0_lumped, times)
     if lumped is None:
-        from scipy.linalg import expm  # imported only here: most runs never need scipy
-        lumped = np.array([expm(K_lumped * t) @ p0_lumped for t in grid.points])
+        lumped = _taylor_populations(K_lumped, p0_lumped, times)
     result = lumped[:, orbit] / lump.sum(axis=1)[orbit]
 
     if not np.all(np.isfinite(result)):

@@ -122,10 +122,6 @@ class RateMatrix:
         if np.any(drift > EXCHANGE_RTOL * np.abs(self.matrix)):
             raise ValueError("rate matrix does not commute with the molecule exchange")
 
-    @property
-    def out_rates(self) -> np.ndarray:
-        return -np.diag(self.matrix)
-
 
 def displacement_matrix_element(m_to: int, m_from: int, lam: float) -> float:
     """<m_to| D(lam) |m_from> for a real displacement lam.

@@ -22,7 +22,6 @@ __all__ = [
     "HBAR",
     "KB",
     "wavenumber_to_angular",
-    "angular_to_wavenumber",
     "thermal_energy",
 ]
 
@@ -36,11 +35,6 @@ KB = 0.6950348004  # cm^-1 / K
 def wavenumber_to_angular(nu: float) -> float:
     """Convert a frequency in cm^-1 to angular frequency in rad/ps."""
     return nu * ANGULAR_PER_WAVENUMBER
-
-
-def angular_to_wavenumber(omega: float) -> float:
-    """Convert an angular frequency in rad/ps to cm^-1."""
-    return omega / ANGULAR_PER_WAVENUMBER
 
 
 def thermal_energy(temperature: float) -> float:

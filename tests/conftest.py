@@ -5,9 +5,11 @@ displacement elements come from exponentiating the truncated displacement
 generator, the stochastic route samples jump processes directly from a
 rate matrix, the reference assembly fills the generator pair by pair
 from the state labels with every rate law written out as scalar arithmetic
-instead of block by block, and the reference energy
+instead of block by block, the reference energy
 sums one configuration's terms in plain Python instead of one array
-expression. Tests compare the two routes instead of trusting either alone.
+expression, and the high-precision propagator exponentiates the full,
+unlumped generator in mpmath. Tests compare the two routes instead of
+trusting either alone.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -137,6 +140,41 @@ def displacement_oracle(m_to: int, m_from: int, lam: float, levels: int = 30) ->
     """<m_to|exp(lam*(ad - a))|m_from> by dense exponentiation in a truncated basis."""
     ad = np.diag(np.sqrt(np.arange(1.0, levels)), -1)
     return float(expm(lam * (ad - ad.T))[m_to, m_from])
+
+
+# Two uncoupled species under weak coupling with kappa = 0: reducible, and stiff
+# (largest out-rate 4.3e3 ps^-1 against gamma = 1e-4); scipy's expm leaked 3.8e-9 on it.
+STIFF_REDUCIBLE = {
+    "name": "stiff",
+    "species": [
+        {"label": "S0", "energy": 0.0, "displacement": 1e-160},
+        {"label": "S1", "energy": 100.0, "displacement": 0.0},
+    ],
+    "couplings": [],
+    "cavity": {"omega_c": 2000.0, "g": 122.7, "kappa": 0.0},
+    "bath": {"gamma": 1e-4, "temperature": 150.0},
+    "regime": "weak",
+}
+
+
+def mpmath_doubling_populations(
+    matrix: np.ndarray, p0: np.ndarray, t0: float, doublings: int, dps: int = 40
+) -> np.ndarray:
+    """exp(K t) p0 at t = t0 * 2^j for j = 0..doublings, in dps-digit arithmetic.
+
+    mpmath's Taylor expm gives exp(K t0) and every later time squares the
+    previous exponential, so the whole grid costs one dense product per point.
+    The inputs are exact binary floats; only the result is rounded back.
+    """
+    with mpmath.workdps(dps):
+        E = mpmath.expm(mpmath.matrix(matrix.tolist()) * t0)
+        p = mpmath.matrix(p0.tolist())
+        rows = []
+        for j in range(doublings + 1):
+            rows.append([float(x) for x in E * p])
+            if j < doublings:
+                E = E * E
+    return np.array(rows)
 
 
 def kmc_state_counts(

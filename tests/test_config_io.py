@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import vsckinetics
-from conftest import coupling, species
+from conftest import STIFF_REDUCIBLE, coupling, species
 from vsckinetics.cli import main
 from vsckinetics.config import (
     ConfigError,
@@ -547,7 +547,7 @@ class TestCli:
         bad.write_text(json.dumps(fast_dict(**mutation)))
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure:")
+        assert err.startswith("numerical failure: scenario 'fast': overflow building the generator")
         assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
 
@@ -561,23 +561,38 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
 
-    def test_cli_never_imports_scipy(self):
-        # the spectral propagator needs numpy only; scipy loads for the expm fallback
+    def test_cli_never_imports_scipy(self, tmp_path):
+        # propagation needs numpy only: with scipy unimportable, both paths still run,
+        # the Taylor fallback on bare kappa = 0 and on a stiff reducible config
+        configs = []
+        for name in ("reaction1", "reaction2", "reaction3"):
+            raw = json.loads(bundled_config_path(name).read_text())
+            raw["regime"] = "bare"
+            raw.setdefault("cavity", {})["kappa"] = 0.0
+            configs.append(raw)
+        for raw in (*configs, STIFF_REDUCIBLE, fast_dict()):
+            (tmp_path / f"{raw['name']}.json").write_text(json.dumps(raw))
         code = (
             "import sys\n"
+            "sys.modules['scipy'] = None\n"
             "from vsckinetics import cli\n"
             "assert cli.main(['criterion', '--epsilon', '1', '--n-molecules', '2',"
             " '--k-r', '1', '--k-d', '1']) == 0\n"
             "assert cli.main(['fcf', '--lam', '1.5', '--m-to', '1']) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "for path in sys.argv[1:]:\n"
+            "    assert cli.main(['simulate', '--config', path, '--out', path + '.csv']) == 0, path\n"
+            "print(sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod))\n"
         )
+        paths = sorted(str(p) for p in tmp_path.glob("*.json"))
+        assert len(paths) == 5
         src = str(Path(vsckinetics.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+            [sys.executable, "-c", code, *paths], capture_output=True, text=True, env=env, timeout=120
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
+        assert all(Path(path + ".csv").is_file() for path in paths)
 
     @pytest.mark.parametrize("preset", [None, "2"])
     def test_package_import_runs_openblas_on_one_thread(self, preset):
