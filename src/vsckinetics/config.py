@@ -34,10 +34,12 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, replace
-from importlib import resources
+from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .eigenmodes import CavitySpec, bare_mode_basis, build_mode_basis
 from .propagate import (
@@ -149,9 +151,11 @@ class SweepSpec:
             )
         if not self.values:
             raise ConfigError("sweep needs at least one value")
-        for value in self.values:
+        for k, value in enumerate(self.values):
             if not math.isfinite(value):
                 raise ConfigError(f"sweep values for {self.parameter} must be finite, got {value!r}")
+            if value in self.values[:k]:  # the two runs would share a label and so a CSV file
+                raise ConfigError(f"sweep values for {self.parameter} repeat {value!r}")
 
 
 @dataclass(frozen=True)
@@ -162,7 +166,11 @@ class ScenarioResult:
     config: ScenarioConfig
     rate_matrix: RateMatrix
     trajectory: Trajectory
-    metadata: Dict[str, Any]
+
+    @cached_property
+    def metadata(self) -> Dict[str, Any]:
+        """Effective config, its fingerprint, derived quantities and constants; built on first read."""
+        return _metadata(self.config, self.rate_matrix)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -194,8 +202,12 @@ def _as_block(value: Any, field: str) -> Dict[str, Any]:
     return dict(value)
 
 
-def _check_keys(block: Dict[str, Any], allowed: set, context: str) -> None:
-    unknown = set(block) - allowed
+def _field_names(spec: type) -> List[str]:
+    return [f.name for f in fields(spec)]
+
+
+def _check_keys(block: Dict[str, Any], allowed: Sequence[str], context: str) -> None:
+    unknown = set(block).difference(allowed)
     _require(not unknown, f"unknown key(s) {sorted(unknown)} in {context}")
 
 
@@ -228,7 +240,7 @@ def _resolve_config(raw: Dict[str, Any], name: str) -> ScenarioConfig:
     species = []
     for entry in species_raw:
         block = _as_block(entry, "species entry")
-        _check_keys(block, {"label", "energy", "displacement"}, f"species entry {block.get('label')!r}")
+        _check_keys(block, _field_names(SpeciesSpec), f"species entry {block.get('label')!r}")
         _require("label" in block, "species entry missing 'label'")
         label = _as_str(block["label"], "species.label")
         _require(label != "", "species.label must be non-empty")
@@ -250,7 +262,7 @@ def _resolve_config(raw: Dict[str, Any], name: str) -> ScenarioConfig:
     couplings = []
     for entry in couplings_raw:
         block = _as_block(entry, "coupling entry")
-        _check_keys(block, {"pair", "J", "lambda_s"}, f"coupling entry {block.get('pair')!r}")
+        _check_keys(block, _field_names(CouplingSpec), f"coupling entry {block.get('pair')!r}")
         pair = block.get("pair")
         _require(
             isinstance(pair, list) and len(pair) == 2,
@@ -265,7 +277,7 @@ def _resolve_config(raw: Dict[str, Any], name: str) -> ScenarioConfig:
         )
 
     cavity_block = _as_block(raw.get("cavity", {}), "cavity")
-    _check_keys(cavity_block, {"omega_c", "g", "kappa"}, "cavity")
+    _check_keys(cavity_block, _field_names(CavitySpec), "cavity")
     cavity = CavitySpec(
         omega_c=_as_float(cavity_block.get("omega_c", omega_v / scale), "cavity.omega_c") * scale,
         g=_as_float(cavity_block.get("g", DEFAULT_G_FACTOR * omega_v / scale), "cavity.g") * scale,
@@ -273,7 +285,7 @@ def _resolve_config(raw: Dict[str, Any], name: str) -> ScenarioConfig:
     )
 
     bath_block = _as_block(raw.get("bath", {}), "bath")
-    _check_keys(bath_block, {"gamma", "eta", "omega_cut", "temperature"}, "bath")
+    _check_keys(bath_block, _field_names(BathSpec), "bath")
     bath = BathSpec(
         gamma=_as_float(bath_block.get("gamma", DEFAULT_GAMMA), "bath.gamma"),
         eta=_as_float(bath_block.get("eta", DEFAULT_ETA), "bath.eta"),
@@ -317,20 +329,22 @@ def load_config(path: str | Path) -> ScenarioConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, an int past the digit limit, or too deep
+        raise ConfigError(f"{path}: unreadable config: {exc}") from exc
     return config_from_dict(raw, name=path.stem)
 
 
 def bundled_config_path(name: str) -> Path:
     """Path of a reference config shipped with the package (reaction1..reaction3)."""
-    candidate = resources.files("vsckinetics").joinpath("configs", f"{name}.json")
+    candidate = Path(__file__).with_name("configs") / f"{name}.json"
     if not candidate.is_file():
         raise ConfigError(f"no bundled config named {name!r}")
-    return Path(str(candidate))
+    return candidate
 
 
 def effective_config_dict(config: ScenarioConfig) -> Dict[str, Any]:
@@ -342,25 +356,10 @@ def effective_config_dict(config: ScenarioConfig) -> Dict[str, Any]:
         "name": config.name,
         "omega_v": config.omega_v,
         "energy_unit": "cm-1",
-        "species": [
-            {"label": s.label, "energy": s.energy, "displacement": s.displacement}
-            for s in config.network.species
-        ],
-        "couplings": [
-            {"pair": list(c.pair), "J": c.J, "lambda_s": c.lambda_s}
-            for c in config.network.couplings
-        ],
-        "cavity": {
-            "omega_c": config.cavity.omega_c,
-            "g": config.cavity.g,
-            "kappa": config.cavity.kappa,
-        },
-        "bath": {
-            "gamma": config.bath.gamma,
-            "eta": config.bath.eta,
-            "omega_cut": config.bath.omega_cut,
-            "temperature": config.bath.temperature,
-        },
+        "species": [asdict(s) for s in config.network.species],
+        "couplings": [dict(asdict(c), pair=list(c.pair)) for c in config.network.couplings],
+        "cavity": asdict(config.cavity),
+        "bath": asdict(config.bath),
         "regime": config.regime_kind,
         "reactant": config.reactant,
         "grid": {
@@ -374,15 +373,20 @@ def effective_config_dict(config: ScenarioConfig) -> Dict[str, Any]:
 
 def config_fingerprint(config: ScenarioConfig) -> str:
     """sha256 over the canonical JSON form of the effective config."""
-    canonical = json.dumps(effective_config_dict(config), sort_keys=True, separators=(",", ":"))
+    return _sha256(effective_config_dict(config))
+
+
+def _sha256(effective: Dict[str, Any]) -> str:
+    canonical = json.dumps(effective, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def _metadata(config: ScenarioConfig, rate_matrix: RateMatrix) -> Dict[str, Any]:
     kind = config.regime_kind
+    effective = effective_config_dict(config)
     return {
-        "config": effective_config_dict(config),
-        "fingerprint": config_fingerprint(config),
+        "config": effective,
+        "fingerprint": _sha256(effective),
         "derived": {
             "g_effective": effective_coupling(kind, config.cavity.g),
             "basis": "vsc" if kind == "vsc" else "bare",
@@ -423,7 +427,6 @@ def run_scenario(config: ScenarioConfig, label: Optional[str] = None) -> Scenari
         config=config,
         rate_matrix=rate_matrix,
         trajectory=trajectory,
-        metadata=_metadata(config, rate_matrix),
     )
 
 
@@ -434,6 +437,8 @@ def run_comparison(config: ScenarioConfig, regimes: Sequence[str]) -> List[Scena
     """
     if not regimes:
         raise ConfigError("comparison needs at least one regime")
+    for k, kind in enumerate(regimes):  # two runs of one regime would share a label and a CSV file
+        _require(kind not in regimes[:k], f"regime {kind!r} appears more than once")
     variants = [replace(config, regime_kind=kind) for kind in regimes]
     return [run_scenario(variant, label=variant.regime_kind) for variant in variants]
 
@@ -459,41 +464,33 @@ def _safe_label(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9._+-]+", "-", label)
 
 
-def _csv_lines(result: ScenarioResult) -> List[str]:
-    traj = result.trajectory
-    state_pop = clamp_for_output(traj.state_populations)
+def _columns(traj: Trajectory) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The exported blocks: times, state populations, molecule counts and fractions."""
     species_pop = clamp_for_output(traj.species_populations)
-    header = ["time_ps"]
-    header += [f"p[{label}]" for label in traj.states.labels()]
-    header += [f"N_{lab}" for lab in traj.species_labels]
-    header += [f"frac_{lab}" for lab in traj.species_labels]
-    lines = [f"# fingerprint={result.metadata['fingerprint']}", ",".join(header)]
-    for k, t in enumerate(traj.grid.points):
-        row = [repr(float(t))]
-        row += [repr(float(x)) for x in state_pop[k]]
-        row += [repr(float(x)) for x in species_pop[k]]
-        row += [repr(float(x / MOLECULES)) for x in species_pop[k]]
-        lines.append(",".join(row))
-    return lines
+    return np.array(traj.grid.points), clamp_for_output(traj.state_populations), species_pop, species_pop / MOLECULES
+
+
+def _csv_text(result: ScenarioResult) -> str:
+    traj = result.trajectory
+    header = ["time_ps", *(f"p[{label}]" for label in traj.states.labels())]
+    header += [f"{column}_{lab}" for column in ("N", "frac") for lab in traj.species_labels]
+    rows = [",".join(map(repr, row)) for row in np.column_stack(_columns(traj)).tolist()]
+    return "\n".join([f"# fingerprint={result.metadata['fingerprint']}", ",".join(header), *rows, ""])
 
 
 def _json_run(result: ScenarioResult) -> Dict[str, Any]:
     traj = result.trajectory
-    state_pop = clamp_for_output(traj.state_populations)
-    species_pop = clamp_for_output(traj.species_populations)
+    times, state_pop, species_pop, fractions = _columns(traj)
     return {
         "label": result.label,
         "fingerprint": result.metadata["fingerprint"],
         "metadata": result.metadata,
-        "time_ps": [float(t) for t in traj.grid.points],
+        "time_ps": times.tolist(),
         "states": list(traj.states.labels()),
-        "state_populations": [[float(x) for x in row] for row in state_pop],
+        "state_populations": state_pop.tolist(),
         "species": {
-            lab: {
-                "raw": [float(x) for x in species_pop[:, i]],
-                "normalized": [float(x / MOLECULES) for x in species_pop[:, i]],
-            }
-            for i, lab in enumerate(traj.species_labels)
+            lab: {"raw": raw, "normalized": normalized}
+            for lab, raw, normalized in zip(traj.species_labels, species_pop.T.tolist(), fractions.T.tolist())
         },
     }
 
@@ -510,26 +507,18 @@ def export(results: Sequence[ScenarioResult], fmt: str, out_path: str | Path) ->
     if not results:
         raise ConfigError("nothing to export")
     out_path = Path(out_path)
-    written: List[Path] = []
     try:
         out_path.parent.mkdir(parents=True, exist_ok=True)
         if fmt == "json":
             payload = {"format_version": 1, "runs": [_json_run(r) for r in results]}
             out_path.write_text(json.dumps(payload, indent=2) + "\n")
-            written.append(out_path)
-        else:
-            if len(results) == 1:
-                targets = [out_path]
-            else:
-                targets = [
-                    out_path.with_name(
-                        f"{out_path.stem}_{_safe_label(r.label)}{out_path.suffix or '.csv'}"
-                    )
-                    for r in results
-                ]
-            for target, result in zip(targets, results):
-                target.write_text("\n".join(_csv_lines(result)) + "\n")
-                written.append(target)
+            return [out_path]
+        suffix = out_path.suffix or ".csv"
+        targets = [out_path] if len(results) == 1 else [
+            out_path.with_name(f"{out_path.stem}_{_safe_label(r.label)}{suffix}") for r in results
+        ]
+        for target, result in zip(targets, results):
+            target.write_text(_csv_text(result))
+        return targets
     except OSError as exc:
         raise ConfigError(f"failed to write {out_path}: {exc}") from exc
-    return written

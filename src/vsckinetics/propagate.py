@@ -44,6 +44,7 @@ OUTPUT_CLAMP = 1e-12
 EIGENBASIS_COND_LIMIT = 1e8  # cond(V); bundled cases reach ~1.4e5
 # t_end * eigensolver error beyond roundoff: |null eigenvalue| or a positive one - 2 eps ||K||_1
 EIGENVALUE_DRIFT_LIMIT = 1e-10
+_TAYLOR_BLOCK_POINTS = 512  # grid points per Taylor pass; bounds its (T, n, n) stacks on long grids
 
 
 class NumericalError(RuntimeError):
@@ -162,20 +163,24 @@ def _taylor_populations(K: np.ndarray, p0: np.ndarray, times: np.ndarray) -> np.
     """
     n = len(K)
     alpha = -K.diagonal().min()
-    squarings = np.ceil(np.log2(np.maximum(2.0 * alpha * times, 1.0))).astype(int)
-    Bh = (K + alpha * np.eye(n)) * (times / 2.0**squarings)[:, None, None]  # alpha h <= 1/2
-    term = exp_h = np.tile(np.eye(n), (len(times), 1, 1))
-    k = 0
-    while np.any(term > np.finfo(float).eps * exp_h):
-        k += 1
-        term = term @ Bh / k
-        exp_h = exp_h + term
-    exp_h /= exp_h.sum(axis=1, keepdims=True)
-    for s in range(squarings.max()):
-        pending = squarings > s
-        squared = exp_h[pending] @ exp_h[pending]
-        exp_h[pending] = squared / squared.sum(axis=1, keepdims=True)
-    return exp_h @ p0
+    populations = np.empty((len(times), n))
+    for first in range(0, len(times), _TAYLOR_BLOCK_POINTS):
+        block = times[first : first + _TAYLOR_BLOCK_POINTS]
+        squarings = np.ceil(np.log2(np.maximum(2.0 * alpha * block, 1.0))).astype(int)
+        Bh = (K + alpha * np.eye(n)) * (block / 2.0**squarings)[:, None, None]  # alpha h <= 1/2
+        term = exp_h = np.tile(np.eye(n), (len(block), 1, 1))
+        k = 0
+        while np.any(term > np.finfo(float).eps * exp_h):
+            k += 1
+            term = term @ Bh / k
+            exp_h = exp_h + term
+        exp_h /= exp_h.sum(axis=1, keepdims=True)
+        for s in range(squarings.max()):
+            pending = squarings > s
+            squared = exp_h[pending] @ exp_h[pending]
+            exp_h[pending] = squared / squared.sum(axis=1, keepdims=True)
+        populations[first : first + len(block)] = exp_h @ p0
+    return populations
 
 
 def _orbits(exchange: np.ndarray, p0: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -208,7 +213,9 @@ def propagate(rate_matrix: RateMatrix, p0: np.ndarray, grid: TimeGrid) -> Trajec
     eigenvector; t = 0 returns p0 exactly. Reducible K~, cond(V) above
     EIGENBASIS_COND_LIMIT (Moler and Van Loan, SIAM Rev. 45, 2003), eigenvalue
     drift above EIGENVALUE_DRIFT_LIMIT and negative results take the Taylor
-    series of the non-negative K~ + alpha I instead (Xue and Ye, 2013).
+    series of the non-negative K~ + alpha I instead (Xue and Ye, 2013). The
+    guards do not bound the spectral error: about 1 in 6,000 random nearly
+    decomposable generators passes every guard and errs by up to 1.3e-9.
 
     p0 must be a normalized distribution over the generator's states.
     Raises NumericalError if the result loses probability beyond 1e-9 or

@@ -2,14 +2,17 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import vsckinetics
+import vsckinetics.config as config_module
 from conftest import STIFF_REDUCIBLE, coupling, species
 from vsckinetics.cli import main
 from vsckinetics.config import (
@@ -26,6 +29,11 @@ from vsckinetics.config import (
     run_scenario,
     run_sweep,
 )
+from vsckinetics.eigenmodes import CavitySpec
+from vsckinetics.rates import BathSpec
+from vsckinetics.states import CouplingSpec, SpeciesSpec
+
+BLOCK_SPECS = {"species": SpeciesSpec, "couplings": CouplingSpec, "cavity": CavitySpec, "bath": BathSpec}
 
 
 def fast_dict(**overrides):
@@ -241,6 +249,25 @@ class TestSchema:
         with pytest.raises(ConfigError, match="couplings must be a list"):
             config_from_dict(fast_dict(couplings=couplings))
 
+    @pytest.mark.parametrize("block", BLOCK_SPECS)
+    def test_block_keys_are_the_spec_fields(self, block):
+        # a probe of the wrong type under an allowed key fails on its value, not as unknown
+        candidates = {f.name for spec in BLOCK_SPECS.values() for f in fields(spec)} | {"grid", "probe"}
+        accepted = set()
+        for key in sorted(candidates):
+            raw = fast_dict(cavity={}, bath={})
+            target = raw[block][0] if isinstance(raw[block], list) else raw[block]
+            target[key] = [None]
+            try:
+                config_from_dict(raw)
+            except ConfigError as exc:
+                if str(exc).startswith("unknown key"):
+                    continue
+            accepted.add(key)
+        assert accepted == {f.name for f in fields(BLOCK_SPECS[block])}
+        effective = effective_config_dict(config_from_dict(fast_dict()))[block]
+        assert set(effective[0] if block in ("species", "couplings") else effective) == accepted
+
     def test_weak_without_linewidth_rejected(self):
         # the resonant Purcell rate 4 g^2 / k has no finite limit as k -> 0
         raw = fast_dict(regime="weak", cavity={"kappa": 0.0}, bath={"gamma": 0.0})
@@ -261,6 +288,26 @@ class TestSchema:
         path.write_text('{"species": [}')
         with pytest.raises(ConfigError, match="line 1"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"[" * 100_000,
+            json.dumps(fast_dict(name="\u00e9"), ensure_ascii=False).encode("latin-1"),
+            b'{"species": [{"label": "A"}], "grid": {"points": ' + b"9" * 5000 + b"}}",
+        ],
+        ids=["deeply-nested", "latin-1", "long-integer"],
+    )
+    def test_unreadable_config_names_the_file(self, tmp_path, capsys, content):
+        # nested past the parser's recursion limit, not UTF-8, or past int()'s digit limit
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            load_config(path)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_name_falls_back_to_file_stem(self, tmp_path):
         raw = fast_dict()
@@ -314,6 +361,8 @@ class TestOrchestration:
         assert [r.config.regime_kind for r in results] == ["bare", "weak", "vsc"]
         with pytest.raises(ConfigError):
             run_comparison(config, [])
+        with pytest.raises(ConfigError, match="regime 'vsc' appears more than once"):
+            run_comparison(config, ["vsc", "bare", "vsc"])
 
     def test_run_sweep(self):
         config = config_from_dict(fast_dict())
@@ -324,6 +373,26 @@ class TestOrchestration:
             SweepSpec(parameter="temperature", values=(1.0,), base=config)
         with pytest.raises(ConfigError):
             SweepSpec(parameter="kappa", values=(), base=config)
+        for repeated in ((1.0, 2.0, 1), (0.0, -0.0)):
+            with pytest.raises(ConfigError, match="sweep values for kappa repeat"):
+                SweepSpec(parameter="kappa", values=repeated, base=config)
+
+    def test_metadata_is_built_on_first_read(self, tmp_path, monkeypatch):
+        calls = []
+        metadata = config_module._metadata
+
+        def counted(config, rate_matrix):
+            calls.append(config)
+            return metadata(config, rate_matrix)
+
+        monkeypatch.setattr(config_module, "_metadata", counted)
+        base = config_from_dict(fast_dict())
+        results = run_sweep(SweepSpec(parameter="kappa", values=(0.0, 1.0, 2.0), base=base))
+        assert calls == []
+        export(results, "json", tmp_path / "sweep.json")
+        assert calls == [r.config for r in results]
+        export(results, "csv", tmp_path / "sweep.csv")
+        assert len(calls) == 3
 
     def test_sweep_value_validation(self):
         config = config_from_dict(fast_dict())
@@ -389,6 +458,15 @@ class TestExport:
         out = tmp_path / "sub" / "dir" / "run.csv"
         export([result], "csv", out)
         assert out.is_file()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_write_failure_names_the_path(self, tmp_path, fmt):
+        result = run_scenario(config_from_dict(fast_dict()))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")  # a regular file where the output's parent directory should be
+        out = blocker / f"run.{fmt}"
+        with pytest.raises(ConfigError, match=f"failed to write {re.escape(str(out))}"):
+            export([result], fmt, out)
 
     def test_export_validation(self, tmp_path):
         result = run_scenario(config_from_dict(fast_dict()))
@@ -479,6 +557,25 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "swp_kappa-0.0.csv").is_file()
         assert (tmp_path / "swp_kappa-1.0.csv").is_file()
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["sweep", "--param", "kappa", "--values", "1,1.0"], "kappa"),
+            (["compare", "--regimes", "vsc,vsc"], "'vsc'"),
+        ],
+        ids=["sweep", "compare"],
+    )
+    def test_repeated_runs_exit_2(self, config_path, tmp_path, capsys, monkeypatch, argv, named):
+        # two runs with one label would write one CSV file; nothing may run
+        runs = []
+        monkeypatch.setattr(config_module, "run_scenario", lambda *args, **kw: runs.append(args))
+        out = tmp_path / "dup.csv"
+        assert main([*argv, "--config", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert runs == []
+        assert list(tmp_path.glob("dup*")) == []
 
     def test_sweep_rejects_bad_values(self, config_path):
         with pytest.raises(SystemExit):
@@ -767,8 +864,24 @@ class TestCli:
             ["fcf", "--config", str(bundled_config_path("reaction1")), "--species-from", "A"]
         ) == 2
 
+    def test_fcf_occupations_need_three_entries(self, capsys):
+        argv = ["fcf", "--config", str(bundled_config_path("reaction1")), "--species-from", "A"]
+        assert main([*argv, "--species-to", "B", "--occ-from", "0,0", "--occ-to", "0,1,0"]) == 2
+        captured = capsys.readouterr()
+        assert "three entries" in captured.err
+        assert captured.out == ""
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
         assert "vsckinetics" in capsys.readouterr().out
+
+
+def test_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    snippet = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(snippet, "README.md", "exec"), {})
+    assert 0.0 <= float(capsys.readouterr().out) <= 1.0
+    assert (tmp_path / "r1.csv").read_text().startswith("# fingerprint=")

@@ -19,6 +19,7 @@ from vsckinetics.propagate import (
     DEFAULT_GRID_END,
     DEFAULT_GRID_POINTS,
     DEFAULT_GRID_START,
+    NumericalError,
     TimeGrid,
     clamp_for_output,
     propagate,
@@ -41,6 +42,14 @@ def two_species_generator(k: float) -> RateMatrix:
         ]
     )
     return RateMatrix(states=space, matrix=matrix)
+
+
+def drive_negative(populations: np.ndarray) -> np.ndarray:
+    """Move state 0's probability and 1e-6 more onto state 1: sums hold, state 0 turns negative."""
+    moved = populations.copy()
+    moved[:, 1] += moved[:, 0] + 1e-6
+    moved[:, 0] = -1e-6
+    return moved
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +149,21 @@ class TestPropagate:
         )
         assert sol.success
         assert np.abs(traj.state_populations - sol.y.T).max() <= 1e-8
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda p: np.where(p == p.max(), np.nan, p), "non-finite populations"),
+            (lambda p: p * (1.0 + 1e-6), "probability leaked by 1.000e-06"),
+            (drive_negative, "population went negative"),
+        ],
+        ids=["non-finite", "leak", "negative"],
+    )
+    def test_bad_core_results_raise(self, monkeypatch, r1_vsc, r1_vsc_p0, spoil, message):
+        spectral = propagate_module._spectral_populations
+        monkeypatch.setattr(propagate_module, "_spectral_populations", lambda *args: spoil(spectral(*args)))
+        with pytest.raises(NumericalError, match=message):
+            propagate(r1_vsc, r1_vsc_p0, TimeGrid.logarithmic(0.1, 100.0, 5))
 
     def test_initial_distribution_validation(self, r1_vsc):
         grid = TimeGrid.linear(0.0, 1.0, 2)
@@ -323,7 +347,7 @@ class TestSpectralPropagator:
 
 class TestTaylorFallback:
     @pytest.mark.parametrize("scenario", ["reaction1", "reaction2", "reaction3", "stiff"])
-    def test_reducible_generators_match_mpmath(self, request, fallback_calls, scenario):
+    def test_reducible_generators_match_mpmath(self, request, monkeypatch, fallback_calls, scenario):
         # bare kappa = 0 strands the cavity quantum; the stiff config has two closed species
         if scenario == "stiff":
             config = config_from_dict(STIFF_REDUCIBLE)
@@ -333,13 +357,16 @@ class TestTaylorFallback:
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
         t0, doublings = 0.1, 19  # up to 5.2e4 ps, past the default grid
         grid = TimeGrid(points=(0.0, *(t0 * 2.0 ** np.arange(doublings + 1))), spacing="log")
-        traj = propagate(gen, p0, grid)
         expected = np.vstack([p0, mpmath_doubling_populations(gen.matrix, p0, t0, doublings)])
-        assert np.abs(traj.state_populations - expected).max() <= 1e-13
-        default = propagate(gen, p0, config.grid)
-        for populations in (traj.state_populations, default.state_populations):
-            assert np.abs(populations.sum(axis=1) - 1.0).max() <= 1e-14
-        assert len(fallback_calls) == 2
+        # both grids fit one block by default; blocks of 3 points split them
+        for block_points in (propagate_module._TAYLOR_BLOCK_POINTS, 3):
+            monkeypatch.setattr(propagate_module, "_TAYLOR_BLOCK_POINTS", block_points)
+            traj = propagate(gen, p0, grid)
+            assert np.abs(traj.state_populations - expected).max() <= 1e-13
+            default = propagate(gen, p0, config.grid)
+            for populations in (traj.state_populations, default.state_populations):
+                assert np.abs(populations.sum(axis=1) - 1.0).max() <= 1e-14
+        assert len(fallback_calls) == 4
 
     def test_tiny_populations_keep_relative_precision(self, fallback_calls):
         # each molecule walks S0 -> S1 -> ... -> S11 at rate k and stays there; the two are

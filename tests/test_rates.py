@@ -640,6 +640,15 @@ class TestMoleculeExchange:
         with pytest.raises(ValueError, match="non-negative"):
             franck_condon([(-1, 0, 0)], [(0, 0, 0)], (0.0, 0.0, 0.0), lam)
 
+    def test_shape_and_entries_are_validated(self, r1_vsc):
+        with pytest.raises(ValueError, match=r"shape \(15, 15\) does not match 16 states"):
+            RateMatrix(r1_vsc.states, r1_vsc.matrix[:15, :15])
+        for value, message in ((np.inf, "non-finite"), (-1e-3, "negative off-diagonal")):
+            broken = r1_vsc.matrix.copy()
+            broken[1, 0] = value
+            with pytest.raises(ValueError, match=message):
+                RateMatrix(r1_vsc.states, broken)
+
     def test_exchange_is_validated(self, r1_vsc):
         def rebuild(matrix):
             return RateMatrix(r1_vsc.states, matrix)
