@@ -181,9 +181,13 @@ def _require(condition: bool, message: str) -> None:
 def _as_float(value: Any, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{field} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an int past the largest double
+        raise ConfigError(f"{field} must be finite, got an integer of {len(str(abs(value)))} digits") from None
+    if not math.isfinite(number):
         raise ConfigError(f"{field} must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _as_str(value: Any, field: str) -> str:

@@ -4,10 +4,12 @@ The generator is tiny (<= 36 states) but stiff: rates span ~1e-4 to 1 ps^-1
 while horizons reach 1e4-1e6 ps. From a start that is symmetric in the two
 identical molecules, the chain lumps exactly onto the orbits of their
 exchange (10-24 instead of 16-36 states). The exact p(t) = exp(K t) p0 on a
-whole grid comes from one eigendecomposition of the lumped generator anchored
-on its Grassmann-Taksar-Heyman stationary vector (Oper. Res. 33, 1985); where
-eigenvector methods fail (Moler and Van Loan, SIAM Rev. 45, 2003), a Taylor
-series that never subtracts (Xue and Ye, Math. Comp. 82, 2013) runs instead.
+whole grid comes from one eigendecomposition of the lumped generator: a
+symmetric one where K is in detailed balance with the Boltzmann weights of
+the states, else a general one anchored on the Grassmann-Taksar-Heyman
+stationary vector (Oper. Res. 33, 1985). Where eigenvector methods fail
+(Moler and Van Loan, SIAM Rev. 45, 2003), a Taylor series that never
+subtracts (Xue and Ye, Math. Comp. 82, 2013) runs instead.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from .rates import RateMatrix
 from .states import MOLECULES, StateSpace
+from .units import thermal_energy
 
 __all__ = [
     "NumericalError",
@@ -41,7 +44,8 @@ DEFAULT_GRID_POINTS = 400
 CONSERVATION_TOL = 1e-9
 NEGATIVITY_TOL = -1e-10
 OUTPUT_CLAMP = 1e-12
-EIGENBASIS_COND_LIMIT = 1e8  # cond(V); bundled cases reach ~1.4e5
+EIGENBASIS_COND_LIMIT = 1e8  # cond(V) or sqrt(max pi / min pi); bundled cases reach 1.4e5 and 1.02e8
+BALANCE_RTOL = 1e-12  # flux pairs of config-built generators agree to ~5e-14
 # t_end * eigensolver error beyond roundoff: |null eigenvalue| or a positive one - 2 eps ||K||_1
 EIGENVALUE_DRIFT_LIMIT = 1e-10
 _TAYLOR_BLOCK_POINTS = 512  # grid points per Taylor pass; bounds its (T, n, n) stacks on long grids
@@ -135,6 +139,39 @@ def _stationary_vector(K: np.ndarray) -> Optional[np.ndarray]:
     return pi / pi.sum() if pi.min() > 0.0 else None  # weight 0: a transient state
 
 
+def _eigen_populations(
+    lam: np.ndarray, V: np.ndarray, c: np.ndarray, p0: np.ndarray, times: np.ndarray
+) -> Optional[np.ndarray]:
+    """sum_k exp(lam_k t) c_k V[:, k] for every t, t = 0 returning p0; None if it turns negative."""
+    result = ((np.exp(times[:, None] * lam) * c) @ V.T).real
+    result[times == 0.0] = p0
+    return result if result.min() >= NEGATIVITY_TOL else None  # a drift the guards missed
+
+
+def _balanced(K: np.ndarray, pi: np.ndarray) -> bool:
+    """Whether every flux pair pi_i K[j, i], pi_j K[i, j] agrees to BALANCE_RTOL of the larger."""
+    flux = K * pi
+    return bool(np.all(np.abs(flux - flux.T) <= BALANCE_RTOL * np.abs(np.maximum(flux, flux.T))))
+
+
+def _reversible_populations(
+    K: np.ndarray, pi: np.ndarray, p0: np.ndarray, times: np.ndarray
+) -> Optional[np.ndarray]:
+    """exp(K t) p0 for every t from the symmetric form of a K in detailed balance with pi, or None."""
+    if pi.max() > EIGENBASIS_COND_LIMIT**2 * pi.min() or not _balanced(K, pi):
+        return None  # cond(D^1/2 U) = sqrt(max pi / min pi) for orthogonal U
+    S = np.sqrt(K * K.T)  # D^-1/2 K D^1/2 off the diagonal, with no ratio of rates
+    np.fill_diagonal(S, K.diagonal())
+    lam, U = np.linalg.eigh(S)
+    if len(lam) < 2 or lam[-2] >= -64.0 * np.finfo(float).eps * np.abs(S).sum(axis=0).max():
+        return None  # one state, or reducible, zero or nearly decomposable: no resolved second mode
+    root = np.sqrt(pi)
+    anchor = root / np.linalg.norm(root)
+    U -= np.outer(anchor, anchor @ U)  # the other eigenvectors are orthogonal to the anchor
+    U[:, -1], lam[-1] = anchor, 0.0
+    return _eigen_populations(lam, root[:, None] * U, U.T @ (p0 / root), p0, times)
+
+
 def _spectral_populations(K: np.ndarray, p0: np.ndarray, times: np.ndarray) -> Optional[np.ndarray]:
     """exp(K t) p0 for every t from one eigendecomposition, or None where it is not trusted."""
     pi = _stationary_vector(K)
@@ -149,9 +186,7 @@ def _spectral_populations(K: np.ndarray, p0: np.ndarray, times: np.ndarray) -> O
     V[:, null] = pi
     if np.linalg.cond(V) > EIGENBASIS_COND_LIMIT:
         return None
-    result = ((np.exp(np.outer(times, lam)) * np.linalg.solve(V, p0)) @ V.T).real
-    result[times == 0.0] = p0
-    return result if result.min() >= NEGATIVITY_TOL else None  # a drift the estimate missed
+    return _eigen_populations(lam, V, np.linalg.solve(V, p0), p0, times)
 
 
 def _taylor_populations(K: np.ndarray, p0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -208,14 +243,22 @@ def propagate(rate_matrix: RateMatrix, p0: np.ndarray, grid: TimeGrid) -> Trajec
     for any i0 in O, and p_i = p_O / |O|. Other starts keep one orbit per
     state.
 
-    K~ is diagonalised once, its eigenvalue nearest 0 set to 0 with the GTH
-    stationary vector (Grassmann, Taksar and Heyman, Oper. Res. 33, 1985) as
-    eigenvector; t = 0 returns p0 exactly. Reducible K~, cond(V) above
-    EIGENBASIS_COND_LIMIT (Moler and Van Loan, SIAM Rev. 45, 2003), eigenvalue
-    drift above EIGENVALUE_DRIFT_LIMIT and negative results take the Taylor
-    series of the non-negative K~ + alpha I instead (Xue and Ye, 2013). The
-    guards do not bound the spectral error: about 1 in 6,000 random nearly
-    decomposable generators passes every guard and errs by up to 1.3e-9.
+    Three paths evaluate the lumped chain on the whole grid, each handing over
+    to the next where it declines; t = 0 returns p0 exactly, and an eigen path
+    declines where a population falls below NEGATIVITY_TOL.
+
+    1. An assembled K~ (``temperature`` set) whose flux pairs pi_i K~[j, i] and
+       pi_j K~[i, j] agree to BALANCE_RTOL, pi the lumped Boltzmann weights
+       exp(-(E - E_min)/kT), as in every config-built K but a detuned weak one:
+       ``eigh`` of S = D^-1/2 K~ D^1/2, D = diag(pi), built as sqrt(K~_ij K~_ji),
+       its top eigenpair pinned to (0, sqrt(pi)). It declines when
+       sqrt(max pi / min pi) = cond(D^1/2 U) exceeds EIGENBASIS_COND_LIMIT or the
+       second eigenvalue is within 64 eps ||S||_1 of 0 (kappa = 0, K = 0).
+    2. ``eig`` of K~ anchored on the GTH stationary vector. It declines for a
+       reducible K~, cond(V) above EIGENBASIS_COND_LIMIT or eigenvalue drift
+       above EIGENVALUE_DRIFT_LIMIT; about 1 in 6,000 random nearly
+       decomposable generators passes these guards and errs by up to 1.3e-9.
+    3. The Taylor series of the non-negative K~ + alpha I (Xue and Ye, 2013).
 
     p0 must be a normalized distribution over the generator's states.
     Raises NumericalError if the result loses probability beyond 1e-9 or
@@ -236,7 +279,13 @@ def propagate(rate_matrix: RateMatrix, p0: np.ndarray, grid: TimeGrid) -> Trajec
     lump[orbit, np.arange(len(states))] = 1.0
     K_lumped, p0_lumped = lump @ K[:, members], lump @ p0
     times = np.asarray(grid.points)
-    lumped = _spectral_populations(K_lumped, p0_lumped, times)
+    lumped = None
+    if rate_matrix.temperature is not None:
+        E = states.energies.ravel()
+        pi = lump @ np.exp(-(E - E.min()) / thermal_energy(rate_matrix.temperature))
+        lumped = _reversible_populations(K_lumped, pi, p0_lumped, times)
+    if lumped is None:
+        lumped = _spectral_populations(K_lumped, p0_lumped, times)
     if lumped is None:
         lumped = _taylor_populations(K_lumped, p0_lumped, times)
     result = lumped[:, orbit] / lump.sum(axis=1)[orbit]

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -102,11 +102,13 @@ class RateMatrix:
 
     K commutes with the exchange of the two molecules (``states.exchange``)
     up to roundoff, so a start distribution the exchange leaves unchanged
-    stays so for all times.
+    stays so for all times. An assembled K records its bath ``temperature``,
+    at which its rates may balance against the Boltzmann weights of the states.
     """
 
     states: StateSpace
     matrix: np.ndarray  # K[j, i] = rate of state i -> state j
+    temperature: Optional[float] = None  # K
 
     def __post_init__(self) -> None:
         n = len(self.states)
@@ -121,6 +123,8 @@ class RateMatrix:
         drift = np.abs(self.matrix[perm][:, perm] - self.matrix)
         if np.any(drift > EXCHANGE_RTOL * np.abs(self.matrix)):
             raise ValueError("rate matrix does not commute with the molecule exchange")
+        if self.temperature is not None and not self.temperature > 0.0:
+            raise ValueError(f"temperature must be > 0, got {self.temperature}")
 
 
 def displacement_matrix_element(m_to: int, m_from: int, lam: float) -> float:
@@ -331,4 +335,4 @@ def assemble_rate_matrix(
         K[i_c + [1, 2], i_c] = K[i_c, i_c + [1, 2]] = gamma_p
 
     np.fill_diagonal(K, -K.sum(axis=0))
-    return RateMatrix(states=space, matrix=K)
+    return RateMatrix(states=space, matrix=K, temperature=bath.temperature)

@@ -596,6 +596,7 @@ class TestCli:
         [
             ({"cavity": {"g": float("nan")}}, "cavity.g"),
             ({"cavity": {"kappa": float("inf")}}, "cavity.kappa"),
+            ({"cavity": {"kappa": 10**400}}, "cavity.kappa"),  # an int that float() cannot hold
             ({"grid": {"points": 2.9}}, "grid.points"),
             ({"grid": {"points": "5"}}, "grid.points"),
             ({"cavity": {"n_molecules": 2}}, "n_molecules"),

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,13 +13,14 @@ from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
 
 from conftest import STIFF_REDUCIBLE, mpmath_doubling_populations, swapped_label, with_regime
-from test_properties import configs
+from test_properties import OMEGA_V, configs
 from vsckinetics import propagate as propagate_module
 from vsckinetics.config import build_generator, config_from_dict, run_scenario
 from vsckinetics.propagate import (
     DEFAULT_GRID_END,
     DEFAULT_GRID_POINTS,
     DEFAULT_GRID_START,
+    EIGENBASIS_COND_LIMIT,
     NumericalError,
     TimeGrid,
     clamp_for_output,
@@ -27,6 +29,7 @@ from vsckinetics.propagate import (
 )
 from vsckinetics.rates import REGIME_KINDS, RateMatrix
 from vsckinetics.states import StateSpace, initial_distribution
+from vsckinetics.units import thermal_energy
 
 
 def two_species_generator(k: float) -> RateMatrix:
@@ -42,6 +45,25 @@ def two_species_generator(k: float) -> RateMatrix:
         ]
     )
     return RateMatrix(states=space, matrix=matrix)
+
+
+def bundled_case(request, scenario: str, kind: str, omega_c=None):
+    """A bundled config in another regime, its cavity optionally moved to ``omega_c`` (cm^-1)."""
+    config = with_regime(request.getfixturevalue(scenario), kind)
+    if omega_c is None:
+        return config
+    return replace(config, cavity=replace(config.cavity, omega_c=omega_c))
+
+
+def boltzmann_weights(rate_matrix: RateMatrix) -> np.ndarray:
+    """exp(-(E - E_min)/kT) of every state at the generator's temperature."""
+    E = rate_matrix.states.energies.ravel()
+    return np.exp(-(E - E.min()) / thermal_energy(rate_matrix.temperature))
+
+
+def spoiled(core, spoil):
+    """``core`` with ``spoil`` applied to every result it serves; a declined call stays None."""
+    return lambda *args: None if (result := core(*args)) is None else spoil(result)
 
 
 def drive_negative(populations: np.ndarray) -> np.ndarray:
@@ -160,8 +182,8 @@ class TestPropagate:
         ids=["non-finite", "leak", "negative"],
     )
     def test_bad_core_results_raise(self, monkeypatch, r1_vsc, r1_vsc_p0, spoil, message):
-        spectral = propagate_module._spectral_populations
-        monkeypatch.setattr(propagate_module, "_spectral_populations", lambda *args: spoil(spectral(*args)))
+        for name in ("_reversible_populations", "_spectral_populations"):  # whichever serves
+            monkeypatch.setattr(propagate_module, name, spoiled(getattr(propagate_module, name), spoil))
         with pytest.raises(NumericalError, match=message):
             propagate(r1_vsc, r1_vsc_p0, TimeGrid.logarithmic(0.1, 100.0, 5))
 
@@ -309,20 +331,23 @@ class TestSpectralPropagator:
         expected = expm_oracle(gen.matrix, p0, config.grid.points)
         assert np.abs(traj.state_populations - expected).max() <= 1e-10
 
-    def test_ill_conditioned_eigenbasis_falls_back(self, reaction3, fallback_calls, monkeypatch):
+    def test_ill_conditioned_eigenbasis_falls_back(self, request, fallback_calls, monkeypatch):
+        # the detuned Purcell exchange breaks detailed balance, so eig serves this generator
         monkeypatch.setattr(propagate_module, "EIGENBASIS_COND_LIMIT", 1.0)
-        config = with_regime(reaction3, "vsc")
+        config = bundled_case(request, "reaction1", "weak", 1800.0)
         gen = build_generator(config)
+        assert not propagate_module._balanced(gen.matrix, boltzmann_weights(gen))
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
         traj = propagate(gen, p0, config.grid)
-        assert fallback_calls == [24]
+        assert fallback_calls == [10]
         expected = expm_oracle(gen.matrix, p0, config.grid.points)
         assert np.abs(traj.state_populations - expected).max() <= 1e-10
 
-    def test_eigenvalue_drift_falls_back(self, reaction1, fallback_calls, monkeypatch):
+    def test_eigenvalue_drift_falls_back(self, request, fallback_calls, monkeypatch):
         monkeypatch.setattr(propagate_module, "EIGENVALUE_DRIFT_LIMIT", -np.inf)
-        config = with_regime(reaction1, "weak")
+        config = bundled_case(request, "reaction1", "weak", 1800.0)
         gen = build_generator(config)
+        assert not propagate_module._balanced(gen.matrix, boltzmann_weights(gen))  # eig serves it
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
         traj = propagate(gen, p0, config.grid)
         assert fallback_calls == [10]
@@ -390,18 +415,121 @@ class TestTaylorFallback:
             np.testing.assert_allclose(populations, np.outer(f, f).ravel(), rtol=1e-13, atol=0.0)
 
 
+def served_sizes(monkeypatch, *names):
+    """State counts of the calls that the named cores of ``propagate`` serve rather than decline."""
+    sizes = []
+    for name in names:
+        core = getattr(propagate_module, name)
+
+        def recorded(K, *args, core=core):
+            result = core(K, *args)
+            if result is not None:
+                sizes.append(len(K))
+            return result
+
+        monkeypatch.setattr(propagate_module, name, recorded)
+    return sizes
+
+
 @pytest.fixture()
 def core_sizes(monkeypatch):
-    """State counts that reach the spectral core, one per propagate call."""
-    sizes = []
-    spectral = propagate_module._spectral_populations
+    """State counts that an eigen core serves, symmetric or general, one per call it serves."""
+    return served_sizes(monkeypatch, "_reversible_populations", "_spectral_populations")
 
-    def recorded(K, p0, times):
-        sizes.append(len(K))
-        return spectral(K, p0, times)
 
-    monkeypatch.setattr(propagate_module, "_spectral_populations", recorded)
-    return sizes
+@pytest.fixture()
+def reversible_sizes(monkeypatch):
+    """State counts that the symmetric eigen core serves, one per call it serves."""
+    return served_sizes(monkeypatch, "_reversible_populations")
+
+
+# every bundled generator balances but a detuned weak one; reaction3 vsc at omega_c = 2150
+# has Boltzmann weights spanning sqrt(max / min) = 1.02e8, beyond EIGENBASIS_COND_LIMIT
+REVERSIBLE_BUNDLED = [
+    (scenario, kind, omega_c)
+    for scenario in ("reaction1", "reaction2", "reaction3")
+    for kind, omega_c in [*product(("bare", "vsc"), (None, 1800.0, 2150.0)), ("weak", None)]
+    if (scenario, kind, omega_c) != ("reaction3", "vsc", 2150.0)
+]
+
+
+class TestReversiblePropagator:
+    @pytest.mark.parametrize("scenario, kind, omega_c", REVERSIBLE_BUNDLED)
+    def test_matches_mpmath_on_bundled_cases(self, request, reversible_sizes, scenario, kind, omega_c):
+        config = bundled_case(request, scenario, kind, omega_c)
+        gen = build_generator(config)
+        p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
+        t0, doublings = 0.1, 19  # up to 5.2e4 ps, past the default grid
+        grid = TimeGrid(points=(0.0, *(t0 * 2.0 ** np.arange(doublings + 1))), spacing="log")
+        traj = propagate(gen, p0, grid)
+        assert len(reversible_sizes) == 1
+        expected = np.vstack([p0, mpmath_doubling_populations(gen.matrix, p0, t0, doublings)])
+        assert np.abs(traj.state_populations - expected).max() <= 5e-11
+
+    def test_config_generators_balance(self):
+        # every rate pairs by detailed balance but the Purcell exchange of a detuned weak cavity
+        @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @given(configs(), st.sampled_from(REGIME_KINDS))
+        def check(raw, kind):
+            no_linewidth = raw["cavity"]["kappa"] == 0.0 and raw["bath"]["gamma"] == 0.0
+            assume(not (kind == "weak" and no_linewidth))
+            config = config_from_dict(dict(raw, regime=kind))
+            gen = build_generator(config)
+            assert gen.temperature == config.bath.temperature
+            detuned = raw["cavity"]["g"] != 0.0 and raw["cavity"]["omega_c"] != OMEGA_V
+            if not (kind == "weak" and detuned):
+                assert propagate_module._balanced(gen.matrix, boltzmann_weights(gen))
+
+        check()
+
+    def test_zero_generator_declines(self, r1_vsc, r1_vsc_p0, reversible_sizes, fallback_calls):
+        # every eigenvalue is 0, so the second one is not resolved
+        zero = RateMatrix(states=r1_vsc.states, matrix=np.zeros((16, 16)), temperature=298.0)
+        traj = propagate(zero, r1_vsc_p0, TimeGrid.linear(0.0, 100.0, 5))
+        assert reversible_sizes == []
+        assert fallback_calls == [12]
+        assert np.abs(traj.state_populations - r1_vsc_p0).max() == 0.0
+        # a single state has no second eigenvalue at all
+        single = RateMatrix(StateSpace(("A",), (), np.zeros((1, 1, 1)), ()), np.zeros((1, 1)), 298.0)
+        traj = propagate(single, np.ones(1), TimeGrid.linear(0.0, 100.0, 5))
+        assert reversible_sizes == []
+        assert np.array_equal(traj.state_populations, np.ones((5, 1)))
+
+    @pytest.mark.parametrize("scenario, orbits", [("reaction1", 10), ("reaction2", 10), ("reaction3", 21)])
+    def test_reducible_balanced_generator_declines(self, request, reversible_sizes, fallback_calls, scenario, orbits):
+        # bare kappa = 0 balances, but its stranded cavity quantum adds a second null eigenvalue
+        config = with_regime(request.getfixturevalue(scenario), "bare", kappa=0.0)
+        gen = build_generator(config)
+        assert propagate_module._balanced(gen.matrix, boltzmann_weights(gen))
+        p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
+        propagate(gen, p0, config.grid)  # test_reducible_generators_match_mpmath checks the result
+        assert reversible_sizes == []
+        assert fallback_calls == [orbits]
+
+    def test_wide_boltzmann_range_declines(self, request, reversible_sizes, core_sizes, fallback_calls):
+        config = bundled_case(request, "reaction3", "vsc", 2150.0)
+        gen = build_generator(config)
+        pi = boltzmann_weights(gen)
+        assert propagate_module._balanced(gen.matrix, pi)
+        assert np.sqrt(pi.max() / pi.min()) > EIGENBASIS_COND_LIMIT
+        p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
+        traj = propagate(gen, p0, config.grid)
+        assert reversible_sizes == []
+        assert core_sizes == [24]  # the general eigen core serves it
+        assert fallback_calls == []
+        expected = expm_oracle(gen.matrix, p0, config.grid.points)
+        assert np.abs(traj.state_populations - expected).max() <= 1e-10
+
+    def test_rate_matrix_without_temperature_takes_the_general_path(
+        self, r1_vsc, r1_vsc_p0, reversible_sizes, core_sizes
+    ):
+        grid = TimeGrid.logarithmic(0.1, 5.0e4, 25)
+        balanced = propagate(r1_vsc, r1_vsc_p0, grid)
+        assert reversible_sizes == [12]
+        general = propagate(replace(r1_vsc, temperature=None), r1_vsc_p0, grid)
+        assert reversible_sizes == [12]  # a hand-built matrix claims no balance
+        assert core_sizes == [12, 12]
+        assert np.abs(general.state_populations - balanced.state_populations).max() <= 1e-10
 
 
 class TestExchangeLumping:

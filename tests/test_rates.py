@@ -648,6 +648,9 @@ class TestMoleculeExchange:
             broken[1, 0] = value
             with pytest.raises(ValueError, match=message):
                 RateMatrix(r1_vsc.states, broken)
+        for temperature in (0.0, -298.0, np.nan):
+            with pytest.raises(ValueError, match="temperature must be > 0"):
+                RateMatrix(r1_vsc.states, r1_vsc.matrix, temperature)
 
     def test_exchange_is_validated(self, r1_vsc):
         def rebuild(matrix):
