@@ -37,7 +37,7 @@ import re
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,9 +50,11 @@ from .propagate import (
     TimeGrid,
     Trajectory,
     clamp_for_output,
+    lump_start,
     propagate,
 )
-from .rates import REGIME_KINDS, BathSpec, RateMatrix, assemble_rate_matrix, effective_coupling
+from .rates import REGIME_KINDS, BathSpec, RateMatrix, ReactiveRates, assemble_rate_matrix, effective_coupling
+from .rates import reactive_rates
 from .states import MOLECULES, CouplingSpec, ReactionNetwork, SpeciesSpec, initial_distribution
 from .units import ANGULAR_PER_WAVENUMBER, HBAR, KB, SPEED_OF_LIGHT_CM_PER_PS
 
@@ -406,45 +408,65 @@ def _metadata(config: ScenarioConfig, rate_matrix: RateMatrix) -> Dict[str, Any]
     }
 
 
-def build_generator(config: ScenarioConfig) -> RateMatrix:
-    """Choose the regime's mode basis once and assemble the generator over its states.
-
-    VSC works in the polariton/dark eigenmodes; bare and weak work in the
-    identity rotation over the uncoupled cavity and vibrations.
-    """
-    kind = config.regime_kind
-    make_basis = build_mode_basis if kind == "vsc" else bare_mode_basis
+def _generator(config: ScenarioConfig, reactive: Optional[ReactiveRates]) -> Tuple[ReactiveRates, RateMatrix]:
+    """``config``'s generator on ``reactive``, or on a new reactive part if the network, the mode
+    basis (vsc: polariton/dark eigenmodes, else the identity rotation) or temperature differ."""
+    make_basis = build_mode_basis if config.regime_kind == "vsc" else bare_mode_basis
     try:
-        basis = make_basis(config.cavity, config.omega_v)
-        return assemble_rate_matrix(config.network, basis, config.cavity, config.bath, kind)
+        inputs = (config.network, make_basis(config.cavity, config.omega_v), config.bath.temperature)
+        if reactive is None or (reactive.network, reactive.basis, reactive.temperature) != inputs:
+            reactive = reactive_rates(*inputs)
+        return reactive, assemble_rate_matrix(reactive, config.cavity, config.bath, config.regime_kind)
     except OverflowError as exc:
         raise NumericalError(f"scenario {config.name!r}: overflow building the generator") from exc
 
 
+def build_generator(config: ScenarioConfig) -> RateMatrix:
+    """Choose the regime's mode basis and assemble the generator over its states."""
+    return _generator(config, None)[1]
+
+
+def _run(variants: Iterable[Tuple[str, ScenarioConfig]]) -> List[ScenarioResult]:
+    """Run labelled configs in order, each part built again only when an input it reads changed.
+
+    A generator bit-identical to the last one on the same start takes a copy of its populations,
+    in the same memory layout so that products derived from them sum in the same order.
+    """
+    results: List[ScenarioResult] = []
+    reactive = start = None
+    for label, config in variants:
+        reactive, rate_matrix = _generator(config, reactive)
+        last = results[-1] if results else None
+        inputs = (reactive.states, rate_matrix.temperature, config.grid, config.reactant)
+        if last is None or (start.states, start.temperature, start.grid, last.config.reactant) != inputs:
+            p0 = initial_distribution(reactive.states, config.reactant, config.bath.temperature)
+            start, last = lump_start(rate_matrix, p0, config.grid), None
+        if last is not None and np.array_equal(rate_matrix.matrix, last.rate_matrix.matrix):
+            populations = last.trajectory.state_populations.copy(order="K")
+            trajectory = replace(last.trajectory, state_populations=populations)
+        else:
+            trajectory = propagate(rate_matrix, start)
+        results.append(ScenarioResult(label, config, rate_matrix, trajectory))
+    return results
+
+
 def run_scenario(config: ScenarioConfig, label: Optional[str] = None) -> ScenarioResult:
     """Full pipeline: states, generator, thermal start, propagation, observables."""
-    rate_matrix = build_generator(config)
-    p0 = initial_distribution(rate_matrix.states, config.reactant, config.bath.temperature)
-    trajectory = propagate(rate_matrix, p0, config.grid)
-    return ScenarioResult(
-        label=label if label is not None else config.name,
-        config=config,
-        rate_matrix=rate_matrix,
-        trajectory=trajectory,
-    )
+    return _run([(label if label is not None else config.name, config)])[0]
 
 
 def run_comparison(config: ScenarioConfig, regimes: Sequence[str]) -> List[ScenarioResult]:
     """Run the same scenario under several regimes on a shared grid.
 
-    Every regime is validated before the first run starts.
+    Every regime is validated before the first run starts. Bare and weak share
+    the reactive part of the generator and the thermal start; vsc builds its own.
     """
     if not regimes:
         raise ConfigError("comparison needs at least one regime")
     for k, kind in enumerate(regimes):  # two runs of one regime would share a label and a CSV file
         _require(kind not in regimes[:k], f"regime {kind!r} appears more than once")
     variants = [replace(config, regime_kind=kind) for kind in regimes]
-    return [run_scenario(variant, label=variant.regime_kind) for variant in variants]
+    return _run((variant.regime_kind, variant) for variant in variants)
 
 
 def _apply_sweep_value(base: ScenarioConfig, parameter: str, value: float) -> ScenarioConfig:
@@ -456,12 +478,17 @@ def _apply_sweep_value(base: ScenarioConfig, parameter: str, value: float) -> Sc
 
 
 def run_sweep(sweep: SweepSpec) -> List[ScenarioResult]:
-    """Run the base scenario once per sweep value, in the order given."""
-    results = []
-    for value in sweep.values:
-        variant = _apply_sweep_value(sweep.base, sweep.parameter, value)
-        results.append(run_scenario(variant, label=f"{sweep.parameter}={value!r}"))
-    return results
+    """Run the base scenario once per sweep value, in the order given; a value is checked in its turn.
+
+    The states, the reactive part of the generator and the thermal start are built once for a
+    kappa, gamma or eta sweep and a bare or weak g sweep, and per value for a vsc g sweep, whose
+    mode basis reads g. Values that leave the generator bit-identical (eta under bare or weak, g
+    under bare) propagate it once.
+    """
+    return _run(
+        (f"{sweep.parameter}={value!r}", _apply_sweep_value(sweep.base, sweep.parameter, value))
+        for value in sweep.values
+    )
 
 
 def _safe_label(label: str) -> str:
@@ -471,7 +498,7 @@ def _safe_label(label: str) -> str:
 def _columns(traj: Trajectory) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The exported blocks: times, state populations, molecule counts and fractions."""
     species_pop = clamp_for_output(traj.species_populations)
-    return np.array(traj.grid.points), clamp_for_output(traj.state_populations), species_pop, species_pop / MOLECULES
+    return traj.grid.times, clamp_for_output(traj.state_populations), species_pop, species_pop / MOLECULES
 
 
 def _csv_text(result: ScenarioResult) -> str:

@@ -28,6 +28,8 @@ __all__ = [
     "NumericalError",
     "TimeGrid",
     "Trajectory",
+    "LumpedStart",
+    "lump_start",
     "DEFAULT_GRID_START",
     "DEFAULT_GRID_END",
     "DEFAULT_GRID_POINTS",
@@ -85,6 +87,13 @@ class TimeGrid:
         if n < 2 or end <= start:
             raise ValueError("linear grid needs n >= 2 and end > start")
         return cls(points=tuple(float(t) for t in np.linspace(start, end, n)), spacing="linear")
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        """The points as a read-only float64 array, converted on first read."""
+        times = np.array(self.points, dtype=float)
+        times.flags.writeable = False
+        return times
 
 
 @dataclass(frozen=True)
@@ -218,30 +227,62 @@ def _taylor_populations(K: np.ndarray, p0: np.ndarray, times: np.ndarray) -> np.
     return populations
 
 
-def _orbits(exchange: np.ndarray, p0: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Orbit of every state under the molecule exchange, and one member of each orbit.
+@dataclass(frozen=True, eq=False)
+class LumpedStart:
+    """What ``propagate`` needs besides K, from the states, p0, temperature and grid alone; one
+    start (``lump_start``) serves every generator over the same states at the same temperature."""
 
-    A start the exchange leaves unchanged gets the orbits {i, exchange[i]};
-    any other start gets one orbit per state.
-    """
-    states = np.arange(len(p0))
-    if not np.array_equal(p0[exchange], p0):
-        return states, states
-    lowest = np.minimum(states, exchange)
-    members = np.flatnonzero(lowest == states)
-    return np.searchsorted(members, lowest), members
+    states: StateSpace
+    grid: TimeGrid
+    temperature: Optional[float]  # K, that of the generators it serves
+    orbit: np.ndarray  # the orbit of every state
+    members: np.ndarray  # one state of each orbit
+    lump: np.ndarray  # (orbits, states): 1 where the state lies in the orbit
+    sizes: np.ndarray  # the size of every state's orbit
+    p0: np.ndarray  # lumped
+    pi: Optional[np.ndarray]  # lumped Boltzmann weights, when the temperature is set
 
 
-def propagate(rate_matrix: RateMatrix, p0: np.ndarray, grid: TimeGrid) -> Trajectory:
-    """Evaluate p(t) = exp(K t) p0 on every grid point.
+def lump_start(rate_matrix: RateMatrix, p0: np.ndarray, grid: TimeGrid) -> LumpedStart:
+    """Lump ``p0``, a distribution over the generator's states, and the Boltzmann weights at its
+    temperature when it records one, onto the orbits of the molecule exchange; K is not read.
 
     K commutes with the exchange of the two molecules (``StateSpace.exchange``),
     so from a start that the exchange leaves unchanged, such as every thermal
     start, p(t) is exchange-symmetric and the chain lumps exactly onto the
     orbits {i, exchange[i]} (Kemeny and Snell, Finite Markov Chains, 1960;
     Buchholz, J. Appl. Probab. 31, 1994): K~[O', O] = sum_{j in O'} K[j, i0]
-    for any i0 in O, and p_i = p_O / |O|. Other starts keep one orbit per
-    state.
+    for any i0 in O, and p_i = p_O / |O|. Other starts keep one orbit per state.
+    """
+    states, temperature, exchange = rate_matrix.states, rate_matrix.temperature, rate_matrix.states.exchange
+    p0 = np.asarray(p0, dtype=float)
+    if p0.shape != (len(states),):
+        raise ValueError(f"p0 has shape {p0.shape}, expected ({len(states)},)")
+    if abs(p0.sum() - 1.0) > 1e-10:
+        raise ValueError(f"p0 must sum to 1 within 1e-10, got {p0.sum()!r}")
+    if p0.min() < 0.0:
+        raise ValueError("p0 must be nonnegative")
+    index = np.arange(len(p0))
+    orbit = members = index
+    if np.array_equal(p0[exchange], p0):
+        lowest = np.minimum(index, exchange)
+        members = np.flatnonzero(lowest == index)
+        orbit = np.searchsorted(members, lowest)
+    lump = np.zeros((len(members), len(p0)))
+    lump[orbit, index] = 1.0
+    pi = None
+    if temperature is not None:
+        E = states.energies.ravel()
+        pi = lump @ np.exp(-(E - E.min()) / thermal_energy(temperature))
+    return LumpedStart(states, grid, temperature, orbit, members, lump, lump.sum(axis=1)[orbit], lump @ p0, pi)
+
+
+def propagate(rate_matrix: RateMatrix, start: LumpedStart) -> Trajectory:
+    """Evaluate p(t) = exp(K t) p0 on every point of the grid, on the orbits of ``start``.
+
+    ``start`` must be lumped for the generator's states and temperature. A
+    sweep shares it between values, so per call only lumping K into K~, the
+    paths below and the checks run.
 
     Three paths evaluate the lumped chain on the whole grid, each handing over
     to the next where it declines; t = 0 returns p0 exactly, and an eigen path
@@ -260,35 +301,21 @@ def propagate(rate_matrix: RateMatrix, p0: np.ndarray, grid: TimeGrid) -> Trajec
        decomposable generators passes these guards and errs by up to 1.3e-9.
     3. The Taylor series of the non-negative K~ + alpha I (Xue and Ye, 2013).
 
-    p0 must be a normalized distribution over the generator's states.
     Raises NumericalError if the result loses probability beyond 1e-9 or
     turns negative beyond roundoff; populations are kept unclamped here.
     """
-    K = rate_matrix.matrix
-    states = rate_matrix.states
-    p0 = np.asarray(p0, dtype=float)
-    if p0.shape != (len(states),):
-        raise ValueError(f"p0 has shape {p0.shape}, expected ({len(states)},)")
-    if abs(p0.sum() - 1.0) > 1e-10:
-        raise ValueError(f"p0 must sum to 1 within 1e-10, got {p0.sum()!r}")
-    if p0.min() < 0.0:
-        raise ValueError("p0 must be nonnegative")
-
-    orbit, members = _orbits(states.exchange, p0)
-    lump = np.zeros((len(members), len(states)))
-    lump[orbit, np.arange(len(states))] = 1.0
-    K_lumped, p0_lumped = lump @ K[:, members], lump @ p0
-    times = np.asarray(grid.points)
+    if rate_matrix.states is not start.states or rate_matrix.temperature != start.temperature:
+        raise ValueError("the start is lumped for other states or another temperature")
+    K_lumped = start.lump @ rate_matrix.matrix[:, start.members]
+    times = start.grid.times
     lumped = None
-    if rate_matrix.temperature is not None:
-        E = states.energies.ravel()
-        pi = lump @ np.exp(-(E - E.min()) / thermal_energy(rate_matrix.temperature))
-        lumped = _reversible_populations(K_lumped, pi, p0_lumped, times)
+    if start.pi is not None:
+        lumped = _reversible_populations(K_lumped, start.pi, start.p0, times)
     if lumped is None:
-        lumped = _spectral_populations(K_lumped, p0_lumped, times)
+        lumped = _spectral_populations(K_lumped, start.p0, times)
     if lumped is None:
-        lumped = _taylor_populations(K_lumped, p0_lumped, times)
-    result = lumped[:, orbit] / lump.sum(axis=1)[orbit]
+        lumped = _taylor_populations(K_lumped, start.p0, times)
+    result = lumped[:, start.orbit] / start.sizes
 
     if not np.all(np.isfinite(result)):
         raise NumericalError("propagation produced non-finite populations")
@@ -299,7 +326,7 @@ def propagate(rate_matrix: RateMatrix, p0: np.ndarray, grid: TimeGrid) -> Trajec
     if worst_neg < NEGATIVITY_TOL:
         raise NumericalError(f"population went negative: {worst_neg:.3e}")
 
-    return Trajectory(grid=grid, states=states, state_populations=result)
+    return Trajectory(grid=start.grid, states=start.states, state_populations=result)
 
 
 def clamp_for_output(populations: np.ndarray) -> np.ndarray:

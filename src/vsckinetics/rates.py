@@ -17,13 +17,16 @@ which coupling the weak Purcell term sees.
 
 Assembly follows the same split. Two molecules over S species give S^2
 configurations of P = 4 occupation patterns each, so K is an S^2 x S^2 grid
-of P x P blocks. Loss, gain and bath exchange stay inside a configuration:
-one block from ``mode_block``, shared by every diagonal cell. A reactive jump
-changes one molecule's species: per coupled pair and direction, one P x P
-Franck-Condon matrix fills molecule 1's cells for every spectator species at
-once, and molecule 2's cells are their exact image under the exchange of the
-two molecules. K commutes with that exchange, the state permutation
-``StateSpace.exchange`` that the propagator lumps on.
+of P x P blocks. A reactive jump changes one molecule's species: per coupled
+pair and direction, one P x P Franck-Condon matrix fills molecule 1's cells
+for every spectator species at once, and molecule 2's cells are their exact
+image under the exchange of the two molecules. That reactive part
+(``reactive_rates``) reads only the network, the mode basis and the
+temperature, so generators that differ in nothing else share it. Loss, gain
+and bath exchange stay inside a configuration: ``assemble_rate_matrix`` adds
+one block from ``mode_block`` to every diagonal cell of a copy. K commutes
+with the exchange, the state permutation ``StateSpace.exchange`` that the
+propagator lumps on.
 
 Rates are in ps^-1, energies in cm^-1. The generator K is column-conservative:
 K[j][i] is the rate i -> j and each diagonal entry carries minus its column's
@@ -60,6 +63,8 @@ __all__ = [
     "effective_coupling",
     "mode_block",
     "purcell_exchange_rate",
+    "ReactiveRates",
+    "reactive_rates",
     "assemble_rate_matrix",
 ]
 
@@ -114,14 +119,16 @@ class RateMatrix:
         n = len(self.states)
         if self.matrix.shape != (n, n):
             raise ValueError(f"matrix shape {self.matrix.shape} does not match {n} states")
-        if not np.all(np.isfinite(self.matrix)):
+        K = self.matrix
+        if not np.isfinite(K).all():
             raise ValueError("rate matrix contains non-finite entries")
-        off = self.matrix - np.diag(np.diag(self.matrix))
-        if np.any(off < 0.0):
+        negative = K < 0.0
+        negative.flat[:: n + 1] = False  # the diagonal carries minus the out-rates
+        if negative.any():
             raise ValueError("negative off-diagonal rate")
         perm = self.states.exchange
-        drift = np.abs(self.matrix[perm][:, perm] - self.matrix)
-        if np.any(drift > EXCHANGE_RTOL * np.abs(self.matrix)):
+        drift = np.abs(K.take(perm, axis=0).take(perm, axis=1) - K)
+        if (drift > EXCHANGE_RTOL * np.abs(K)).any():
             raise ValueError("rate matrix does not commute with the molecule exchange")
         if self.temperature is not None and not self.temperature > 0.0:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
@@ -272,39 +279,27 @@ def purcell_exchange_rate(
     return 4.0 * g_ang * g_ang * k_total / (4.0 * d_ang * d_ang + k_total * k_total)
 
 
-def assemble_rate_matrix(
-    network: ReactionNetwork,
-    basis: ModeBasis,
-    cavity: CavitySpec,
-    bath: BathSpec,
-    kind: str,
-) -> RateMatrix:
-    """Build the full generator of ``network`` over the modes of ``basis``.
+@dataclass(frozen=True, eq=False)
+class ReactiveRates:
+    """The reactive part of every generator over one network, mode basis and temperature."""
 
-    ``kind`` is one of ``REGIME_KINDS``. The states are
-    ``enumerate_states(network, basis)``, so K reshapes to (S, S, P, S, S, P):
-    destination species of molecules 1 and 2 and pattern, then the same for
-    the source. ``mode_block`` fills every diagonal cell; reactive blocks fill
-    the cells where one molecule changes species. Molecule 2's reactive blocks
-    are the exact image of molecule 1's under the exchange of the space.
-    "weak" (identity basis) then adds the symmetric Purcell cavity-vibration
-    exchange at the coupling ``effective_coupling(kind, cavity.g)``, whose
-    linewidths are the bare out-rates of the two exchanging states; "bare"
-    adds none. Observable rates must not depend on the arbitrary dark-row sign
-    of the eigenmode basis.
+    network: ReactionNetwork
+    basis: ModeBasis
+    temperature: float  # K
+    states: StateSpace
+    matrix: np.ndarray  # read-only, K's layout; no diagonal
+
+
+def reactive_rates(network: ReactionNetwork, basis: ModeBasis, temperature: float) -> ReactiveRates:
+    """The reactive part of the generators of ``network`` over the modes of ``basis``.
+
+    The states are ``enumerate_states(network, basis)``, so K reshapes to
+    (S, S, P, S, S, P): destination species of molecules 1 and 2 and pattern,
+    then the same for the source.
     """
-    g_effective = effective_coupling(kind, cavity.g)
-    if (kind == "vsc") != (basis.labels == VSC_MODE_LABELS):
-        raise ValueError(f"regime {kind!r} does not work in the mode basis {basis.labels}")
     space = enumerate_states(network, basis)
     patterns = occupation_patterns(len(basis.labels))
     S, _, P = space.energies.shape
-
-    configs = np.arange(S * S)
-    K = np.zeros((S * S, P, S * S, P))
-    K[configs, :, configs, :] = mode_block(basis, cavity, bath, kind)
-    K = K.reshape(S * S * P, S * S * P)
-
     # molecule 1 reacts in R; molecule 2's reactions are its image under the exchange
     R = np.zeros((S, S, P, S, S, P))
     E = space.energies
@@ -317,15 +312,39 @@ def assemble_rate_matrix(
         # squared factors are symmetric in the two patterns: one matrix serves both ways
         fc = franck_condon(patterns, patterns, lam_a, lam_b)
         de = E[b, :, :, None] - E[a, :, None, :]  # a -> b; b -> a has the negated transpose
-        forward = reactive_rate(c, fc, de, bath.temperature)
-        backward = reactive_rate(c, fc, -de.transpose(0, 2, 1), bath.temperature)
+        forward = reactive_rate(c, fc, de, temperature)
+        backward = reactive_rate(c, fc, -de.transpose(0, 2, 1), temperature)
         # a rate underflowing alone breaks detailed balance: drop both below normal doubles
         dead = np.minimum(forward, backward.transpose(0, 2, 1)) < np.finfo(float).tiny
         forward[dead] = backward[dead.transpose(0, 2, 1)] = 0.0
         R[b, spectator, :, a, spectator, :] = forward
         R[a, spectator, :, b, spectator, :] = backward
-    R = R.reshape(K.shape)
-    K += R + R[space.exchange][:, space.exchange]
+    R = R.reshape(S * S * P, S * S * P)
+    matrix = R + R[space.exchange][:, space.exchange]
+    matrix.flags.writeable = False
+    return ReactiveRates(network, basis, temperature, space, matrix)
+
+
+def assemble_rate_matrix(reactive: ReactiveRates, cavity: CavitySpec, bath: BathSpec, kind: str) -> RateMatrix:
+    """The generator of a regime ``kind`` (one of ``REGIME_KINDS``) on top of a reactive part.
+
+    ``bath`` must be at the temperature of ``reactive``, which a sweep shares
+    between the values that leave its inputs unchanged. "weak" (identity
+    basis) adds the symmetric Purcell cavity-vibration exchange at the
+    coupling ``effective_coupling(kind, cavity.g)``, whose linewidths are the
+    bare out-rates of the two exchanging states; "bare" adds none. Observable
+    rates must not depend on the arbitrary dark-row sign of the eigenmode basis.
+    """
+    basis = reactive.basis
+    g_effective = effective_coupling(kind, cavity.g)
+    if (kind == "vsc") != (basis.labels == VSC_MODE_LABELS):
+        raise ValueError(f"regime {kind!r} does not work in the mode basis {basis.labels}")
+    if bath.temperature != reactive.temperature:
+        raise ValueError(f"bath at {bath.temperature!r} K, the reactive part at {reactive.temperature!r} K")
+    S, _, P = reactive.states.energies.shape
+    K = reactive.matrix.copy()
+    configs = np.arange(S * S)
+    K.reshape(S * S, P, S * S, P)[configs, :, configs, :] += mode_block(basis, cavity, bath, kind)
 
     if kind == "weak":
         out = K.sum(axis=0).reshape(S * S, P)  # bare out-rates; the diagonal is still zero here
@@ -335,4 +354,4 @@ def assemble_rate_matrix(
         K[i_c + [1, 2], i_c] = K[i_c, i_c + [1, 2]] = gamma_p
 
     np.fill_diagonal(K, -K.sum(axis=0))
-    return RateMatrix(states=space, matrix=K, temperature=bath.temperature)
+    return RateMatrix(states=reactive.states, matrix=K, temperature=bath.temperature)

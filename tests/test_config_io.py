@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +13,11 @@ import pytest
 
 import vsckinetics
 import vsckinetics.config as config_module
+import vsckinetics.rates as rates_module
 from conftest import STIFF_REDUCIBLE, coupling, species
 from vsckinetics.cli import main
 from vsckinetics.config import (
+    SWEEP_PARAMETERS,
     ConfigError,
     DEFAULT_G_FACTOR,
     SweepSpec,
@@ -30,7 +32,8 @@ from vsckinetics.config import (
     run_sweep,
 )
 from vsckinetics.eigenmodes import CavitySpec
-from vsckinetics.rates import BathSpec
+from vsckinetics.propagate import TimeGrid
+from vsckinetics.rates import REGIME_KINDS, BathSpec
 from vsckinetics.states import CouplingSpec, SpeciesSpec
 
 BLOCK_SPECS = {"species": SpeciesSpec, "couplings": CouplingSpec, "cavity": CavitySpec, "bath": BathSpec}
@@ -51,6 +54,39 @@ def fast_dict(**overrides):
     }
     base.update(overrides)
     return base
+
+
+SHORT_GRID = TimeGrid.logarithmic(0.1, 5.0e4, 40)
+# each list starts at its parameter's limit: no leakage, bath coupling, decay or light-matter coupling
+SWEEP_VALUES = {"kappa": (0.0, 0.3, 3.0), "eta": (0.0, 1e-3, 1e-2), "gamma": (0.0, 0.01, 0.5), "g": (0.0, 5.0, 60.0)}
+
+
+def assert_identical_runs(runs, reference, tmp_path):
+    """Same labels, bit-identical generators and populations, no shared arrays, same export bytes."""
+    assert [r.label for r in runs] == [r.label for r in reference]
+    for run, ref in zip(runs, reference):
+        assert run.rate_matrix.matrix.tobytes() == ref.rate_matrix.matrix.tobytes()
+        assert run.trajectory.state_populations.tobytes() == ref.trajectory.state_populations.tobytes()
+    for earlier, later in zip(runs, runs[1:]):
+        assert not np.shares_memory(earlier.trajectory.state_populations, later.trajectory.state_populations)
+    for fmt in ("csv", "json"):
+        written = export(runs, fmt, tmp_path / "runs" / f"out.{fmt}")
+        expected = export(reference, fmt, tmp_path / "reference" / f"out.{fmt}")
+        assert [p.name for p in written] == [p.name for p in expected]
+        assert [p.read_bytes() for p in written] == [p.read_bytes() for p in expected]
+
+
+def count_calls(monkeypatch):
+    """Calls of the parts a sweep may share: states, reactive part, start, propagation."""
+    calls = {}
+    for module, name in ((rates_module, "enumerate_states"), (config_module, "reactive_rates"),
+                         (config_module, "lump_start"), (config_module, "propagate")):
+        def counted(*args, original=getattr(module, name), name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestBundledConfigs:
@@ -394,6 +430,58 @@ class TestOrchestration:
         export(results, "csv", tmp_path / "sweep.csv")
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("name", ["reaction1", "reaction2", "reaction3"])
+    @pytest.mark.parametrize("kind", REGIME_KINDS)
+    @pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
+    def test_sweep_matches_per_value_runs(self, tmp_path, name, kind, parameter):
+        base = replace(load_config(bundled_config_path(name)), regime_kind=kind, grid=SHORT_GRID)
+        values = SWEEP_VALUES[parameter]
+        swept = run_sweep(SweepSpec(parameter=parameter, values=values, base=base))
+        block = "cavity" if parameter in ("kappa", "g") else "bath"
+        variants = [replace(base, **{block: replace(getattr(base, block), **{parameter: v})}) for v in values]
+        alone = [run_scenario(variant, label=f"{parameter}={v!r}") for variant, v in zip(variants, values)]
+        assert_identical_runs(swept, alone, tmp_path)
+
+    @pytest.mark.parametrize("name", ["reaction1", "reaction2", "reaction3"])
+    def test_comparison_matches_per_regime_runs(self, tmp_path, name):
+        config = replace(load_config(bundled_config_path(name)), grid=SHORT_GRID)
+        compared = run_comparison(config, list(REGIME_KINDS))
+        alone = [run_scenario(replace(config, regime_kind=kind), label=kind) for kind in REGIME_KINDS]
+        assert_identical_runs(compared, alone, tmp_path)
+
+    def test_rejected_value_fails_after_the_values_before_it(self, monkeypatch):
+        runs = []
+        propagate = config_module.propagate
+        monkeypatch.setattr(config_module, "propagate", lambda *args: runs.append(args) or propagate(*args))
+        base = config_from_dict(fast_dict())
+        with pytest.raises(ConfigError, match=r"^sweep value gamma=-1.0 rejected: gamma must be >= 0, got -1.0$"):
+            run_sweep(SweepSpec(parameter="gamma", values=(0.01, -1.0), base=base))
+        assert len(runs) == 1
+
+    @pytest.mark.parametrize(
+        "kind, parameter, builds, propagations",
+        [
+            *((kind, parameter, 1, 3) for kind in REGIME_KINDS for parameter in ("kappa", "gamma")),
+            ("bare", "eta", 1, 1),  # eta acts only through the vsc bath exchange
+            ("weak", "eta", 1, 1),
+            ("vsc", "eta", 1, 3),
+            ("bare", "g", 1, 1),  # g enters neither the identity basis nor a bare generator
+            ("weak", "g", 1, 3),  # the Purcell exchange reads g, the identity basis does not
+            ("vsc", "g", 3, 3),  # the polariton basis reads g
+        ],
+    )
+    def test_shared_parts_are_built_once(self, monkeypatch, kind, parameter, builds, propagations):
+        calls = count_calls(monkeypatch)
+        base = config_from_dict(fast_dict(regime=kind))
+        run_sweep(SweepSpec(parameter=parameter, values=SWEEP_VALUES[parameter], base=base))
+        assert calls == {"enumerate_states": builds, "reactive_rates": builds, "lump_start": builds,
+                         "propagate": propagations}
+
+    def test_comparison_shares_the_bare_basis(self, monkeypatch):
+        calls = count_calls(monkeypatch)
+        run_comparison(config_from_dict(fast_dict()), ["bare", "weak", "vsc"])
+        assert calls == {"enumerate_states": 2, "reactive_rates": 2, "lump_start": 2, "propagate": 3}
+
     def test_sweep_value_validation(self):
         config = config_from_dict(fast_dict())
         with pytest.raises(ConfigError):
@@ -569,7 +657,7 @@ class TestCli:
     def test_repeated_runs_exit_2(self, config_path, tmp_path, capsys, monkeypatch, argv, named):
         # two runs with one label would write one CSV file; nothing may run
         runs = []
-        monkeypatch.setattr(config_module, "run_scenario", lambda *args, **kw: runs.append(args))
+        monkeypatch.setattr(config_module, "propagate", lambda *args: runs.append(args))
         out = tmp_path / "dup.csv"
         assert main([*argv, "--config", str(config_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err

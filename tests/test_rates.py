@@ -26,6 +26,7 @@ from vsckinetics.eigenmodes import (
     mode_displacements,
 )
 from vsckinetics.rates import (
+    EXCHANGE_RTOL,
     REGIME_KINDS,
     BathSpec,
     RateMatrix,
@@ -36,6 +37,7 @@ from vsckinetics.rates import (
     mode_block,
     purcell_exchange_rate,
     reactive_rate,
+    reactive_rates,
 )
 from vsckinetics.states import (
     CouplingSpec,
@@ -566,21 +568,27 @@ class TestAssembly:
         )
         flipped = replace(r1_basis, coefficients=flipped_rows)
         assert flipped.coefficients[2][1] == -r1_basis.coefficients[2][1]  # the "d" row
-        alt = assemble_rate_matrix(
-            reaction1.network, flipped, reaction1.cavity, reaction1.bath, "vsc"
-        )
+        reactive = reactive_rates(reaction1.network, flipped, reaction1.bath.temperature)
+        alt = assemble_rate_matrix(reactive, reaction1.cavity, reaction1.bath, "vsc")
         assert np.abs(alt.matrix - r1_vsc.matrix).max() <= 1e-12
 
     def test_basis_must_match_regime(self, reaction1, r1_basis, r1_bare_basis):
         # the eigenmode basis belongs to vsc, the identity basis to bare and weak
         network, cavity, bath = reaction1.network, reaction1.cavity, reaction1.bath
-        for kind, basis in (("bare", r1_basis), ("weak", r1_basis), ("vsc", r1_bare_basis)):
+        vsc, bare = (reactive_rates(network, basis, bath.temperature) for basis in (r1_basis, r1_bare_basis))
+        for kind, reactive in (("bare", vsc), ("weak", vsc), ("vsc", bare)):
             with pytest.raises(ValueError, match="mode basis"):
-                assemble_rate_matrix(network, basis, cavity, bath, kind)
+                assemble_rate_matrix(reactive, cavity, bath, kind)
         # a kind outside REGIME_KINDS is rejected by name, in either basis
-        for basis in (r1_basis, r1_bare_basis):
+        for reactive in (vsc, bare):
             with pytest.raises(ValueError, match=r"one of \('bare', 'weak', 'vsc'\)"):
-                assemble_rate_matrix(network, basis, cavity, bath, "strong")
+                assemble_rate_matrix(reactive, cavity, bath, "strong")
+
+    def test_bath_must_be_at_the_reactive_temperature(self, reaction1, r1_basis):
+        reactive = reactive_rates(reaction1.network, r1_basis, reaction1.bath.temperature)
+        warmer = replace(reaction1.bath, temperature=reaction1.bath.temperature + 1.0)
+        with pytest.raises(ValueError, match="bath at 299.0 K, the reactive part at 298.0 K"):
+            assemble_rate_matrix(reactive, reaction1.cavity, warmer, "vsc")
 
 
 class TestMoleculeExchange:
@@ -651,6 +659,50 @@ class TestMoleculeExchange:
         for temperature in (0.0, -298.0, np.nan):
             with pytest.raises(ValueError, match="temperature must be > 0"):
                 RateMatrix(r1_vsc.states, r1_vsc.matrix, temperature)
+
+    def test_hand_built_matrices_meet_the_same_errors(self, r1_vsc):
+        # the checks as they read before they ran in place: the accept/reject reference
+        def reference_error(matrix, temperature):
+            if not np.all(np.isfinite(matrix)):
+                return "non-finite"
+            if np.any(matrix - np.diag(np.diag(matrix)) < 0.0):
+                return "negative off-diagonal"
+            perm = r1_vsc.states.exchange
+            if np.any(np.abs(matrix[perm][:, perm] - matrix) > EXCHANGE_RTOL * np.abs(matrix)):
+                return "commute"
+            if temperature is not None and not temperature > 0.0:
+                return "temperature must be > 0"
+            return None
+
+        K = r1_vsc.matrix
+        i, j = index_of(r1_vsc, "B.A|0"), index_of(r1_vsc, "A.A|0")
+        i2, j2 = r1_vsc.states.exchange[i], r1_vsc.states.exchange[j]
+        cases = [(K, 298.0), (K, None), (K, np.inf)]
+        cases += [(K, temperature) for temperature in (0.0, -298.0, np.nan, -np.inf)]
+        for value in (-1e-3, -0.0, 0.0, 5e-324, np.nan, np.inf, -np.inf, K[i, j] * (1 + 1e-9),
+                      K[i, j] * (1 + 4 * np.finfo(float).eps)):
+            for entries in ([(i, j)], [(i, j), (i2, j2)], [(j, j)], [(j, j), (j2, j2)]):
+                broken = K.copy()
+                for entry in entries:
+                    broken[entry] = value
+                cases += [(broken, 298.0), (broken, 0.0)]
+        rng = np.random.default_rng(13)
+        for _ in range(200):  # one to three entries anywhere, off or on the diagonal
+            broken = K.copy()
+            for _ in range(rng.integers(1, 4)):
+                a, b = rng.integers(0, len(K), size=2)
+                broken[a, b] = rng.choice([-1e-3, -0.0, 1e-3, np.nan, -np.inf, broken[a, b] * (1 + 1e-9)])
+            cases.append((broken, rng.choice([298.0, 0.0])))
+        rejected = 0
+        for matrix, temperature in cases:
+            expected = reference_error(matrix, temperature)
+            if expected is None:
+                RateMatrix(r1_vsc.states, matrix, temperature)
+            else:
+                rejected += 1
+                with pytest.raises(ValueError, match=expected):
+                    RateMatrix(r1_vsc.states, matrix, temperature)
+        assert 0 < rejected < len(cases)
 
     def test_exchange_is_validated(self, r1_vsc):
         def rebuild(matrix):
