@@ -3,13 +3,16 @@ vibrational strong coupling.
 
 Two molecules share one cavity mode; a master equation over their composite
 vibronic states (reactive Marcus-Levich-Jortner transitions, loss/gain, and
-mode exchange) is propagated exactly from one eigendecomposition anchored on
-the GTH stationary vector (Grassmann, Taksar and Heyman, Oper. Res. 33, 1985),
-or, where eigenvectors fail, by a Taylor series that never subtracts (Xue and
-Ye, Math. Comp. 82, 2013); numpy is the only dependency. The same reactions run
-with the cavity absent ("bare"), perturbatively coupled ("weak"), or strongly
-coupled ("vsc"); each regime works in one mode basis, the polariton eigenmodes
-for "vsc" and the identity rotation otherwise.
+mode exchange) is propagated exactly from one eigendecomposition: a symmetric
+one anchored on the Boltzmann weights where the generator balances against
+them, as every config-built one but a detuned weak one does, else a general one
+anchored on the GTH stationary vector (Grassmann, Taksar and Heyman, Oper. Res.
+33, 1985). Where eigenvectors fail, a Taylor series that never subtracts (Xue
+and Ye, Math. Comp. 82, 2013) runs instead; numpy is the only dependency. The
+same reactions run with the cavity absent ("bare"), perturbatively coupled
+("weak"), or strongly coupled ("vsc"); each regime works in one mode basis
+(``eigenmodes.mode_basis``), the polariton eigenmodes for "vsc" and the
+identity rotation otherwise.
 """
 
 import os

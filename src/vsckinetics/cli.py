@@ -29,7 +29,7 @@ from .config import (
     run_scenario,
     run_sweep,
 )
-from .eigenmodes import bare_mode_basis, build_mode_basis, mode_displacements
+from .eigenmodes import mode_basis, mode_displacements
 from .propagate import NumericalError, vsc_scaling_criterion
 from .rates import displacement_matrix_element, franck_condon
 
@@ -173,8 +173,7 @@ def _cmd_fcf(args: argparse.Namespace) -> int:
     occ_from, occ_to = tuple(args.occ_from), tuple(args.occ_to)
     if len(occ_from) != 3 or len(occ_to) != 3:
         raise ConfigError("occupation vectors must have three entries")
-    make_basis = build_mode_basis if args.regime == "vsc" else bare_mode_basis
-    basis = make_basis(config.cavity, config.omega_v)
+    basis = mode_basis(args.regime, config.cavity, config.omega_v)
     displacements = {s.label: s.displacement for s in config.network.species}
     lams = []  # the reacting molecule's mode displacements before and after
     for flag, label in (("--species-from", args.species_from), ("--species-to", args.species_to)):

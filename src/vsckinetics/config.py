@@ -1,31 +1,10 @@
 """Config ingestion, scenario orchestration, and deterministic export.
 
-The JSON schema (all keys optional unless noted):
-
-    {
-      "name": "reaction1",
-      "omega_v": 2000.0,                  # cm^-1, default 2000
-      "energy_unit": "cm-1",              # or "hbar_omega_v"
-      "species": [                        # required, non-empty
-        {"label": "A", "energy": 0.0, "displacement": 0.0}, ...
-      ],
-      "couplings": [
-        {"pair": ["A", "B"], "J": 20.0, "lambda_s": 160.0}, ...
-      ],
-      "cavity": {"omega_c": 2000.0, "g": 42.43, "kappa": 1.0},
-      "bath": {"gamma": 0.01, "eta": 0.001, "omega_cut": 200.0,
-               "temperature": 298.0},
-      "regime": "vsc",                    # bare | weak | vsc
-      "reactant": "A",                    # default: first species
-      "grid": {"spacing": "log", "start": 0.1, "end": 5e4, "points": 400}
-    }
-
-Under "hbar_omega_v", species energies, couplings (J, lambda_s), omega_c, g
-and omega_cut are read as multiples of omega_v; displacements, decay rates,
-eta and the temperature are unit-free or absolute and never rescale. The
-loader converts everything to cm^-1 immediately; downstream code only ever
-sees canonical units. Exports are byte-deterministic and stamped with a
-sha256 fingerprint of the effective (canonical) configuration.
+A config is one JSON object, of which the README shows every key; all but "species" are optional.
+The keys of its "species", "couplings", "cavity" and "bath" blocks are the fields of SpeciesSpec,
+CouplingSpec, CavitySpec and BathSpec, and ``_NUMBERS`` gives each of their numbers its default and
+its unit rule. Exports are byte-deterministic and stamped with a sha256 fingerprint of the
+effective (canonical) configuration.
 """
 
 from __future__ import annotations
@@ -41,18 +20,8 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .eigenmodes import CavitySpec, bare_mode_basis, build_mode_basis
-from .propagate import (
-    DEFAULT_GRID_END,
-    DEFAULT_GRID_POINTS,
-    DEFAULT_GRID_START,
-    NumericalError,
-    TimeGrid,
-    Trajectory,
-    clamp_for_output,
-    lump_start,
-    propagate,
-)
+from .eigenmodes import CavitySpec, mode_basis
+from .propagate import NumericalError, TimeGrid, Trajectory, clamp_for_output, lump_start, propagate
 from .rates import REGIME_KINDS, BathSpec, RateMatrix, ReactiveRates, assemble_rate_matrix, effective_coupling
 from .rates import reactive_rates
 from .states import MOLECULES, CouplingSpec, ReactionNetwork, SpeciesSpec, initial_distribution
@@ -77,17 +46,24 @@ __all__ = [
 ]
 
 ENERGY_UNITS = ("cm-1", "hbar_omega_v")
-# each sweep parameter and the config block that holds it
-_SWEEP_BLOCKS = {"kappa": "cavity", "eta": "bath", "gamma": "bath", "g": "cavity"}
-SWEEP_PARAMETERS = tuple(_SWEEP_BLOCKS)
+SWEEP_PARAMETERS = ("kappa", "eta", "gamma", "g")
 
 DEFAULT_OMEGA_V = 2000.0  # cm^-1
-DEFAULT_KAPPA = 1.0  # ps^-1
-DEFAULT_GAMMA = 0.01  # ps^-1
-DEFAULT_ETA = 0.001
-DEFAULT_TEMPERATURE = 298.0  # K
-DEFAULT_OMEGA_CUT_FACTOR = 0.1  # omega_cut = 0.1 * omega_v
-DEFAULT_G_FACTOR = 0.03 / math.sqrt(2.0)  # g = 0.03 * omega_v / sqrt(2)
+DEFAULT_GRID_START = 0.1  # ps
+DEFAULT_GRID_END = 5.0e4  # ps
+DEFAULT_GRID_POINTS = 400
+
+# Every number of a species, coupling, cavity or bath block, in field order: name -> (default,
+# energy?). The unit rule: an energy is read in cm^-1, or in multiples of omega_v under
+# "energy_unit": "hbar_omega_v", and the loader converts it to cm^-1 at once; every other number
+# (displacements, kappa and gamma in ps^-1, eta, the temperature in K) never rescales. An energy's
+# default is a multiple of omega_v, any other default absolute.
+_NUMBERS: Dict[type, Dict[str, Tuple[float, bool]]] = {
+    SpeciesSpec: {"energy": (0.0, True), "displacement": (0.0, False)},
+    CouplingSpec: {"J": (0.0, True), "lambda_s": (0.0, True)},
+    CavitySpec: {"omega_c": (1.0, True), "g": (0.03 / math.sqrt(2.0), True), "kappa": (1.0, False)},
+    BathSpec: {"gamma": (0.01, False), "eta": (0.001, False), "omega_cut": (0.1, True), "temperature": (298.0, False)},
+}
 
 # state labels join species with "." and "|", CSV headers join columns with ",", and
 # str.splitlines() also breaks at control characters and U+2028/U+2029
@@ -208,13 +184,24 @@ def _as_block(value: Any, field: str) -> Dict[str, Any]:
     return dict(value)
 
 
-def _field_names(spec: type) -> List[str]:
-    return [f.name for f in fields(spec)]
-
-
 def _check_keys(block: Dict[str, Any], allowed: Sequence[str], context: str) -> None:
     unknown = set(block).difference(allowed)
     _require(not unknown, f"unknown key(s) {sorted(unknown)} in {context}")
+
+
+def _spec(
+    cls: type, block: Dict[str, Any], field: str, omega_v: float, scale: float, context: str = "", **given: Any
+) -> Any:
+    """A ``cls`` from its config block: keys checked, numbers read, defaulted and scaled by ``_NUMBERS``.
+
+    ``scale`` is the config's energy unit in cm^-1. A default energy is first put in that unit and
+    then scaled like a given one.
+    """
+    _check_keys(block, [f.name for f in fields(cls)], context or field)
+    for name, (default, energy) in _NUMBERS[cls].items():
+        base, factor = (omega_v, scale) if energy else (1.0, 1.0)
+        given[name] = _as_float(block.get(name, default * base / factor), f"{field}.{name}") * factor
+    return cls(**given)
 
 
 def config_from_dict(raw: Dict[str, Any], name: str = "scenario") -> ScenarioConfig:
@@ -246,7 +233,6 @@ def _resolve_config(raw: Dict[str, Any], name: str) -> ScenarioConfig:
     species = []
     for entry in species_raw:
         block = _as_block(entry, "species entry")
-        _check_keys(block, _field_names(SpeciesSpec), f"species entry {block.get('label')!r}")
         _require("label" in block, "species entry missing 'label'")
         label = _as_str(block["label"], "species.label")
         _require(label != "", "species.label must be non-empty")
@@ -255,53 +241,24 @@ def _resolve_config(raw: Dict[str, Any], name: str) -> ScenarioConfig:
             "species.label must not contain '.', '|', ',', control characters or line"
             f" separators, got {label!r}",
         )
-        species.append(
-            SpeciesSpec(
-                label=label,
-                energy=_as_float(block.get("energy", 0.0), "species.energy") * scale,
-                displacement=_as_float(block.get("displacement", 0.0), "species.displacement"),
-            )
-        )
+        species.append(_spec(SpeciesSpec, block, "species", omega_v, scale, f"species entry {label!r}", label=label))
 
     couplings_raw = raw.get("couplings", [])
     _require(isinstance(couplings_raw, list), f"couplings must be a list, got {couplings_raw!r}")
     couplings = []
     for entry in couplings_raw:
         block = _as_block(entry, "coupling entry")
-        _check_keys(block, _field_names(CouplingSpec), f"coupling entry {block.get('pair')!r}")
         pair = block.get("pair")
         _require(
             isinstance(pair, list) and len(pair) == 2,
             f"coupling.pair must be a two-element list, got {pair!r}",
         )
-        couplings.append(
-            CouplingSpec(
-                pair=tuple(_as_str(label, "coupling.pair") for label in pair),
-                J=_as_float(block.get("J", 0.0), "coupling.J") * scale,
-                lambda_s=_as_float(block.get("lambda_s", 0.0), "coupling.lambda_s") * scale,
-            )
-        )
+        labels = tuple(_as_str(label, "coupling.pair") for label in pair)
+        context = f"coupling entry {pair!r}"
+        couplings.append(_spec(CouplingSpec, block, "coupling", omega_v, scale, context, pair=labels))
 
-    cavity_block = _as_block(raw.get("cavity", {}), "cavity")
-    _check_keys(cavity_block, _field_names(CavitySpec), "cavity")
-    cavity = CavitySpec(
-        omega_c=_as_float(cavity_block.get("omega_c", omega_v / scale), "cavity.omega_c") * scale,
-        g=_as_float(cavity_block.get("g", DEFAULT_G_FACTOR * omega_v / scale), "cavity.g") * scale,
-        kappa=_as_float(cavity_block.get("kappa", DEFAULT_KAPPA), "cavity.kappa"),
-    )
-
-    bath_block = _as_block(raw.get("bath", {}), "bath")
-    _check_keys(bath_block, _field_names(BathSpec), "bath")
-    bath = BathSpec(
-        gamma=_as_float(bath_block.get("gamma", DEFAULT_GAMMA), "bath.gamma"),
-        eta=_as_float(bath_block.get("eta", DEFAULT_ETA), "bath.eta"),
-        omega_cut=_as_float(
-            bath_block.get("omega_cut", DEFAULT_OMEGA_CUT_FACTOR * omega_v / scale),
-            "bath.omega_cut",
-        )
-        * scale,
-        temperature=_as_float(bath_block.get("temperature", DEFAULT_TEMPERATURE), "bath.temperature"),
-    )
+    cavity = _spec(CavitySpec, _as_block(raw.get("cavity", {}), "cavity"), "cavity", omega_v, scale)
+    bath = _spec(BathSpec, _as_block(raw.get("bath", {}), "bath"), "bath", omega_v, scale)
 
     grid_block = _as_block(raw.get("grid", {}), "grid")
     _check_keys(grid_block, {"spacing", "start", "end", "points"}, "grid")
@@ -409,11 +366,11 @@ def _metadata(config: ScenarioConfig, rate_matrix: RateMatrix) -> Dict[str, Any]
 
 
 def _generator(config: ScenarioConfig, reactive: Optional[ReactiveRates]) -> Tuple[ReactiveRates, RateMatrix]:
-    """``config``'s generator on ``reactive``, or on a new reactive part if the network, the mode
-    basis (vsc: polariton/dark eigenmodes, else the identity rotation) or temperature differ."""
-    make_basis = build_mode_basis if config.regime_kind == "vsc" else bare_mode_basis
+    """``config``'s generator on ``reactive``, or on a new reactive part if the network, the
+    regime's mode basis or temperature differ."""
     try:
-        inputs = (config.network, make_basis(config.cavity, config.omega_v), config.bath.temperature)
+        basis = mode_basis(config.regime_kind, config.cavity, config.omega_v)
+        inputs = (config.network, basis, config.bath.temperature)
         if reactive is None or (reactive.network, reactive.basis, reactive.temperature) != inputs:
             reactive = reactive_rates(*inputs)
         return reactive, assemble_rate_matrix(reactive, config.cavity, config.bath, config.regime_kind)
@@ -470,7 +427,8 @@ def run_comparison(config: ScenarioConfig, regimes: Sequence[str]) -> List[Scena
 
 
 def _apply_sweep_value(base: ScenarioConfig, parameter: str, value: float) -> ScenarioConfig:
-    block = _SWEEP_BLOCKS[parameter]  # SweepSpec has checked the parameter
+    # the block whose spec has the field in _NUMBERS; SweepSpec has checked the parameter
+    block = next(f.name for f in fields(base) if parameter in _NUMBERS.get(type(getattr(base, f.name)), ()))
     try:
         return replace(base, **{block: replace(getattr(base, block), **{parameter: value})})
     except ValueError as exc:

@@ -28,6 +28,7 @@ __all__ = [
     "ModeBasis",
     "build_mode_basis",
     "bare_mode_basis",
+    "mode_basis",
     "mode_displacements",
     "state_energies",
     "VSC_MODE_LABELS",
@@ -116,6 +117,11 @@ def bare_mode_basis(cavity: CavitySpec, omega_v: float) -> ModeBasis:
         coefficients=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
         omega_v=omega_v,
     )
+
+
+def mode_basis(kind: str, cavity: CavitySpec, omega_v: float) -> ModeBasis:
+    """The basis a regime kind works in: the polariton eigenmodes under "vsc", else the identity."""
+    return (build_mode_basis if kind == "vsc" else bare_mode_basis)(cavity, omega_v)
 
 
 def mode_displacements(basis: ModeBasis, molecule: int, lam: float) -> Tuple[float, ...]:

@@ -30,18 +30,11 @@ __all__ = [
     "Trajectory",
     "LumpedStart",
     "lump_start",
-    "DEFAULT_GRID_START",
-    "DEFAULT_GRID_END",
-    "DEFAULT_GRID_POINTS",
     "propagate",
     "clamp_for_output",
     "ScalingCriterion",
     "vsc_scaling_criterion",
 ]
-
-DEFAULT_GRID_START = 0.1  # ps
-DEFAULT_GRID_END = 5.0e4  # ps
-DEFAULT_GRID_POINTS = 400
 
 CONSERVATION_TOL = 1e-9
 NEGATIVITY_TOL = -1e-10
@@ -370,6 +363,7 @@ def vsc_scaling_criterion(
     if k_r + k_d == 0.0:
         raise ValueError("k_r + k_d must be > 0")
     lhs = epsilon / n_molecules
-    rhs = k_d / (k_r + k_d)
+    half = 0.5 if k_r + k_d == np.inf else 1.0  # a sum past the largest double: halve both, exactly
+    rhs = (half * k_d) / (half * k_r + half * k_d)
     k_ssa = None if k_f is None else k_f * rhs
     return ScalingCriterion(modifiable=lhs >= rhs, lhs=lhs, rhs=rhs, k_ssa=k_ssa)

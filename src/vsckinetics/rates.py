@@ -141,7 +141,8 @@ def displacement_matrix_element(m_to: int, m_from: int, lam: float) -> float:
     with k = |m_to - m_from| and arg = lam for raising elements, -lam for
     lowering ones. The Laguerre value comes from the three-term upward
     recurrence and the factorial ratio from a running product of 1/sqrt, both
-    stable for the modest quantum numbers used here.
+    stable for the modest quantum numbers used here. Raises OverflowError where
+    that arithmetic overflows.
     """
     if m_to < 0 or m_from < 0:
         raise ValueError("occupation numbers must be non-negative")
@@ -160,7 +161,10 @@ def displacement_matrix_element(m_to: int, m_from: int, lam: float) -> float:
     prefactor = math.exp(-0.5 * x)
     for j in range(1, k + 1):
         prefactor *= arg / math.sqrt(n + j)
-    return prefactor * laguerre
+    element = prefactor * laguerre
+    if not math.isfinite(element):  # lam^2 or the Laguerre recurrence overflowed
+        raise OverflowError(f"<{m_to}|D({lam!r})|{m_from}> overflows")
+    return element
 
 
 def franck_condon(

@@ -1,6 +1,7 @@
 """Config loading, orchestration, deterministic export, and the CLI."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -19,7 +20,6 @@ from vsckinetics.cli import main
 from vsckinetics.config import (
     SWEEP_PARAMETERS,
     ConfigError,
-    DEFAULT_G_FACTOR,
     SweepSpec,
     bundled_config_path,
     config_fingerprint,
@@ -148,7 +148,7 @@ class TestSchema:
         config = config_from_dict({"species": [{"label": "A"}]})
         assert config.omega_v == 2000.0
         assert config.cavity.omega_c == 2000.0
-        assert config.cavity.g == pytest.approx(DEFAULT_G_FACTOR * 2000.0, rel=1e-15)
+        assert config.cavity.g == pytest.approx(0.03 / math.sqrt(2.0) * 2000.0, rel=1e-15)
         assert config.cavity.kappa == 1.0
         assert config.bath.gamma == 0.01
         assert config.bath.eta == 0.001
@@ -362,6 +362,24 @@ class TestFingerprint:
         assert set(config_fingerprint(a)) <= set("0123456789abcdef")
         changed = config_from_dict(fast_dict(cavity={"kappa": 0.5}))
         assert config_fingerprint(changed) != config_fingerprint(a)
+
+    @pytest.mark.parametrize(
+        "raw, fingerprint",
+        [
+            ("reaction1", "0787b3e64631b8664418dfed1202cad38e1c7c4abc3c2c418a1eea0af4999346"),
+            ("reaction2", "d5e4a6c45b65c96340d9abcf2144ad5f91610e5d9600ce0ada89eeda4be006cd"),
+            ("reaction3", "73fe6f97feafd3399e999b558e8122c8a0ec0065905fde05c9a45133083c56e8"),
+            ({"species": [{"label": "A"}]}, "819e0b468600bb4a8236f7d01d29a70fed5e2625e157fdceeed1014aff09dbf6"),
+            (
+                {"species": [{"label": "A"}], "energy_unit": "hbar_omega_v", "omega_v": 1650.0},
+                "a16ee58c1e9c8f84edc9991f19cdbd4db1ca8e058463ec82dd72cd0521ea1f3b",
+            ),
+        ],
+    )
+    def test_pinned(self, raw, fingerprint):
+        # every default and unit conversion to the last bit: a 1-ulp change moves the hash
+        config = load_config(bundled_config_path(raw)) if isinstance(raw, str) else config_from_dict(raw)
+        assert config_fingerprint(config) == fingerprint
 
     def test_effective_dict_round_trips(self, reaction1):
         rebuilt = config_from_dict(effective_config_dict(reaction1))
@@ -860,6 +878,13 @@ class TestCli:
         assert "k_ssa" in out
         assert repr(0.004 * 0.25) in out
 
+    def test_criterion_when_the_rates_sum_past_the_largest_double(self, capsys):
+        argv = ["criterion", "--epsilon", "0.1", "--n-molecules", "1", "--k-r", "1e308", "--k-d", "1e308"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "rhs (k_d/(k_r+k_d))  = 0.5\n" in out
+        assert "modifiable           = False\n" in out
+
     def test_criterion_invalid(self, capsys):
         assert main(
             ["criterion", "--epsilon", "1", "--n-molecules", "0.5", "--k-r", "1", "--k-d", "1"]
@@ -935,6 +960,21 @@ class TestCli:
         )
         assert code == 0
         assert "0.23714825526419478" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", ["element", "factor"])
+    def test_fcf_overflow_exits_3(self, tmp_path, capsys, mode):
+        # lam^2 overflows; the element has no value, so it is neither printed as nan nor as 0
+        if mode == "element":
+            argv = ["fcf", "--lam", "1e200", "--m-from", "2", "--m-to", "2"]
+        else:
+            raw = fast_dict(species=[{"label": "A"}, {"label": "B", "displacement": 1e200}])
+            (tmp_path / "big.json").write_text(json.dumps(raw))
+            argv = ["fcf", "--config", str(tmp_path / "big.json"), "--species-from", "A", "--species-to", "B",
+                    "--occ-from", "1,0,0", "--occ-to", "1,0,0"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure:") and "overflows" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("flag", ["--species-from", "--species-to"])
     def test_fcf_unknown_species_exits_2(self, capsys, flag):

@@ -9,6 +9,7 @@ from vsckinetics.eigenmodes import (
     CavitySpec,
     bare_mode_basis,
     build_mode_basis,
+    mode_basis,
     mode_displacements,
     state_energies,
 )
@@ -107,6 +108,14 @@ def test_cavity_spec_validation():
         build_mode_basis(CavitySpec(omega_c=2000.0, g=1.0, kappa=1.0), 0.0)
     with pytest.raises(ValueError):
         bare_mode_basis(CavitySpec(omega_c=2000.0, g=1.0, kappa=1.0), 0.0)
+
+
+@pytest.mark.parametrize(
+    "kind, make_basis", [("vsc", build_mode_basis), ("weak", bare_mode_basis), ("bare", bare_mode_basis)]
+)
+def test_each_regime_kind_has_one_basis(kind, make_basis):
+    cavity = CavitySpec(omega_c=2100.0, g=42.0, kappa=1.0)
+    assert mode_basis(kind, cavity, OMEGA_V) == make_basis(cavity, OMEGA_V)
 
 
 def test_bare_basis_is_identity_rotation():

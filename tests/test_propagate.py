@@ -15,11 +15,15 @@ from scipy.sparse.csgraph import connected_components
 from conftest import STIFF_REDUCIBLE, mpmath_doubling_populations, swapped_label, with_regime
 from test_properties import OMEGA_V, configs
 from vsckinetics import propagate as propagate_module
-from vsckinetics.config import build_generator, config_from_dict, run_scenario
-from vsckinetics.propagate import (
+from vsckinetics.config import (
     DEFAULT_GRID_END,
     DEFAULT_GRID_POINTS,
     DEFAULT_GRID_START,
+    build_generator,
+    config_from_dict,
+    run_scenario,
+)
+from vsckinetics.propagate import (
     EIGENBASIS_COND_LIMIT,
     NumericalError,
     TimeGrid,
@@ -660,6 +664,17 @@ class TestScalingCriterion:
         res = vsc_scaling_criterion(1.0, 1.0e6, 2.0e9, 2.0)
         assert res.rhs == pytest.approx(1.0 / (1.0e9 + 1.0), rel=1e-12)
         assert res.modifiable is True
+
+    @pytest.mark.parametrize("k_r, k_d, rhs", [(1e308, 1e308, 0.5), (1.5e308, 0.5e308, 0.25), (1.7e308, 1e307, 1 / 18)])
+    def test_rates_whose_sum_overflows(self, k_r, k_d, rhs):
+        # k_r + k_d is past the largest double; the branching fraction is not
+        res = vsc_scaling_criterion(0.1, 1.0, k_r, k_d)
+        assert res.rhs == pytest.approx(rhs, rel=1e-15)
+        assert res.modifiable is (0.1 >= rhs)
+
+    def test_finite_sum_keeps_the_formula(self):
+        for k_r, k_d in ((3.0, 1.0), (0.1, 0.7), (8.9e307, 8.9e307)):
+            assert vsc_scaling_criterion(1.0, 2.0, k_r, k_d).rhs == k_d / (k_r + k_d)
 
     def test_steady_state_rate(self):
         res = vsc_scaling_criterion(1.0, 2.0, 3.0, 1.0, k_f=0.004)

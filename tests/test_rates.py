@@ -133,6 +133,16 @@ class TestDisplacementElement:
         assert displacement_matrix_element(2, 2, 0.0) == 1.0
         assert displacement_matrix_element(1, 0, 0.0) == 0.0
 
+    @pytest.mark.parametrize("m_to, m_from, lam", [(2, 2, 1e200), (1, 1, 1e200), (3, 1, -1e155), (40, 40, 1e153)])
+    def test_overflow_raises(self, m_to, m_from, lam):
+        # lam^2 or the Laguerre recurrence overflows and exp(-lam^2/2) = 0 multiplies it: no value, not 0
+        with pytest.raises(OverflowError, match="overflows"):
+            displacement_matrix_element(m_to, m_from, lam)
+
+    def test_underflow_is_zero(self):
+        # exp(-lam^2/2) underflows for the ground state, whose element is exactly that
+        assert displacement_matrix_element(0, 0, 1e200) == 0.0
+
     def test_negative_occupation_rejected(self):
         with pytest.raises(ValueError):
             displacement_matrix_element(-1, 0, 1.0)
