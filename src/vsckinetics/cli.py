@@ -31,7 +31,7 @@ from .config import (
 )
 from .eigenmodes import mode_basis, mode_displacements
 from .propagate import NumericalError, vsc_scaling_criterion
-from .rates import displacement_matrix_element, franck_condon
+from .rates import MAX_OCCUPATION, displacement_matrix_element, franck_condon
 
 __all__ = ["main", "build_parser"]
 
@@ -44,6 +44,12 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
+
+
+def _occupation(text: str) -> int:
+    if not (text.strip().isdecimal() and int(text) <= MAX_OCCUPATION):
+        raise argparse.ArgumentTypeError(f"expected an occupation in 0..{MAX_OCCUPATION}, got {text!r}")
+    return int(text)
 
 
 def _csv_of(kind: Callable[[str], Any], what: str) -> Callable[[str], List[Any]]:
@@ -101,15 +107,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fcf = sub.add_parser("fcf", help="displacement matrix elements / Franck-Condon factors")
     p_fcf.add_argument("--lam", type=_finite_float, default=None, help="displacement for a single matrix element")
-    p_fcf.add_argument("--m-from", type=int, default=0, help="initial occupation")
-    p_fcf.add_argument("--m-to", type=int, default=0, help="final occupation")
+    p_fcf.add_argument("--m-from", type=_occupation, default=0, help="initial occupation")
+    p_fcf.add_argument("--m-to", type=_occupation, default=0, help="final occupation")
     p_fcf.add_argument("--config", default=None, help="scenario config for a full multimode factor")
     p_fcf.add_argument("--regime", choices=("bare", "vsc"), default="vsc", help="basis for the factor")
     p_fcf.add_argument("--molecule", type=int, default=1, help="reacting molecule (1-based)")
     p_fcf.add_argument("--species-from", default=None, help="initial species label")
     p_fcf.add_argument("--species-to", default=None, help="final species label")
-    p_fcf.add_argument("--occ-from", type=_csv_of(int, "integers"), default=None, help="initial occupations, e.g. 0,0,0")
-    p_fcf.add_argument("--occ-to", type=_csv_of(int, "integers"), default=None, help="final occupations, e.g. 1,0,0")
+    p_fcf.add_argument("--occ-from", type=_csv_of(_occupation, "integers"), default=None, help="initial occupations, e.g. 0,0,0")
+    p_fcf.add_argument("--occ-to", type=_csv_of(_occupation, "integers"), default=None, help="final occupations, e.g. 1,0,0")
     p_fcf.set_defaults(func=_cmd_fcf)
 
     return parser

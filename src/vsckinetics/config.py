@@ -20,10 +20,9 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .eigenmodes import CavitySpec, mode_basis
+from .eigenmodes import VSC_MODE_LABELS, CavitySpec, mode_basis
 from .propagate import NumericalError, TimeGrid, Trajectory, clamp_for_output, lump_start, propagate
-from .rates import REGIME_KINDS, BathSpec, RateMatrix, ReactiveRates, assemble_rate_matrix, effective_coupling
-from .rates import reactive_rates
+from .rates import REGIME_KINDS, BathSpec, RateMatrix, assemble_rate_matrix, effective_coupling, reactive_rates
 from .states import MOLECULES, CouplingSpec, ReactionNetwork, SpeciesSpec, initial_distribution
 from .units import ANGULAR_PER_WAVENUMBER, HBAR, KB, SPEED_OF_LIGHT_CM_PER_PS
 
@@ -345,14 +344,13 @@ def _sha256(effective: Dict[str, Any]) -> str:
 
 
 def _metadata(config: ScenarioConfig, rate_matrix: RateMatrix) -> Dict[str, Any]:
-    kind = config.regime_kind
     effective = effective_config_dict(config)
     return {
         "config": effective,
         "fingerprint": _sha256(effective),
         "derived": {
-            "g_effective": effective_coupling(kind, config.cavity.g),
-            "basis": "vsc" if kind == "vsc" else "bare",
+            "g_effective": effective_coupling(config.regime_kind, config.cavity.g),
+            "basis": "vsc" if rate_matrix.states.modes == VSC_MODE_LABELS else "bare",
             "state_count": len(rate_matrix.states),
             "state_labels": list(rate_matrix.states.labels()),
         },
@@ -365,41 +363,34 @@ def _metadata(config: ScenarioConfig, rate_matrix: RateMatrix) -> Dict[str, Any]
     }
 
 
-def _generator(config: ScenarioConfig, reactive: Optional[ReactiveRates]) -> Tuple[ReactiveRates, RateMatrix]:
-    """``config``'s generator on ``reactive``, or on a new reactive part if the network, the
-    regime's mode basis or temperature differ."""
+def build_generator(config: ScenarioConfig) -> RateMatrix:
+    """The generator of ``config``: the regime's mode basis, then the reactive part the process
+    shares between equal networks, bases and temperatures (``reactive_rates``), then the rest."""
     try:
         basis = mode_basis(config.regime_kind, config.cavity, config.omega_v)
-        inputs = (config.network, basis, config.bath.temperature)
-        if reactive is None or (reactive.network, reactive.basis, reactive.temperature) != inputs:
-            reactive = reactive_rates(*inputs)
-        return reactive, assemble_rate_matrix(reactive, config.cavity, config.bath, config.regime_kind)
+        reactive = reactive_rates(config.network, basis, config.bath.temperature)
+        return assemble_rate_matrix(reactive, config.cavity, config.bath, config.regime_kind)
     except OverflowError as exc:
         raise NumericalError(f"scenario {config.name!r}: overflow building the generator") from exc
 
 
-def build_generator(config: ScenarioConfig) -> RateMatrix:
-    """Choose the regime's mode basis and assemble the generator over its states."""
-    return _generator(config, None)[1]
-
-
 def _run(variants: Iterable[Tuple[str, ScenarioConfig]]) -> List[ScenarioResult]:
-    """Run labelled configs in order, each part built again only when an input it reads changed.
-
-    A generator bit-identical to the last one on the same start takes a copy of its populations,
-    in the same memory layout so that products derived from them sum in the same order.
+    """Run labelled configs in order. The reactive part and its states come from the process-wide
+    cache of ``reactive_rates``; the thermal start is lumped again only when the states,
+    temperature, grid or reactant differ from the run before, and a generator bit-identical to the
+    one before on the same start takes a copy of its populations.
     """
     results: List[ScenarioResult] = []
-    reactive = start = None
+    start = None
     for label, config in variants:
-        reactive, rate_matrix = _generator(config, reactive)
+        rate_matrix = build_generator(config)
         last = results[-1] if results else None
-        inputs = (reactive.states, rate_matrix.temperature, config.grid, config.reactant)
+        inputs = (rate_matrix.states, rate_matrix.temperature, config.grid, config.reactant)
         if last is None or (start.states, start.temperature, start.grid, last.config.reactant) != inputs:
-            p0 = initial_distribution(reactive.states, config.reactant, config.bath.temperature)
+            p0 = initial_distribution(rate_matrix.states, config.reactant, config.bath.temperature)
             start, last = lump_start(rate_matrix, p0, config.grid), None
         if last is not None and np.array_equal(rate_matrix.matrix, last.rate_matrix.matrix):
-            populations = last.trajectory.state_populations.copy(order="K")
+            populations = last.trajectory.state_populations.copy()
             trajectory = replace(last.trajectory, state_populations=populations)
         else:
             trajectory = propagate(rate_matrix, start)
@@ -416,7 +407,7 @@ def run_comparison(config: ScenarioConfig, regimes: Sequence[str]) -> List[Scena
     """Run the same scenario under several regimes on a shared grid.
 
     Every regime is validated before the first run starts. Bare and weak share
-    the reactive part of the generator and the thermal start; vsc builds its own.
+    the reactive part of the generator and the thermal start; vsc has its own.
     """
     if not regimes:
         raise ConfigError("comparison needs at least one regime")
@@ -438,10 +429,11 @@ def _apply_sweep_value(base: ScenarioConfig, parameter: str, value: float) -> Sc
 def run_sweep(sweep: SweepSpec) -> List[ScenarioResult]:
     """Run the base scenario once per sweep value, in the order given; a value is checked in its turn.
 
-    The states, the reactive part of the generator and the thermal start are built once for a
-    kappa, gamma or eta sweep and a bare or weak g sweep, and per value for a vsc g sweep, whose
-    mode basis reads g. Values that leave the generator bit-identical (eta under bare or weak, g
-    under bare) propagate it once.
+    The thermal start is lumped once for a kappa, gamma or eta sweep and a bare or weak g sweep,
+    and per value for a vsc g sweep, whose mode basis reads g. The reactive part and its states
+    are built at most once per process for those inputs (``reactive_rates``), so a second sweep
+    over the same network, basis and temperature builds none. Values that leave the generator
+    bit-identical (eta under bare or weak, g under bare) propagate it once.
     """
     return _run(
         (f"{sweep.parameter}={value!r}", _apply_sweep_value(sweep.base, sweep.parameter, value))

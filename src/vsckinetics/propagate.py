@@ -108,7 +108,8 @@ class Trajectory:
 
     @cached_property
     def species_populations(self) -> np.ndarray:
-        return self.state_populations @ self.states.counts()
+        # one memory layout, so that the BLAS product sums in one order whatever the array's own
+        return np.asfortranarray(self.state_populations) @ self.states.counts()
 
     def species_series(self, label: str) -> np.ndarray:
         """Raw molecule count N_phi(t)."""

@@ -22,11 +22,11 @@ pair and direction, one P x P Franck-Condon matrix fills molecule 1's cells
 for every spectator species at once, and molecule 2's cells are their exact
 image under the exchange of the two molecules. That reactive part
 (``reactive_rates``) reads only the network, the mode basis and the
-temperature, so generators that differ in nothing else share it. Loss, gain
-and bath exchange stay inside a configuration: ``assemble_rate_matrix`` adds
-one block from ``mode_block`` to every diagonal cell of a copy. K commutes
-with the exchange, the state permutation ``StateSpace.exchange`` that the
-propagator lumps on.
+temperature, so it is memoized per process: generators over equal inputs
+share it, its states included. Loss, gain and bath exchange stay inside a
+configuration: ``assemble_rate_matrix`` adds one block from ``mode_block`` to
+every diagonal cell of a copy. K commutes with the exchange, the state
+permutation ``StateSpace.exchange`` that the propagator lumps on.
 
 Rates are in ps^-1, energies in cm^-1. The generator K is column-conservative:
 K[j][i] is the rate i -> j and each diagonal entry carries minus its column's
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 from typing import Optional, Sequence
 
@@ -56,6 +57,7 @@ __all__ = [
     "BathSpec",
     "RateMatrix",
     "REGIME_KINDS",
+    "MAX_OCCUPATION",
     "WEAK_COUPLING_DIVISOR",
     "displacement_matrix_element",
     "franck_condon",
@@ -70,6 +72,8 @@ __all__ = [
 
 REGIME_KINDS = ("bare", "weak", "vsc")
 WEAK_COUPLING_DIVISOR = 100.0
+MAX_OCCUPATION = 100  # the model holds at most one quantum; element recurrences take O(m) steps
+REACTIVE_CACHE_SIZE = 32  # reactive parts kept per process, ~10 kB each at 36 states
 # column sums of the same rates in another order: a few ulps of each entry
 EXCHANGE_RTOL = 64 * np.finfo(float).eps
 
@@ -141,11 +145,12 @@ def displacement_matrix_element(m_to: int, m_from: int, lam: float) -> float:
     with k = |m_to - m_from| and arg = lam for raising elements, -lam for
     lowering ones. The Laguerre value comes from the three-term upward
     recurrence and the factorial ratio from a running product of 1/sqrt, both
-    stable for the modest quantum numbers used here. Raises OverflowError where
-    that arithmetic overflows.
+    stable for occupations in 0..MAX_OCCUPATION; others raise ValueError.
+    Raises OverflowError where that arithmetic overflows.
     """
-    if m_to < 0 or m_from < 0:
-        raise ValueError("occupation numbers must be non-negative")
+    for name, m in (("m_to", m_to), ("m_from", m_from)):
+        if not 0 <= m <= MAX_OCCUPATION:
+            raise ValueError(f"{name} must be a non-negative occupation of at most {MAX_OCCUPATION}, got {m}")
     n = min(m_to, m_from)
     k = abs(m_to - m_from)
     arg = lam if m_to >= m_from else -lam
@@ -183,8 +188,8 @@ def franck_condon(
     does not displace keeps its occupation or the factor is 0.
     """
     to, frm = np.array(occ_to), np.array(occ_from)
-    if min(to.min(), frm.min()) < 0:
-        raise ValueError("occupation numbers must be non-negative")
+    if min(to.min(), frm.min()) < 0 or max(to.max(), frm.max()) > MAX_OCCUPATION:
+        raise ValueError(f"occupation numbers must be non-negative and at most {MAX_OCCUPATION}")
     levels = int(max(to.max(), frm.max())) + 1
     amp = np.ones((len(to), len(frm)))
     for q, (a, b) in enumerate(zip(lam_from, lam_to)):
@@ -287,19 +292,21 @@ def purcell_exchange_rate(
 class ReactiveRates:
     """The reactive part of every generator over one network, mode basis and temperature."""
 
-    network: ReactionNetwork
     basis: ModeBasis
     temperature: float  # K
     states: StateSpace
     matrix: np.ndarray  # read-only, K's layout; no diagonal
 
 
+@lru_cache(maxsize=REACTIVE_CACHE_SIZE)
 def reactive_rates(network: ReactionNetwork, basis: ModeBasis, temperature: float) -> ReactiveRates:
     """The reactive part of the generators of ``network`` over the modes of ``basis``.
 
     The states are ``enumerate_states(network, basis)``, so K reshapes to
     (S, S, P, S, S, P): destination species of molecules 1 and 2 and pattern,
-    then the same for the source.
+    then the same for the source. Memoized on the three values, the last
+    REACTIVE_CACHE_SIZE kept: equal inputs, -0.0 for 0.0 included, share one
+    read-only part, states and all, with the bits each would build.
     """
     space = enumerate_states(network, basis)
     patterns = occupation_patterns(len(basis.labels))
@@ -326,7 +333,7 @@ def reactive_rates(network: ReactionNetwork, basis: ModeBasis, temperature: floa
     R = R.reshape(S * S * P, S * S * P)
     matrix = R + R[space.exchange][:, space.exchange]
     matrix.flags.writeable = False
-    return ReactiveRates(network, basis, temperature, space, matrix)
+    return ReactiveRates(basis, temperature, space, matrix)
 
 
 def assemble_rate_matrix(reactive: ReactiveRates, cavity: CavitySpec, bath: BathSpec, kind: str) -> RateMatrix:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from vsckinetics.config import (
 )
 from vsckinetics.eigenmodes import CavitySpec
 from vsckinetics.propagate import TimeGrid
-from vsckinetics.rates import REGIME_KINDS, BathSpec
+from vsckinetics.rates import REGIME_KINDS, BathSpec, reactive_rates
 from vsckinetics.states import CouplingSpec, SpeciesSpec
 
 BLOCK_SPECS = {"species": SpeciesSpec, "couplings": CouplingSpec, "cavity": CavitySpec, "bath": BathSpec}
@@ -77,10 +78,10 @@ def assert_identical_runs(runs, reference, tmp_path):
 
 
 def count_calls(monkeypatch):
-    """Calls of the parts a sweep may share: states, reactive part, start, propagation."""
+    """Calls of the parts a sweep may share: states (one per reactive part built), start, propagation."""
     calls = {}
-    for module, name in ((rates_module, "enumerate_states"), (config_module, "reactive_rates"),
-                         (config_module, "lump_start"), (config_module, "propagate")):
+    for module, name in ((rates_module, "enumerate_states"), (config_module, "lump_start"),
+                         (config_module, "propagate")):
         def counted(*args, original=getattr(module, name), name=name):
             calls[name] = calls.get(name, 0) + 1
             return original(*args)
@@ -489,16 +490,31 @@ class TestOrchestration:
         ],
     )
     def test_shared_parts_are_built_once(self, monkeypatch, kind, parameter, builds, propagations):
+        reactive_rates.cache_clear()
         calls = count_calls(monkeypatch)
         base = config_from_dict(fast_dict(regime=kind))
         run_sweep(SweepSpec(parameter=parameter, values=SWEEP_VALUES[parameter], base=base))
-        assert calls == {"enumerate_states": builds, "reactive_rates": builds, "lump_start": builds,
-                         "propagate": propagations}
+        assert calls == {"enumerate_states": builds, "lump_start": builds, "propagate": propagations}
+        assert reactive_rates.cache_info().misses == builds
 
     def test_comparison_shares_the_bare_basis(self, monkeypatch):
+        reactive_rates.cache_clear()
         calls = count_calls(monkeypatch)
         run_comparison(config_from_dict(fast_dict()), ["bare", "weak", "vsc"])
-        assert calls == {"enumerate_states": 2, "reactive_rates": 2, "lump_start": 2, "propagate": 3}
+        assert calls == {"enumerate_states": 2, "lump_start": 2, "propagate": 3}
+        assert reactive_rates.cache_info().misses == 2
+
+    @pytest.mark.parametrize("kind", REGIME_KINDS)
+    def test_a_second_sweep_builds_no_reactive_part(self, monkeypatch, tmp_path, kind):
+        # equal inputs, built separately: the second sweep shares the first one's parts and states
+        sweep = SweepSpec(parameter="g", values=SWEEP_VALUES["g"], base=config_from_dict(fast_dict(regime=kind)))
+        first = run_sweep(sweep)
+        calls = count_calls(monkeypatch)
+        misses = reactive_rates.cache_info().misses
+        again = run_sweep(replace(sweep, base=config_from_dict(fast_dict(regime=kind))))
+        assert "enumerate_states" not in calls and reactive_rates.cache_info().misses == misses
+        assert all(a.rate_matrix.states is b.rate_matrix.states for a, b in zip(first, again))
+        assert_identical_runs(again, first, tmp_path)
 
     def test_sweep_value_validation(self):
         config = config_from_dict(fast_dict())
@@ -507,6 +523,20 @@ class TestOrchestration:
 
 
 class TestExport:
+    @pytest.mark.parametrize("name", ["reaction1", "reaction3"])
+    @pytest.mark.parametrize("kind", REGIME_KINDS)
+    def test_memory_layout_of_the_populations_is_unobservable(self, tmp_path, name, kind):
+        result = run_scenario(replace(load_config(bundled_config_path(name)), regime_kind=kind))
+        populations = result.trajectory.state_populations
+        c_ordered = np.ascontiguousarray(populations)
+        assert populations.flags.f_contiguous and not np.shares_memory(c_ordered, populations)
+        copied = replace(result, trajectory=replace(result.trajectory, state_populations=c_ordered))
+        assert copied.trajectory.species_populations.tobytes() == result.trajectory.species_populations.tobytes()
+        for fmt in ("csv", "json"):
+            (written,), (expected,) = (export([r], fmt, tmp_path / side / f"out.{fmt}")
+                                       for side, r in (("copied", copied), ("propagated", result)))
+            assert written.read_bytes() == expected.read_bytes()
+
     def test_csv_layout(self, tmp_path):
         result = run_scenario(config_from_dict(fast_dict()))
         out = tmp_path / "run.csv"
@@ -933,6 +963,17 @@ class TestCli:
         assert done.returncode == 2
         assert "--epsilon" in done.stderr and "Traceback" not in done.stderr
         assert done.stdout == ""
+
+    @pytest.mark.parametrize("flag", ["--m-to", "--m-from"])
+    def test_fcf_rejects_a_huge_occupation_at_once(self, capsys, flag):
+        began = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["fcf", "--lam", "1", "--m-from", "0", "--m-to", "0", flag, "3000000"])
+        assert time.perf_counter() - began < 0.1
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: expected an occupation in 0..100, got '3000000'" in captured.err
+        assert captured.out == ""
 
     def test_fcf_element(self, capsys):
         assert main(["fcf", "--lam", "1.5", "--m-to", "1"]) == 0

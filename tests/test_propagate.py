@@ -208,9 +208,17 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(r1_vsc, lump_start(r1_vsc, signed, grid))
 
-    def test_start_must_match_the_generator(self, reaction1, r1_vsc, r1_vsc_p0):
-        start = lump_start(r1_vsc, r1_vsc_p0, TimeGrid.linear(0.0, 1.0, 2))
-        for other in (build_generator(with_regime(reaction1, "vsc")), replace(r1_vsc, temperature=None)):
+    def test_start_must_match_the_generator(self, reaction1, r1_vsc_p0):
+        vsc = build_generator(with_regime(reaction1, "vsc"))
+        start = lump_start(vsc, r1_vsc_p0, TimeGrid.linear(0.0, 1.0, 2))
+        # a second build of an equal config shares the states, so the start serves it
+        again = build_generator(with_regime(reaction1, "vsc"))
+        assert again.states is vsc.states
+        propagate(again, start)
+        # the bare regime has as many states, over other modes
+        bare = build_generator(with_regime(reaction1, "bare"))
+        assert len(bare.states) == len(vsc.states) and bare.states.modes != vsc.states.modes
+        for other in (bare, replace(vsc, temperature=None)):
             with pytest.raises(ValueError, match="lumped for other states or another temperature"):
                 propagate(other, start)
 

@@ -13,11 +13,14 @@ Nonzero displacements reach down to 1e-160, whose one-quantum factors fall
 below the smallest normal double, so reactive pairs that underflow are drawn.
 Propagated trajectories must conserve probability under all three regimes,
 and a config with one wrong field must be rejected by name, both at load and
-through the CLI.
+through the CLI. The process-wide cache of reactive parts must serve a
+network, basis and temperature equal in value to a cached one, -0.0 for 0.0
+included, with the bits a fresh build gives.
 """
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -40,8 +43,9 @@ from vsckinetics.config import (
     export,
     run_scenario,
 )
+from vsckinetics.eigenmodes import mode_basis
 from vsckinetics.propagate import CONSERVATION_TOL, NEGATIVITY_TOL
-from vsckinetics.rates import REGIME_KINDS
+from vsckinetics.rates import REACTIVE_CACHE_SIZE, REGIME_KINDS, reactive_rates
 from vsckinetics.units import thermal_energy
 
 OMEGA_V = 2000.0
@@ -117,6 +121,46 @@ def test_generator_invariants(raw):
     assert np.array_equal(swapped - np.diag(np.diag(swapped)), off)
     # the diagonal sums the same rates in another order
     assert np.all(np.abs(np.diag(swapped) - np.diag(K)) <= 4 * np.finfo(float).eps * -np.diag(K))
+
+
+def arrays_reachable(obj):
+    """Every numpy array among the fields, and cached properties read so far, of nested dataclasses."""
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            yield value
+        elif dataclasses.is_dataclass(value):
+            yield from arrays_reachable(value)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(configs(), st.data())
+def test_cached_reactive_part_is_a_fresh_build(raw, data):
+    # a twin equal in value, built separately, with some zeros signed the other way
+    twin = copy.deepcopy(raw)
+    for entry, other in zip(raw["species"], twin["species"]):
+        for key in ("energy", "displacement"):
+            if data.draw(st.booleans()):
+                entry[key], other[key] = data.draw(st.sampled_from([(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)]))
+    if twin["cavity"]["g"] == 0.0:
+        twin["cavity"]["g"] = -0.0
+    parts, keys = [], []
+    for config in map(config_from_dict, (raw, twin)):
+        basis = mode_basis(config.regime_kind, config.cavity, config.omega_v)
+        inputs = (config.network, basis, config.bath.temperature)
+        keys.append(inputs)
+        cached, fresh = reactive_rates(*inputs), reactive_rates.__wrapped__(*inputs)
+        assert (cached.basis, cached.temperature) == inputs[1:]
+        assert cached.states.exchange.tobytes() == fresh.states.exchange.tobytes()
+        for field in ("species", "modes", "mode_swap"):
+            assert getattr(cached.states, field) == getattr(fresh.states, field)
+        assert cached.states.energies.tobytes() == fresh.states.energies.tobytes()
+        assert cached.matrix.tobytes() == fresh.matrix.tobytes()
+        assert not any(array.flags.writeable for array in arrays_reachable(cached))
+        parts.append(cached)
+    assert keys[1][0] == keys[0][0]
+    # below resonance, g = -0.0 picks the other branch of the mixing angle: rows of opposite sign
+    assert (parts[1] is parts[0]) == (keys[1] == keys[0])
+    assert reactive_rates.cache_info().maxsize == REACTIVE_CACHE_SIZE == 32
 
 
 def in_units_of_omega_v(raw):

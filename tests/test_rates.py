@@ -27,6 +27,7 @@ from vsckinetics.eigenmodes import (
 )
 from vsckinetics.rates import (
     EXCHANGE_RTOL,
+    MAX_OCCUPATION,
     REGIME_KINDS,
     BathSpec,
     RateMatrix,
@@ -148,6 +149,16 @@ class TestDisplacementElement:
             displacement_matrix_element(-1, 0, 1.0)
         with pytest.raises(ValueError):
             displacement_matrix_element(0, -2, 1.0)
+
+    def test_occupations_are_bounded(self):
+        assert displacement_matrix_element(MAX_OCCUPATION, MAX_OCCUPATION - 1, 0.5) != 0.0
+        for m_to, m_from, name in ((MAX_OCCUPATION + 1, 0, "m_to"), (0, 3_000_000, "m_from")):
+            with pytest.raises(ValueError, match=f"^{name} must be a non-negative occupation of at most 100, got"):
+                displacement_matrix_element(m_to, m_from, 1.0)
+        lam = (0.0, 0.5, 0.0)
+        for to, frm in (((0, 3_000_000, 0), (0, 0, 0)), ((0, 0, 0), (MAX_OCCUPATION + 1, 0, 0))):
+            with pytest.raises(ValueError, match="^occupation numbers must be non-negative and at most 100$"):
+                franck_condon([to], [frm], (0.0, 0.0, 0.0), lam)
 
 
 @pytest.fixture(scope="module")
