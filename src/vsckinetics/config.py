@@ -459,28 +459,88 @@ def _csv_text(result: ScenarioResult) -> str:
     return "\n".join([f"# fingerprint={result.metadata['fingerprint']}", ",".join(header), *rows, ""])
 
 
+_ARRAY = object()  # where a float array goes in a run's JSON object
+
+
 def _json_run(result: ScenarioResult) -> Dict[str, Any]:
+    """The run's JSON object with ``_ARRAY`` in place of each array of ``_json_arrays``."""
     traj = result.trajectory
-    times, state_pop, species_pop, fractions = _columns(traj)
     return {
         "label": result.label,
         "fingerprint": result.metadata["fingerprint"],
         "metadata": result.metadata,
-        "time_ps": times.tolist(),
+        "time_ps": _ARRAY,
         "states": list(traj.states.labels()),
-        "state_populations": state_pop.tolist(),
-        "species": {
-            lab: {"raw": raw, "normalized": normalized}
-            for lab, raw, normalized in zip(traj.species_labels, species_pop.T.tolist(), fractions.T.tolist())
-        },
+        "state_populations": _ARRAY,
+        "species": {lab: {"raw": _ARRAY, "normalized": _ARRAY} for lab in traj.species_labels},
     }
+
+
+def _json_arrays(result: ScenarioResult) -> List[np.ndarray]:
+    """The run's arrays in the order ``_json_run`` holds their places."""
+    times, state_pop, species_pop, fractions = _columns(result.trajectory)
+    return [times, state_pop, *(column for pair in zip(species_pop.T, fractions.T) for column in pair)]
+
+
+def _json_pieces(payload: Dict[str, Any]) -> List[str]:
+    """``json.dumps(payload, indent=2)`` cut at each ``_ARRAY``, which is left out.
+
+    Each ``_ARRAY`` is dumped as a string of NULs, lengthened until the text holds it exactly once
+    per ``_ARRAY``: a config name may hold any character, so a shorter one could also end a name.
+    """
+    marker = "\x00"
+    while True:
+        holes = []
+
+        def hole(obj: Any) -> str:
+            if obj is not _ARRAY:
+                return json.JSONEncoder().default(obj)  # raises json's own TypeError
+            holes.append(obj)
+            return marker
+
+        pieces = json.dumps(payload, indent=2, default=hole).split(json.dumps(marker))
+        if len(pieces) == len(holes) + 1:
+            return pieces
+        marker += "\x00"
+
+
+def _array_text(values: List[Any], indent: str) -> str:
+    """A list of floats, or of lists of them, as ``json.dumps(indent=2)`` spells it at ``indent``."""
+    if not values:
+        return "[]"
+    inner = indent + "  "
+    if isinstance(values[0], list):
+        body = f",\n{inner}".join(_array_text(row, inner) for row in values)
+    else:  # a list's str() spells each float with float.__repr__, and no float repr holds ", "
+        body = str(values)[1:-1].replace(", ", f",\n{inner}")
+    return f"[\n{inner}{body}\n{indent}]"
+
+
+def _write_json(results: Sequence[ScenarioResult], out_path: Path) -> None:
+    """Write the bytes of ``json.dumps(payload, indent=2) + "\\n"`` one array at a time.
+
+    The metadata of every run is dumped first, with holes where the arrays go. A run's arrays are
+    derived only when the writer reaches its first hole, so one run's arrays are alive at a time.
+    """
+    pieces = _json_pieces({"format_version": 1, "runs": [_json_run(r) for r in results]})
+    arrays = (array for result in results for array in _json_arrays(result))
+    with out_path.open("w") as stream:
+        stream.write(pieces[0])
+        for before, array, piece in zip(pieces[:-1], arrays, pieces[1:], strict=True):
+            line = before.rpartition("\n")[2]
+            text = _array_text(array.tolist(), line[: len(line) - len(line.lstrip(" "))])
+            stream.write(text.replace("nan", "NaN").replace("inf", "Infinity"))
+            stream.write(piece)
+        stream.write("\n")
 
 
 def export(results: Sequence[ScenarioResult], fmt: str, out_path: str | Path) -> List[Path]:
     """Write results deterministically; returns the written paths.
 
-    "json" always produces one file holding every run. "csv" produces one
-    file per run: a single run lands exactly at ``out_path``, several runs
+    "json" always produces one file holding every run, the bytes of ``json.dumps(payload,
+    indent=2)`` and a newline. It is streamed one float array at a time, and a run's arrays are
+    derived only when the writer reaches them, so memory does not grow with the number of runs.
+    "csv" produces one file per run: a single run lands exactly at ``out_path``, several runs
     land at ``<stem>_<label><suffix>`` next to it.
     """
     if fmt not in ("csv", "json"):
@@ -491,8 +551,7 @@ def export(results: Sequence[ScenarioResult], fmt: str, out_path: str | Path) ->
     try:
         out_path.parent.mkdir(parents=True, exist_ok=True)
         if fmt == "json":
-            payload = {"format_version": 1, "runs": [_json_run(r) for r in results]}
-            out_path.write_text(json.dumps(payload, indent=2) + "\n")
+            _write_json(results, out_path)
             return [out_path]
         suffix = out_path.suffix or ".csv"
         targets = [out_path] if len(results) == 1 else [

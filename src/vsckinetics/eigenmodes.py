@@ -56,6 +56,8 @@ class CavitySpec:
             raise ValueError(f"g must be >= 0, got {self.g}")
         if self.kappa < 0.0:
             raise ValueError(f"kappa must be >= 0, got {self.kappa}")
+        # -0.0 passes the check; below resonance it would swap the signs of the "+" and "-" modes
+        object.__setattr__(self, "g", abs(self.g))
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,8 @@ class CouplingSpec:
     lambda_s: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.pair, tuple):
+            raise ValueError(f"coupling pair must be a tuple, got {type(self.pair).__name__}")
         if len(self.pair) != 2 or self.pair[0] == self.pair[1]:
             raise ValueError(f"coupling pair must name two distinct species, got {self.pair}")
         if self.J != 0.0 and self.lambda_s <= 0.0:
@@ -86,6 +88,10 @@ class ReactionNetwork:
     couplings: Tuple[CouplingSpec, ...] = ()
 
     def __post_init__(self) -> None:
+        for field in ("species", "couplings"):  # a network keys the cache of its reactive part
+            value = getattr(self, field)
+            if not isinstance(value, tuple):
+                raise ValueError(f"network {field} must be a tuple, got {type(value).__name__}")
         if not self.species:
             raise ValueError("network needs at least one species")
         labels = [s.label for s in self.species]

@@ -7,13 +7,15 @@ rate matrix, the reference assembly fills the generator pair by pair
 from the state labels with every rate law written out as scalar arithmetic
 instead of block by block, the reference energy
 sums one configuration's terms in plain Python instead of one array
-expression, and the high-precision propagator exponentiates the full,
-unlumped generator in mpmath. Tests compare the two routes instead of
-trusting either alone.
+expression, the high-precision propagator exponentiates the full,
+unlumped generator in mpmath, and the reference JSON export dumps the
+whole payload, every array a list, in one ``json.dumps`` call. Tests
+compare the two routes instead of trusting either alone.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 
@@ -22,9 +24,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from vsckinetics.config import ScenarioConfig, bundled_config_path, load_config
+from vsckinetics.config import ScenarioConfig, bundled_config_path, export, load_config
 from vsckinetics.eigenmodes import mode_displacements
+from vsckinetics.propagate import clamp_for_output
 from vsckinetics.rates import displacement_matrix_element, purcell_exchange_rate
+from vsckinetics.states import MOLECULES
 from vsckinetics.units import HBAR, thermal_energy, wavenumber_to_angular
 
 
@@ -317,3 +321,34 @@ def reference_assembly(space, network, basis, cavity, bath, kind) -> np.ndarray:
                     K[i_v, i_c] = K[i_c, i_v] = rate
     np.fill_diagonal(K, -K.sum(axis=0))
     return K
+
+
+def reference_json(results) -> str:
+    """The JSON export of ``results`` as one ``json.dumps`` of the whole payload, plus a newline."""
+    runs = []
+    for result in results:
+        traj = result.trajectory
+        species_pop = clamp_for_output(traj.species_populations)
+        runs.append({
+            "label": result.label,
+            "fingerprint": result.metadata["fingerprint"],
+            "metadata": result.metadata,
+            "time_ps": traj.grid.times.tolist(),
+            "states": list(traj.states.labels()),
+            "state_populations": clamp_for_output(traj.state_populations).tolist(),
+            "species": {
+                lab: {"raw": raw, "normalized": normalized}
+                for lab, raw, normalized in zip(
+                    traj.species_labels, species_pop.T.tolist(), (species_pop / MOLECULES).T.tolist()
+                )
+            },
+        })
+    return json.dumps({"format_version": 1, "runs": runs}, indent=2) + "\n"
+
+
+def assert_json_export(results, path) -> None:
+    """The streamed export holds the reference bytes, and loading and dumping them again repeats them."""
+    (written,) = export(results, "json", path)
+    text = written.read_text()
+    assert written.read_bytes() == reference_json(results).encode()
+    assert json.dumps(json.loads(text), indent=2) + "\n" == text

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import pytest
 import vsckinetics
 import vsckinetics.config as config_module
 import vsckinetics.rates as rates_module
-from conftest import STIFF_REDUCIBLE, coupling, species
+from conftest import STIFF_REDUCIBLE, assert_json_export, coupling, species
 from vsckinetics.cli import main
 from vsckinetics.config import (
     SWEEP_PARAMETERS,
@@ -516,6 +517,20 @@ class TestOrchestration:
         assert all(a.rate_matrix.states is b.rate_matrix.states for a, b in zip(first, again))
         assert_identical_runs(again, first, tmp_path)
 
+    def test_g_of_negative_zero_builds_no_second_part(self):
+        # below resonance, a g of -0.0 that kept its sign would swap the signs of the "+" and "-" modes
+        cavity = {"omega_c": 1900.0, "g": 0.0}
+        config = config_from_dict(fast_dict(cavity=cavity))
+        config_module.build_generator(config)
+        misses = reactive_rates.cache_info().misses
+        negative = config_from_dict(fast_dict(cavity=dict(cavity, g=-0.0)))
+        (swept,) = run_sweep(SweepSpec("g", (-0.0,), config))
+        for loaded in (negative, swept.config):
+            assert math.copysign(1.0, loaded.cavity.g) == 1.0
+            assert config_fingerprint(loaded) == config_fingerprint(config)
+            config_module.build_generator(loaded)
+        assert reactive_rates.cache_info().misses == misses
+
     def test_sweep_value_validation(self):
         config = config_from_dict(fast_dict())
         with pytest.raises(ConfigError):
@@ -588,6 +603,53 @@ class TestExport:
         # embedded effective config rebuilds the exact same scenario
         rebuilt = config_from_dict(run["metadata"]["config"])
         assert config_fingerprint(rebuilt) == run["fingerprint"]
+
+    @pytest.mark.parametrize("name", ["reaction1", "reaction2", "reaction3"])
+    def test_json_is_one_dump_of_the_payload(self, tmp_path, name):
+        # simulate, compare, and every sweep parameter under every regime
+        config = load_config(bundled_config_path(name))
+        assert_json_export(run_comparison(config, REGIME_KINDS), tmp_path / "compare.json")
+        for kind in REGIME_KINDS:
+            variant = replace(config, regime_kind=kind)
+            assert_json_export([run_scenario(variant)], tmp_path / f"{kind}.json")
+            for parameter, values in SWEEP_VALUES.items():
+                sweep = SweepSpec(parameter, values, replace(variant, grid=SHORT_GRID))
+                assert_json_export(run_sweep(sweep), tmp_path / f"{kind}_{parameter}.json")
+
+    @pytest.mark.parametrize(
+        "name",
+        ["\x00", 'a"\x00', '"\x00', "\x00" * 3, 'a"\x00\x00', '"\x00"', '\\"', "\\", "\u00e9\u2603\U0001f600", "nan inf"],
+    )
+    def test_json_holds_any_name(self, tmp_path, name):
+        # the name is the one free-text field: one that ends in a quote and NULs mimics a short marker
+        results = run_comparison(config_from_dict(fast_dict(name=name)), ["bare", "vsc"])
+        assert_json_export(results, tmp_path / "out.json")
+        assert json.loads((tmp_path / "out.json").read_text())["runs"][1]["metadata"]["config"]["name"] == name
+
+    def test_json_edge_arrays(self, tmp_path):
+        config = replace(config_from_dict(fast_dict()), grid=TimeGrid(points=(1.0,), spacing="linear"))
+        result = run_scenario(config)
+        assert_json_export([result], tmp_path / "one_point.json")
+        populations = result.trajectory.state_populations.copy()
+        populations[0, :3] = (np.nan, np.inf, -np.inf)
+        broken = replace(result, trajectory=replace(result.trajectory, state_populations=populations))
+        with np.errstate(invalid="ignore"):
+            assert_json_export([broken], tmp_path / "non_finite.json")
+        assert "NaN,\n" in (tmp_path / "non_finite.json").read_text()
+
+    def test_json_memory_is_flat_in_the_number_of_runs(self, tmp_path, reaction3):
+        # the writer holds one run's arrays at a time: 20 runs peak about where 3 do
+        comparison = run_comparison(reaction3, REGIME_KINDS)
+        sweep = run_sweep(SweepSpec("kappa", tuple(k / 10 for k in range(20)), reaction3))
+        peaks = []
+        for results, out in ((comparison, "compare.json"), (sweep, "sweep.json")):
+            tracemalloc.start()
+            try:
+                export(results, "json", tmp_path / out)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
     def test_export_creates_parent_dirs(self, tmp_path):
         result = run_scenario(config_from_dict(fast_dict()))

@@ -32,7 +32,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import detailed_balance_worst
+from conftest import assert_json_export, detailed_balance_worst
 from vsckinetics.cli import main
 from vsckinetics.config import (
     ENERGY_UNITS,
@@ -157,9 +157,9 @@ def test_cached_reactive_part_is_a_fresh_build(raw, data):
         assert cached.matrix.tobytes() == fresh.matrix.tobytes()
         assert not any(array.flags.writeable for array in arrays_reachable(cached))
         parts.append(cached)
-    assert keys[1][0] == keys[0][0]
-    # below resonance, g = -0.0 picks the other branch of the mixing angle: rows of opposite sign
-    assert (parts[1] is parts[0]) == (keys[1] == keys[0])
+    # g = -0.0 loads as 0.0, so the twin's basis is the same too, also below resonance
+    assert keys[1] == keys[0]
+    assert parts[1] is parts[0]
     assert reactive_rates.cache_info().maxsize == REACTIVE_CACHE_SIZE == 32
 
 
@@ -232,8 +232,8 @@ def test_embedded_config_reexports_identical_bytes(raw):
     first = run_scenario(config_from_dict(raw))
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        (exported,) = export([first], "json", out / "first.json")
-        embedded = json.loads(exported.read_text())["runs"][0]["metadata"]["config"]
+        assert_json_export([first], out / "first.json")  # and the streamed bytes are the one-dump bytes
+        embedded = json.loads((out / "first.json").read_text())["runs"][0]["metadata"]["config"]
         again = run_scenario(config_from_dict(embedded))
         export([first], "csv", out / "first.csv")
         for fmt in ("json", "csv"):

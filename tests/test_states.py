@@ -1,6 +1,7 @@
 """Reaction network validation and composite-state enumeration."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,6 +54,8 @@ def test_spec_validation():
         CouplingSpec(("A", "B"), J=1.0, lambda_s=0.0)  # nonzero J needs lambda_s > 0
     with pytest.raises(ValueError):
         CouplingSpec(("A", "B"), J=0.0, lambda_s=-1.0)
+    with pytest.raises(ValueError, match="coupling pair must be a tuple, got list"):
+        CouplingSpec(["A", "B"], J=1.0, lambda_s=10.0)
     with pytest.raises(ValueError):
         ReactionNetwork(species=())
     with pytest.raises(ValueError):
@@ -70,6 +73,14 @@ def test_spec_validation():
                 CouplingSpec(("B", "A"), J=2.0, lambda_s=10.0),
             ),
         )
+
+
+@pytest.mark.parametrize("field", ["species", "couplings"])
+def test_network_fields_must_be_tuples(field):
+    # a list is unhashable, and a network keys the process-wide cache of its reactive part
+    network = network_abc()
+    with pytest.raises(ValueError, match=f"network {field} must be a tuple, got list"):
+        replace(network, **{field: list(getattr(network, field))})
 
 
 def test_network_lookups():
