@@ -23,6 +23,7 @@ from .config import (
     SWEEP_PARAMETERS,
     ConfigError,
     SweepSpec,
+    _safe_label,
     export,
     load_config,
     run_comparison,
@@ -122,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _export(args: argparse.Namespace, results: List, default_stem: str) -> int:
-    out = args.out if args.out is not None else f"{default_stem}.{args.format}"
+    # a config name may hold "/" or "..": the default file stays in the working directory
+    out = args.out if args.out is not None else f"{_safe_label(default_stem)}.{args.format}"
     for path in export(results, args.format, out):
         print(path)
     return 0

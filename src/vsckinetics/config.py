@@ -21,8 +21,8 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .eigenmodes import VSC_MODE_LABELS, CavitySpec, mode_basis
-from .propagate import NumericalError, TimeGrid, Trajectory, clamp_for_output, lump_start, propagate
-from .rates import REGIME_KINDS, BathSpec, RateMatrix, assemble_rate_matrix, effective_coupling, reactive_rates
+from .propagate import NumericalError, TimeGrid, Trajectory, clamp_for_output, propagate
+from .rates import REGIME_KINDS, BathSpec, RateMatrix, assemble_rate_matrix, effective_coupling
 from .states import MOLECULES, CouplingSpec, ReactionNetwork, SpeciesSpec, initial_distribution
 from .units import ANGULAR_PER_WAVENUMBER, HBAR, KB, SPEED_OF_LIGHT_CM_PER_PS
 
@@ -364,37 +364,34 @@ def _metadata(config: ScenarioConfig, rate_matrix: RateMatrix) -> Dict[str, Any]
 
 
 def build_generator(config: ScenarioConfig) -> RateMatrix:
-    """The generator of ``config``: the regime's mode basis, then the reactive part the process
-    shares between equal networks, bases and temperatures (``reactive_rates``), then the rest."""
+    """The generator of ``config`` over the regime's mode basis, its reactive part shared by the
+    process between equal networks, bases and temperatures (``assemble_rate_matrix``)."""
     try:
         basis = mode_basis(config.regime_kind, config.cavity, config.omega_v)
-        reactive = reactive_rates(config.network, basis, config.bath.temperature)
-        return assemble_rate_matrix(reactive, config.cavity, config.bath, config.regime_kind)
+        return assemble_rate_matrix(config.network, basis, config.cavity, config.bath, config.regime_kind)
     except OverflowError as exc:
         raise NumericalError(f"scenario {config.name!r}: overflow building the generator") from exc
 
 
 def _run(variants: Iterable[Tuple[str, ScenarioConfig]]) -> List[ScenarioResult]:
-    """Run labelled configs in order. The reactive part and its states come from the process-wide
-    cache of ``reactive_rates``; the thermal start is lumped again only when the states,
-    temperature, grid or reactant differ from the run before, and a generator bit-identical to the
-    one before on the same start takes a copy of its populations.
+    """Run labelled configs in order: each builds its generator and thermal p0 and propagates,
+    sharing the reactive part and the lumped start with earlier runs through the caches of
+    ``assemble_rate_matrix`` and ``propagate``. A run whose states, temperature, p0, grid and
+    generator are all bit-identical to the run before it takes a copy of that run's populations.
     """
     results: List[ScenarioResult] = []
-    start = None
+    last = None  # the inputs of the run before
     for label, config in variants:
         rate_matrix = build_generator(config)
-        last = results[-1] if results else None
-        inputs = (rate_matrix.states, rate_matrix.temperature, config.grid, config.reactant)
-        if last is None or (start.states, start.temperature, start.grid, last.config.reactant) != inputs:
-            p0 = initial_distribution(rate_matrix.states, config.reactant, config.bath.temperature)
-            start, last = lump_start(rate_matrix, p0, config.grid), None
-        if last is not None and np.array_equal(rate_matrix.matrix, last.rate_matrix.matrix):
-            populations = last.trajectory.state_populations.copy()
-            trajectory = replace(last.trajectory, state_populations=populations)
+        p0 = initial_distribution(rate_matrix.states, config.reactant, config.bath.temperature)
+        inputs = (rate_matrix.states, rate_matrix.temperature, config.grid, p0.tobytes(), rate_matrix.matrix.tobytes())
+        if inputs == last:
+            populations = results[-1].trajectory.state_populations.copy()
+            trajectory = replace(results[-1].trajectory, state_populations=populations)
         else:
-            trajectory = propagate(rate_matrix, start)
+            trajectory = propagate(rate_matrix, p0, config.grid)
         results.append(ScenarioResult(label, config, rate_matrix, trajectory))
+        last = inputs
     return results
 
 
@@ -407,7 +404,8 @@ def run_comparison(config: ScenarioConfig, regimes: Sequence[str]) -> List[Scena
     """Run the same scenario under several regimes on a shared grid.
 
     Every regime is validated before the first run starts. Bare and weak share
-    the reactive part of the generator and the thermal start; vsc has its own.
+    the reactive part of the generator and the lumped thermal start, through the
+    caches of ``assemble_rate_matrix`` and ``propagate``; vsc has its own.
     """
     if not regimes:
         raise ConfigError("comparison needs at least one regime")
@@ -429,11 +427,11 @@ def _apply_sweep_value(base: ScenarioConfig, parameter: str, value: float) -> Sc
 def run_sweep(sweep: SweepSpec) -> List[ScenarioResult]:
     """Run the base scenario once per sweep value, in the order given; a value is checked in its turn.
 
-    The thermal start is lumped once for a kappa, gamma or eta sweep and a bare or weak g sweep,
-    and per value for a vsc g sweep, whose mode basis reads g. The reactive part and its states
-    are built at most once per process for those inputs (``reactive_rates``), so a second sweep
-    over the same network, basis and temperature builds none. Values that leave the generator
-    bit-identical (eta under bare or weak, g under bare) propagate it once.
+    The reactive part, its states and the lumped thermal start are built once for a kappa, gamma
+    or eta sweep and a bare or weak g sweep, and per value for a vsc g sweep, whose mode basis
+    reads g. The stages memoize them per process on their value inputs, so a second sweep over
+    the same network, basis, temperature and reactant builds none. Values that leave the
+    generator bit-identical (eta under bare or weak, g under bare) propagate it once.
     """
     return _run(
         (f"{sweep.parameter}={value!r}", _apply_sweep_value(sweep.base, sweep.parameter, value))

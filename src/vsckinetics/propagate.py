@@ -3,24 +3,27 @@
 The generator is tiny (<= 36 states) but stiff: rates span ~1e-4 to 1 ps^-1
 while horizons reach 1e4-1e6 ps. From a start that is symmetric in the two
 identical molecules, the chain lumps exactly onto the orbits of their
-exchange (10-24 instead of 16-36 states). The exact p(t) = exp(K t) p0 on a
-whole grid comes from one eigendecomposition of the lumped generator: a
-symmetric one where K is in detailed balance with the Boltzmann weights of
-the states, else a general one anchored on the Grassmann-Taksar-Heyman
-stationary vector (Oper. Res. 33, 1985). Where eigenvector methods fail
-(Moler and Van Loan, SIAM Rev. 45, 2003), a Taylor series that never
-subtracts (Xue and Ye, Math. Comp. 82, 2013) runs instead.
+exchange (10-24 instead of 16-36 states); ``propagate(rate_matrix, p0,
+grid)`` memoizes that set-up per process on the states, temperature and p0,
+so runs that share a start share it whatever their grids. The exact p(t) =
+exp(K t) p0 on a whole grid comes from one eigendecomposition of the lumped
+generator: a symmetric one where K is in detailed balance with the Boltzmann
+weights of the states, else a general one anchored on the
+Grassmann-Taksar-Heyman stationary vector (Oper. Res. 33, 1985). Where
+eigenvector methods fail (Moler and Van Loan, SIAM Rev. 45, 2003), a Taylor
+series that never subtracts (Xue and Ye, Math. Comp. 82, 2013) runs instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .rates import RateMatrix
+from .rates import REACTIVE_CACHE_SIZE, RateMatrix
 from .states import MOLECULES, StateSpace
 from .units import thermal_energy
 
@@ -28,8 +31,6 @@ __all__ = [
     "NumericalError",
     "TimeGrid",
     "Trajectory",
-    "LumpedStart",
-    "lump_start",
     "propagate",
     "clamp_for_output",
     "ScalingCriterion",
@@ -161,6 +162,8 @@ def _reversible_populations(
     K: np.ndarray, pi: np.ndarray, p0: np.ndarray, times: np.ndarray
 ) -> Optional[np.ndarray]:
     """exp(K t) p0 for every t from the symmetric form of a K in detailed balance with pi, or None."""
+    if -K.diagonal().min() > 1e154:
+        return None  # no rate exceeds its column's out-rate, so below this K_ij K_ji and K pi stay finite
     if pi.max() > EIGENBASIS_COND_LIMIT**2 * pi.min() or not _balanced(K, pi):
         return None  # cond(D^1/2 U) = sqrt(max pi / min pi) for orthogonal U
     S = np.sqrt(K * K.T)  # D^-1/2 K D^1/2 off the diagonal, with no ratio of rates
@@ -175,6 +178,7 @@ def _reversible_populations(
     return _eigen_populations(lam, root[:, None] * U, U.T @ (p0 / root), p0, times)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # huge rates overflow: NaN declines, inf fails propagate's checks
 def _spectral_populations(K: np.ndarray, p0: np.ndarray, times: np.ndarray) -> Optional[np.ndarray]:
     """exp(K t) p0 for every t from one eigendecomposition, or None where it is not trusted."""
     pi = _stationary_vector(K)
@@ -200,7 +204,9 @@ def _taylor_populations(K: np.ndarray, p0: np.ndarray, times: np.ndarray) -> np.
     every squaring, removes e^(alpha h) and keeps the squarings from leaking probability.
     """
     n = len(K)
-    alpha = -K.diagonal().min()
+    alpha, horizon = float(-K.diagonal().min()), float(times[-1])
+    if not math.isfinite(2.0 * alpha * horizon):  # the scaling 2^s >= 2 alpha t would not fit a double
+        raise NumericalError(f"the fastest rate, {alpha:.3e} ps^-1, over {horizon!r} ps overflows a double")
     populations = np.empty((len(times), n))
     for first in range(0, len(times), _TAYLOR_BLOCK_POINTS):
         block = times[first : first + _TAYLOR_BLOCK_POINTS]
@@ -221,25 +227,10 @@ def _taylor_populations(K: np.ndarray, p0: np.ndarray, times: np.ndarray) -> np.
     return populations
 
 
-@dataclass(frozen=True, eq=False)
-class LumpedStart:
-    """What ``propagate`` needs besides K, from the states, p0, temperature and grid alone; one
-    start (``lump_start``) serves every generator over the same states at the same temperature."""
-
-    states: StateSpace
-    grid: TimeGrid
-    temperature: Optional[float]  # K, that of the generators it serves
-    orbit: np.ndarray  # the orbit of every state
-    members: np.ndarray  # one state of each orbit
-    lump: np.ndarray  # (orbits, states): 1 where the state lies in the orbit
-    sizes: np.ndarray  # the size of every state's orbit
-    p0: np.ndarray  # lumped
-    pi: Optional[np.ndarray]  # lumped Boltzmann weights, when the temperature is set
-
-
-def lump_start(rate_matrix: RateMatrix, p0: np.ndarray, grid: TimeGrid) -> LumpedStart:
-    """Lump ``p0``, a distribution over the generator's states, and the Boltzmann weights at its
-    temperature when it records one, onto the orbits of the molecule exchange; K is not read.
+@lru_cache(maxsize=REACTIVE_CACHE_SIZE)
+def _lumped_start(states: StateSpace, temperature: Optional[float], p0_bytes: bytes) -> Tuple[np.ndarray, ...]:
+    """The orbit of every state, one state of each orbit, the (orbits, states) lumping matrix, the
+    size of every state's orbit, and the lumped p0 and Boltzmann weights (None without a temperature).
 
     K commutes with the exchange of the two molecules (``StateSpace.exchange``),
     so from a start that the exchange leaves unchanged, such as every thermal
@@ -247,16 +238,15 @@ def lump_start(rate_matrix: RateMatrix, p0: np.ndarray, grid: TimeGrid) -> Lumpe
     orbits {i, exchange[i]} (Kemeny and Snell, Finite Markov Chains, 1960;
     Buchholz, J. Appl. Probab. 31, 1994): K~[O', O] = sum_{j in O'} K[j, i0]
     for any i0 in O, and p_i = p_O / |O|. Other starts keep one orbit per state.
+    Memoized on the states, the temperature and the bits of p0, the last
+    REACTIVE_CACHE_SIZE kept; every array returned is read-only.
     """
-    states, temperature, exchange = rate_matrix.states, rate_matrix.temperature, rate_matrix.states.exchange
-    p0 = np.asarray(p0, dtype=float)
-    if p0.shape != (len(states),):
-        raise ValueError(f"p0 has shape {p0.shape}, expected ({len(states)},)")
+    p0 = np.frombuffer(p0_bytes)
     if abs(p0.sum() - 1.0) > 1e-10:
         raise ValueError(f"p0 must sum to 1 within 1e-10, got {p0.sum()!r}")
     if p0.min() < 0.0:
         raise ValueError("p0 must be nonnegative")
-    index = np.arange(len(p0))
+    index, exchange = np.arange(len(p0)), states.exchange
     orbit = members = index
     if np.array_equal(p0[exchange], p0):
         lowest = np.minimum(index, exchange)
@@ -268,15 +258,20 @@ def lump_start(rate_matrix: RateMatrix, p0: np.ndarray, grid: TimeGrid) -> Lumpe
     if temperature is not None:
         E = states.energies.ravel()
         pi = lump @ np.exp(-(E - E.min()) / thermal_energy(temperature))
-    return LumpedStart(states, grid, temperature, orbit, members, lump, lump.sum(axis=1)[orbit], lump @ p0, pi)
+    parts = (orbit, members, lump, lump.sum(axis=1)[orbit], lump @ p0, pi)
+    for array in parts:
+        if array is not None:
+            array.flags.writeable = False
+    return parts
 
 
-def propagate(rate_matrix: RateMatrix, start: LumpedStart) -> Trajectory:
-    """Evaluate p(t) = exp(K t) p0 on every point of the grid, on the orbits of ``start``.
+def propagate(rate_matrix: RateMatrix, p0: np.ndarray, grid: TimeGrid) -> Trajectory:
+    """Evaluate p(t) = exp(K t) p0 on every point of ``grid``, p0 a distribution over K's states.
 
-    ``start`` must be lumped for the generator's states and temperature. A
-    sweep shares it between values, so per call only lumping K into K~, the
-    paths below and the checks run.
+    The chain runs on the orbits of the molecule exchange (``_lumped_start``),
+    whose set-up the process shares between calls over the same states,
+    temperature and p0, whatever their grids, so per call only lumping K into
+    K~, the paths below and the checks run.
 
     Three paths evaluate the lumped chain on the whole grid, each handing over
     to the next where it declines; t = 0 returns p0 exactly, and an eigen path
@@ -287,29 +282,35 @@ def propagate(rate_matrix: RateMatrix, start: LumpedStart) -> Trajectory:
        exp(-(E - E_min)/kT), as in every config-built K but a detuned weak one:
        ``eigh`` of S = D^-1/2 K~ D^1/2, D = diag(pi), built as sqrt(K~_ij K~_ji),
        its top eigenpair pinned to (0, sqrt(pi)). It declines when
-       sqrt(max pi / min pi) = cond(D^1/2 U) exceeds EIGENBASIS_COND_LIMIT or the
-       second eigenvalue is within 64 eps ||S||_1 of 0 (kappa = 0, K = 0).
+       sqrt(max pi / min pi) = cond(D^1/2 U) exceeds EIGENBASIS_COND_LIMIT, the
+       second eigenvalue is within 64 eps ||S||_1 of 0 (kappa = 0, K = 0), or a
+       rate exceeds 1e154 ps^-1, past which K~_ij K~_ji overflows.
     2. ``eig`` of K~ anchored on the GTH stationary vector. It declines for a
-       reducible K~, cond(V) above EIGENBASIS_COND_LIMIT or eigenvalue drift
-       above EIGENVALUE_DRIFT_LIMIT; about 1 in 6,000 random nearly
-       decomposable generators passes these guards and errs by up to 1.3e-9.
-    3. The Taylor series of the non-negative K~ + alpha I (Xue and Ye, 2013).
+       reducible K~, cond(V) above EIGENBASIS_COND_LIMIT, eigenvalue drift
+       above EIGENVALUE_DRIFT_LIMIT or a NaN result; about 1 in 6,000 random
+       nearly decomposable generators passes these guards and errs by up to 1.3e-9.
+    3. The Taylor series of the non-negative K~ + alpha I (Xue and Ye, 2013),
+       which raises NumericalError where 2 alpha t overflows a double.
 
-    Raises NumericalError if the result loses probability beyond 1e-9 or
-    turns negative beyond roundoff; populations are kept unclamped here.
+    Raises ValueError for a p0 of the wrong shape, off sum 1 or negative, and
+    NumericalError if the result loses probability beyond 1e-9 or turns
+    negative beyond roundoff; populations are kept unclamped here.
     """
-    if rate_matrix.states is not start.states or rate_matrix.temperature != start.temperature:
-        raise ValueError("the start is lumped for other states or another temperature")
-    K_lumped = start.lump @ rate_matrix.matrix[:, start.members]
-    times = start.grid.times
+    states = rate_matrix.states
+    p0 = np.asarray(p0, dtype=float)
+    if p0.shape != (len(states),):  # the bits that key the start do not hold the shape
+        raise ValueError(f"p0 has shape {p0.shape}, expected ({len(states)},)")
+    orbit, members, lump, sizes, lumped_p0, pi = _lumped_start(states, rate_matrix.temperature, p0.tobytes())
+    K_lumped = lump @ rate_matrix.matrix[:, members]
+    times = grid.times
     lumped = None
-    if start.pi is not None:
-        lumped = _reversible_populations(K_lumped, start.pi, start.p0, times)
+    if pi is not None:
+        lumped = _reversible_populations(K_lumped, pi, lumped_p0, times)
     if lumped is None:
-        lumped = _spectral_populations(K_lumped, start.p0, times)
+        lumped = _spectral_populations(K_lumped, lumped_p0, times)
     if lumped is None:
-        lumped = _taylor_populations(K_lumped, start.p0, times)
-    result = lumped[:, start.orbit] / start.sizes
+        lumped = _taylor_populations(K_lumped, lumped_p0, times)
+    result = lumped[:, orbit] / sizes
 
     if not np.all(np.isfinite(result)):
         raise NumericalError("propagation produced non-finite populations")
@@ -320,7 +321,7 @@ def propagate(rate_matrix: RateMatrix, start: LumpedStart) -> Trajectory:
     if worst_neg < NEGATIVITY_TOL:
         raise NumericalError(f"population went negative: {worst_neg:.3e}")
 
-    return Trajectory(grid=start.grid, states=start.states, state_populations=result)
+    return Trajectory(grid=grid, states=states, state_populations=result)
 
 
 def clamp_for_output(populations: np.ndarray) -> np.ndarray:

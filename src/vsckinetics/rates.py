@@ -22,9 +22,10 @@ pair and direction, one P x P Franck-Condon matrix fills molecule 1's cells
 for every spectator species at once, and molecule 2's cells are their exact
 image under the exchange of the two molecules. That reactive part
 (``reactive_rates``) reads only the network, the mode basis and the
-temperature, so it is memoized per process: generators over equal inputs
-share it, its states included. Loss, gain and bath exchange stay inside a
-configuration: ``assemble_rate_matrix`` adds one block from ``mode_block`` to
+temperature, so it is memoized per process: ``assemble_rate_matrix(network,
+basis, cavity, bath, kind)`` takes it at the bath temperature, and generators
+over equal inputs share it, its states included. Loss, gain and bath exchange
+stay inside a configuration: assembly adds one block from ``mode_block`` to
 every diagonal cell of a copy. K commutes with the exchange, the state
 permutation ``StateSpace.exchange`` that the propagator lumps on.
 
@@ -39,7 +40,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,7 +66,6 @@ __all__ = [
     "effective_coupling",
     "mode_block",
     "purcell_exchange_rate",
-    "ReactiveRates",
     "reactive_rates",
     "assemble_rate_matrix",
 ]
@@ -73,7 +73,7 @@ __all__ = [
 REGIME_KINDS = ("bare", "weak", "vsc")
 WEAK_COUPLING_DIVISOR = 100.0
 MAX_OCCUPATION = 100  # the model holds at most one quantum; element recurrences take O(m) steps
-REACTIVE_CACHE_SIZE = 32  # reactive parts kept per process, ~10 kB each at 36 states
+REACTIVE_CACHE_SIZE = 32  # reactive parts, and lumped starts, kept per process; ~10 kB each at 36 states
 # column sums of the same rates in another order: a few ulps of each entry
 EXCHANGE_RTOL = 64 * np.finfo(float).eps
 
@@ -285,28 +285,20 @@ def purcell_exchange_rate(
         raise ValueError("Purcell exchange undefined for two non-decaying states")
     g_ang = wavenumber_to_angular(g)
     d_ang = wavenumber_to_angular(delta)
-    return 4.0 * g_ang * g_ang * k_total / (4.0 * d_ang * d_ang + k_total * k_total)
-
-
-@dataclass(frozen=True, eq=False)
-class ReactiveRates:
-    """The reactive part of every generator over one network, mode basis and temperature."""
-
-    basis: ModeBasis
-    temperature: float  # K
-    states: StateSpace
-    matrix: np.ndarray  # read-only, K's layout; no diagonal
+    with np.errstate(over="ignore", invalid="ignore"):  # past ~1e154, k^2 -> inf gives the limit 0
+        return 4.0 * g_ang * g_ang * k_total / (4.0 * d_ang * d_ang + k_total * k_total)
 
 
 @lru_cache(maxsize=REACTIVE_CACHE_SIZE)
-def reactive_rates(network: ReactionNetwork, basis: ModeBasis, temperature: float) -> ReactiveRates:
-    """The reactive part of the generators of ``network`` over the modes of ``basis``.
+def reactive_rates(network: ReactionNetwork, basis: ModeBasis, temperature: float) -> Tuple[StateSpace, np.ndarray]:
+    """The states and the reactive part of the generators of ``network`` over the modes of ``basis``.
 
-    The states are ``enumerate_states(network, basis)``, so K reshapes to
-    (S, S, P, S, S, P): destination species of molecules 1 and 2 and pattern,
-    then the same for the source. Memoized on the three values, the last
-    REACTIVE_CACHE_SIZE kept: equal inputs, -0.0 for 0.0 included, share one
-    read-only part, states and all, with the bits each would build.
+    The states are ``enumerate_states(network, basis)``; the part is read-only,
+    in K's layout with no diagonal, so it reshapes to (S, S, P, S, S, P):
+    destination species of molecules 1 and 2 and pattern, then the same for
+    the source. Memoized on the three values, the last REACTIVE_CACHE_SIZE
+    kept: equal inputs, -0.0 for 0.0 included, share one pair, states and
+    all, with the bits each would build.
     """
     space = enumerate_states(network, basis)
     patterns = occupation_patterns(len(basis.labels))
@@ -333,27 +325,28 @@ def reactive_rates(network: ReactionNetwork, basis: ModeBasis, temperature: floa
     R = R.reshape(S * S * P, S * S * P)
     matrix = R + R[space.exchange][:, space.exchange]
     matrix.flags.writeable = False
-    return ReactiveRates(basis, temperature, space, matrix)
+    return space, matrix
 
 
-def assemble_rate_matrix(reactive: ReactiveRates, cavity: CavitySpec, bath: BathSpec, kind: str) -> RateMatrix:
-    """The generator of a regime ``kind`` (one of ``REGIME_KINDS``) on top of a reactive part.
+def assemble_rate_matrix(
+    network: ReactionNetwork, basis: ModeBasis, cavity: CavitySpec, bath: BathSpec, kind: str
+) -> RateMatrix:
+    """The generator of ``network`` over the modes of ``basis`` in a regime ``kind`` (one of ``REGIME_KINDS``).
 
-    ``bath`` must be at the temperature of ``reactive``, which a sweep shares
-    between the values that leave its inputs unchanged. "weak" (identity
+    The reactive part comes from ``reactive_rates`` at the bath temperature, so
+    generators over equal networks, bases and temperatures share it and its
+    states. Loss, gain and, under "vsc", bath exchange join it; "weak" (identity
     basis) adds the symmetric Purcell cavity-vibration exchange at the
     coupling ``effective_coupling(kind, cavity.g)``, whose linewidths are the
     bare out-rates of the two exchanging states; "bare" adds none. Observable
     rates must not depend on the arbitrary dark-row sign of the eigenmode basis.
     """
-    basis = reactive.basis
     g_effective = effective_coupling(kind, cavity.g)
     if (kind == "vsc") != (basis.labels == VSC_MODE_LABELS):
         raise ValueError(f"regime {kind!r} does not work in the mode basis {basis.labels}")
-    if bath.temperature != reactive.temperature:
-        raise ValueError(f"bath at {bath.temperature!r} K, the reactive part at {reactive.temperature!r} K")
-    S, _, P = reactive.states.energies.shape
-    K = reactive.matrix.copy()
+    states, reactive = reactive_rates(network, basis, bath.temperature)
+    S, _, P = states.energies.shape
+    K = reactive.copy()
     configs = np.arange(S * S)
     K.reshape(S * S, P, S * S, P)[configs, :, configs, :] += mode_block(basis, cavity, bath, kind)
 
@@ -364,5 +357,8 @@ def assemble_rate_matrix(reactive: ReactiveRates, cavity: CavitySpec, bath: Bath
         i_c = np.arange(1, S * S * P, P)[:, None]  # the cavity-excited state of each configuration
         K[i_c + [1, 2], i_c] = K[i_c, i_c + [1, 2]] = gamma_p
 
-    np.fill_diagonal(K, -K.sum(axis=0))
-    return RateMatrix(states=reactive.states, matrix=K, temperature=bath.temperature)
+    out_rates = K.sum(axis=0)
+    if not np.isfinite(out_rates).all():  # each sums its column, so it carries any inf or nan
+        raise OverflowError("a rate of the generator overflows a double")
+    np.fill_diagonal(K, -out_rates)
+    return RateMatrix(states=states, matrix=K, temperature=bath.temperature)

@@ -15,8 +15,8 @@ import pytest
 from conftest import detailed_balance_worst, displacement_oracle, kmc_state_counts, with_regime
 from vsckinetics.config import build_generator, run_scenario
 from vsckinetics.eigenmodes import build_mode_basis
-from vsckinetics.propagate import TimeGrid, lump_start, propagate, vsc_scaling_criterion
-from vsckinetics.rates import assemble_rate_matrix, displacement_matrix_element, reactive_rates
+from vsckinetics.propagate import TimeGrid, propagate, vsc_scaling_criterion
+from vsckinetics.rates import assemble_rate_matrix, displacement_matrix_element
 from vsckinetics.states import initial_distribution
 from vsckinetics.units import thermal_energy
 
@@ -77,7 +77,7 @@ def test_01_thermal_stationarity(reaction1, reaction2, reaction3, capsys):
         for kind in ("bare", "vsc"):
             gen = build_generator(with_regime(config, kind))
             p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
-            p_inf = propagate(gen, lump_start(gen, p0, horizon)).state_populations[0]
+            p_inf = propagate(gen, p0, horizon).state_populations[0]
             energies = gen.states.energies.ravel()
             kT = thermal_energy(config.bath.temperature)
             w = np.exp(-(energies - energies.min()) / kT)
@@ -271,7 +271,7 @@ def test_07_physical_timescales(reaction1, r1_runs, capsys):
     p0 = np.zeros(len(labels))
     p0[labels.index("A.A|v1")] = 1.0
     grid = TimeGrid.linear(0.0, 400.0, 401)
-    traj = propagate(gen, lump_start(gen, p0, grid))
+    traj = propagate(gen, p0, grid)
     excited = traj.state_populations[:, [not x.endswith("|0") for x in labels]].sum(axis=1)
     t_decay = crossing_time(np.asarray(grid.points), excited, 1.0 / math.e, rising=False)
     expected = 1.0 / reaction1.bath.gamma
@@ -294,7 +294,7 @@ def test_08_stochastic_sampling_reproduces_the_master_equation(reaction1, capsys
     started = time.perf_counter()
     counts = kmc_state_counts(gen.matrix, p0, checkpoints, n_traj=n_traj, seed=20260823)
     elapsed = time.perf_counter() - started
-    det = propagate(gen, lump_start(gen, p0, TimeGrid(points=tuple(checkpoints), spacing="log")))
+    det = propagate(gen, p0, TimeGrid(points=tuple(checkpoints), spacing="log"))
     n_b = gen.states.counts()[:, gen.states.species.index("B")]
     mc_mean = counts @ n_b / n_traj
     mc_var = counts @ n_b**2 / n_traj - mc_mean**2
@@ -341,8 +341,7 @@ def test_10_dark_mode_sign_freedom(reaction1, capsys):
     )
 
     def build(mode_basis):
-        reactive = reactive_rates(reaction1.network, mode_basis, reaction1.bath.temperature)
-        return assemble_rate_matrix(reactive, reaction1.cavity, reaction1.bath, "vsc")
+        return assemble_rate_matrix(reaction1.network, mode_basis, reaction1.cavity, reaction1.bath, "vsc")
 
     dev = float(
         np.abs(build(replace(basis, coefficients=flipped_rows)).matrix - build(basis).matrix).max()

@@ -34,7 +34,7 @@ from vsckinetics.config import (
     run_sweep,
 )
 from vsckinetics.eigenmodes import CavitySpec
-from vsckinetics.propagate import TimeGrid
+from vsckinetics.propagate import TimeGrid, _lumped_start
 from vsckinetics.rates import REGIME_KINDS, BathSpec, reactive_rates
 from vsckinetics.states import CouplingSpec, SpeciesSpec
 
@@ -79,10 +79,10 @@ def assert_identical_runs(runs, reference, tmp_path):
 
 
 def count_calls(monkeypatch):
-    """Calls of the parts a sweep may share: states (one per reactive part built), start, propagation."""
+    """Calls of the parts a sweep may share: states (one per reactive part built) and propagation.
+    The lumped starts built are the misses of ``_lumped_start``."""
     calls = {}
-    for module, name in ((rates_module, "enumerate_states"), (config_module, "lump_start"),
-                         (config_module, "propagate")):
+    for module, name in ((rates_module, "enumerate_states"), (config_module, "propagate")):
         def counted(*args, original=getattr(module, name), name=name):
             calls[name] = calls.get(name, 0) + 1
             return original(*args)
@@ -492,18 +492,24 @@ class TestOrchestration:
     )
     def test_shared_parts_are_built_once(self, monkeypatch, kind, parameter, builds, propagations):
         reactive_rates.cache_clear()
+        _lumped_start.cache_clear()
         calls = count_calls(monkeypatch)
-        base = config_from_dict(fast_dict(regime=kind))
-        run_sweep(SweepSpec(parameter=parameter, values=SWEEP_VALUES[parameter], base=base))
-        assert calls == {"enumerate_states": builds, "lump_start": builds, "propagate": propagations}
-        assert reactive_rates.cache_info().misses == builds
+        sweep = SweepSpec(parameter, SWEEP_VALUES[parameter], config_from_dict(fast_dict(regime=kind)))
+        run_sweep(sweep)
+        assert calls == {"enumerate_states": builds, "propagate": propagations}
+        assert reactive_rates.cache_info().misses == _lumped_start.cache_info().misses == builds
+        # a second identical sweep builds no part and lumps no start
+        run_sweep(replace(sweep, base=config_from_dict(fast_dict(regime=kind))))
+        assert calls == {"enumerate_states": builds, "propagate": 2 * propagations}
+        assert reactive_rates.cache_info().misses == _lumped_start.cache_info().misses == builds
 
     def test_comparison_shares_the_bare_basis(self, monkeypatch):
         reactive_rates.cache_clear()
+        _lumped_start.cache_clear()
         calls = count_calls(monkeypatch)
         run_comparison(config_from_dict(fast_dict()), ["bare", "weak", "vsc"])
-        assert calls == {"enumerate_states": 2, "lump_start": 2, "propagate": 3}
-        assert reactive_rates.cache_info().misses == 2
+        assert calls == {"enumerate_states": 2, "propagate": 3}
+        assert reactive_rates.cache_info().misses == _lumped_start.cache_info().misses == 2
 
     @pytest.mark.parametrize("kind", REGIME_KINDS)
     def test_a_second_sweep_builds_no_reactive_part(self, monkeypatch, tmp_path, kind):
@@ -692,6 +698,26 @@ class TestCli:
         assert main(["simulate", "--config", str(config_path)]) == 0
         assert (tmp_path / "fast.csv").is_file()
 
+    @pytest.mark.parametrize(
+        "command, written",
+        [
+            (["simulate"], "..-escaped-run.csv"),
+            (["compare", "--format", "json"], "..-escaped-run_compare.json"),
+            (["sweep", "--param", "kappa", "--values", "0.5"], "..-escaped-run_sweep_kappa.csv"),
+        ],
+    )
+    def test_default_output_stays_in_the_working_directory(self, tmp_path, monkeypatch, capsys, command, written):
+        # the default stem spells the name as multi-run CSV labels are spelled, so no "/" leaves the directory
+        work = tmp_path / "work"
+        work.mkdir()
+        config = tmp_path / "escaping.json"
+        config.write_text(json.dumps(fast_dict(name="../escaped/run")))
+        monkeypatch.chdir(work)
+        assert main([command[0], "--config", str(config), *command[1:]]) == 0
+        assert capsys.readouterr().out == f"{written}\n"
+        assert sorted(p.name for p in work.iterdir()) == [written]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["escaping.json", "work"]
+
     def test_simulate_missing_config(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "nope.json")])
         assert code == 2
@@ -846,6 +872,34 @@ class TestCli:
         assert err.startswith("numerical failure: scenario 'fast': overflow building the generator")
         assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "regime, param, value, code",
+        [
+            ("vsc", "gamma", "1e160", 0),  # K_ij K_ji overflows: the symmetric path declines
+            ("vsc", "gamma", "1e300", 0),  # exp(lambda t) overflows in the general path, Taylor finishes
+            ("vsc", "eta", "1e200", 0),
+            ("vsc", "eta", "1e308", 3),  # the bath exchange rate overflows in assembly
+            ("vsc", "kappa", "1e308", 3),  # 2 alpha t overflows the Taylor scaling
+            ("bare", "kappa", "1e308", 3),
+        ],
+    )
+    def test_overflowing_rates_finish_or_exit_3(self, tmp_path, capsys, regime, param, value, code):
+        # rates past the square root of the largest double, with no numpy warning on the way
+        raw = json.loads(bundled_config_path("reaction1").read_text())
+        raw["regime"] = regime
+        path = tmp_path / "reaction1.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "swp.csv"
+        args = ["sweep", "--config", str(path), "--param", param, "--values", value, "--out", str(out)]
+        assert main(args) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert captured.err == "" and out.is_file()
+            assert float(out.read_text().splitlines()[-1].split(",")[-1]) > 0.99  # frac_B at 5e4 ps
+        else:
+            assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1
+            assert not out.exists()
 
     def test_weak_without_linewidth_exits_2(self, tmp_path, capsys):
         raw = fast_dict(regime="weak", cavity={"kappa": 0.0}, bath={"gamma": 0.0})

@@ -28,7 +28,6 @@ from vsckinetics.propagate import (
     NumericalError,
     TimeGrid,
     clamp_for_output,
-    lump_start,
     propagate,
     vsc_scaling_criterion,
 )
@@ -129,14 +128,14 @@ class TestPropagate:
     def test_zero_generator_is_stationary(self):
         gen = two_species_generator(0.0)
         p0 = np.array([0.1, 0.2, 0.3, 0.4])
-        traj = propagate(gen, lump_start(gen, p0, TimeGrid.linear(0.0, 100.0, 5)))
+        traj = propagate(gen, p0, TimeGrid.linear(0.0, 100.0, 5))
         assert np.abs(traj.state_populations - p0).max() == 0.0
 
     def test_matches_closed_form_decay(self):
         k = 0.17
         gen = two_species_generator(k)
         grid = TimeGrid.linear(0.0, 40.0, 9)
-        traj = propagate(gen, lump_start(gen, np.array([1.0, 0.0, 0.0, 0.0]), grid))
+        traj = propagate(gen, np.array([1.0, 0.0, 0.0, 0.0]), grid)
         expected = np.exp(-k * np.asarray(grid.points))
         assert traj.species_series("A") == pytest.approx(2.0 * expected, rel=1e-12)
         assert traj.species_series("B") == pytest.approx(2.0 * (1.0 - expected), rel=1e-10)
@@ -144,21 +143,18 @@ class TestPropagate:
 
     def test_conserves_probability_and_positivity(self, r1_vsc, r1_vsc_p0):
         grid = TimeGrid.logarithmic(0.1, 5.0e4, 25)
-        traj = propagate(r1_vsc, lump_start(r1_vsc, r1_vsc_p0, grid))
+        traj = propagate(r1_vsc, r1_vsc_p0, grid)
         assert np.abs(traj.state_populations.sum(axis=1) - 1.0).max() <= 1e-9
         assert traj.state_populations.min() >= -1e-10
 
     def test_semigroup_property(self, r1_vsc, r1_vsc_p0):
         t1, t2 = 7.3, 12.9
-        direct = propagate(r1_vsc, lump_start(r1_vsc, r1_vsc_p0, TimeGrid(points=(t1 + t2,), spacing="linear")))
-        staged = propagate(r1_vsc, lump_start(r1_vsc, r1_vsc_p0, TimeGrid(points=(t1,), spacing="linear")))
+        direct = propagate(r1_vsc, r1_vsc_p0, TimeGrid(points=(t1 + t2,), spacing="linear"))
+        staged = propagate(r1_vsc, r1_vsc_p0, TimeGrid(points=(t1,), spacing="linear"))
         restart = propagate(
             r1_vsc,
-            lump_start(
-                r1_vsc,
-                staged.state_populations[0] / staged.state_populations[0].sum(),
-                TimeGrid(points=(t2,), spacing="linear"),
-            ),
+            staged.state_populations[0] / staged.state_populations[0].sum(),
+            TimeGrid(points=(t2,), spacing="linear"),
         )
         assert np.abs(direct.state_populations[0] - restart.state_populations[0]).max() <= 1e-9
 
@@ -166,7 +162,7 @@ class TestPropagate:
         # same trajectory from an implicit ODE solve, fully independent of expm
         K = r1_vsc.matrix
         times = (1.0, 100.0, 5000.0)
-        traj = propagate(r1_vsc, lump_start(r1_vsc, r1_vsc_p0, TimeGrid(points=times, spacing="log")))
+        traj = propagate(r1_vsc, r1_vsc_p0, TimeGrid(points=times, spacing="log"))
         sol = solve_ivp(
             lambda t, y: K @ y,
             (0.0, times[-1]),
@@ -193,34 +189,20 @@ class TestPropagate:
         for name in ("_reversible_populations", "_spectral_populations"):  # whichever serves
             monkeypatch.setattr(propagate_module, name, spoiled(getattr(propagate_module, name), spoil))
         with pytest.raises(NumericalError, match=message):
-            propagate(r1_vsc, lump_start(r1_vsc, r1_vsc_p0, TimeGrid.logarithmic(0.1, 100.0, 5)))
+            propagate(r1_vsc, r1_vsc_p0, TimeGrid.logarithmic(0.1, 100.0, 5))
 
     def test_initial_distribution_validation(self, r1_vsc):
         grid = TimeGrid.linear(0.0, 1.0, 2)
         with pytest.raises(ValueError):
-            propagate(r1_vsc, lump_start(r1_vsc, np.ones(3) / 3.0, grid))
+            propagate(r1_vsc, np.ones(3) / 3.0, grid)
         bad_sum = np.zeros(16)
         bad_sum[0] = 0.9
         with pytest.raises(ValueError):
-            propagate(r1_vsc, lump_start(r1_vsc, bad_sum, grid))
+            propagate(r1_vsc, bad_sum, grid)
         signed = np.zeros(16)
         signed[0], signed[1] = 1.5, -0.5
         with pytest.raises(ValueError):
-            propagate(r1_vsc, lump_start(r1_vsc, signed, grid))
-
-    def test_start_must_match_the_generator(self, reaction1, r1_vsc_p0):
-        vsc = build_generator(with_regime(reaction1, "vsc"))
-        start = lump_start(vsc, r1_vsc_p0, TimeGrid.linear(0.0, 1.0, 2))
-        # a second build of an equal config shares the states, so the start serves it
-        again = build_generator(with_regime(reaction1, "vsc"))
-        assert again.states is vsc.states
-        propagate(again, start)
-        # the bare regime has as many states, over other modes
-        bare = build_generator(with_regime(reaction1, "bare"))
-        assert len(bare.states) == len(vsc.states) and bare.states.modes != vsc.states.modes
-        for other in (bare, replace(vsc, temperature=None)):
-            with pytest.raises(ValueError, match="lumped for other states or another temperature"):
-                propagate(other, start)
+            propagate(r1_vsc, signed, grid)
 
 
 def expm_oracle(matrix: np.ndarray, p0: np.ndarray, times) -> np.ndarray:
@@ -296,7 +278,7 @@ class TestSpectralPropagator:
             config = replace(config, cavity=replace(config.cavity, omega_c=omega_c))
         gen = build_generator(config)
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
-        traj = propagate(gen, lump_start(gen, p0, config.grid))
+        traj = propagate(gen, p0, config.grid)
         assert fallback_calls == []  # the spectral path served the whole grid
         expected = expm_oracle(gen.matrix, p0, config.grid.points)
         assert np.abs(traj.state_populations - expected).max() <= 1e-10
@@ -318,7 +300,7 @@ class TestSpectralPropagator:
             K = gen.matrix
             p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
             fallback_calls.clear()
-            traj = propagate(gen, lump_start(gen, p0, grid))
+            traj = propagate(gen, p0, grid)
             # a dense float graph would read its smallest rates as missing edges
             irreducible = connected_components(K != 0.0, connection="strong")[0] == 1
             spectral = fallback_calls == []
@@ -338,7 +320,7 @@ class TestSpectralPropagator:
         gen = build_generator(config)
         assert connected_components(gen.matrix != 0.0, connection="strong")[0] == 1
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
-        traj = propagate(gen, lump_start(gen, p0, config.grid))
+        traj = propagate(gen, p0, config.grid)
         expected = expm_oracle(gen.matrix, p0, config.grid.points)
         assert np.abs(traj.state_populations - expected).max() <= 1e-10
 
@@ -348,7 +330,7 @@ class TestSpectralPropagator:
         config = nearly_decomposable(*NEARLY_DECOMPOSABLE[0])
         gen = build_generator(config)
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
-        traj = propagate(gen, lump_start(gen, p0, config.grid))
+        traj = propagate(gen, p0, config.grid)
         assert len(fallback_calls) == 1
         expected = expm_oracle(gen.matrix, p0, config.grid.points)
         assert np.abs(traj.state_populations - expected).max() <= 1e-10
@@ -360,7 +342,7 @@ class TestSpectralPropagator:
         gen = build_generator(config)
         assert not propagate_module._balanced(gen.matrix, boltzmann_weights(gen))
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
-        traj = propagate(gen, lump_start(gen, p0, config.grid))
+        traj = propagate(gen, p0, config.grid)
         assert fallback_calls == [10]
         expected = expm_oracle(gen.matrix, p0, config.grid.points)
         assert np.abs(traj.state_populations - expected).max() <= 1e-10
@@ -371,7 +353,7 @@ class TestSpectralPropagator:
         gen = build_generator(config)
         assert not propagate_module._balanced(gen.matrix, boltzmann_weights(gen))  # eig serves it
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
-        traj = propagate(gen, lump_start(gen, p0, config.grid))
+        traj = propagate(gen, p0, config.grid)
         assert fallback_calls == [10]
         expected = expm_oracle(gen.matrix, p0, config.grid.points)
         assert np.abs(traj.state_populations - expected).max() <= 1e-10
@@ -382,12 +364,12 @@ class TestSpectralPropagator:
         irreversible = two_species_generator(k)
         gen = replace(irreversible, matrix=irreversible.matrix[::-1, ::-1].copy())
         grid = TimeGrid.linear(0.0, 40.0, 9)
-        traj = propagate(gen, lump_start(gen, np.array([0.0, 0.0, 0.0, 1.0]), grid))
+        traj = propagate(gen, np.array([0.0, 0.0, 0.0, 1.0]), grid)
         assert fallback_calls == [3]
         assert traj.species_series("B") == pytest.approx(2.0 * np.exp(-k * np.asarray(grid.points)), rel=1e-12)
 
     def test_time_zero_returns_p0_exactly(self, r1_vsc, r1_vsc_p0, fallback_calls):
-        traj = propagate(r1_vsc, lump_start(r1_vsc, r1_vsc_p0, TimeGrid.linear(0.0, 100.0, 5)))
+        traj = propagate(r1_vsc, r1_vsc_p0, TimeGrid.linear(0.0, 100.0, 5))
         assert fallback_calls == []
         assert np.array_equal(traj.state_populations[0], r1_vsc_p0)
 
@@ -408,9 +390,9 @@ class TestTaylorFallback:
         # both grids fit one block by default; blocks of 3 points split them
         for block_points in (propagate_module._TAYLOR_BLOCK_POINTS, 3):
             monkeypatch.setattr(propagate_module, "_TAYLOR_BLOCK_POINTS", block_points)
-            traj = propagate(gen, lump_start(gen, p0, grid))
+            traj = propagate(gen, p0, grid)
             assert np.abs(traj.state_populations - expected).max() <= 1e-13
-            default = propagate(gen, lump_start(gen, p0, config.grid))
+            default = propagate(gen, p0, config.grid)
             for populations in (traj.state_populations, default.state_populations):
                 assert np.abs(populations.sum(axis=1) - 1.0).max() <= 1e-14
         assert len(fallback_calls) == 4
@@ -430,7 +412,7 @@ class TestTaylorFallback:
         p0[0] = 1.0
         times = (0.01, 1.0, 30.0)
         chain = RateMatrix(states=space, matrix=K)
-        traj = propagate(chain, lump_start(chain, p0, TimeGrid(points=times, spacing="log")))
+        traj = propagate(chain, p0, TimeGrid(points=times, spacing="log"))
         assert fallback_calls == [S * (S + 1) // 2]
         for t, populations in zip(times, traj.state_populations):
             f = [math.exp(-k * t) * (k * t) ** a / math.factorial(a) for a in range(S + 150)]
@@ -484,7 +466,7 @@ class TestReversiblePropagator:
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
         t0, doublings = 0.1, 19  # up to 5.2e4 ps, past the default grid
         grid = TimeGrid(points=(0.0, *(t0 * 2.0 ** np.arange(doublings + 1))), spacing="log")
-        traj = propagate(gen, lump_start(gen, p0, grid))
+        traj = propagate(gen, p0, grid)
         assert len(reversible_sizes) == 1
         expected = np.vstack([p0, mpmath_doubling_populations(gen.matrix, p0, t0, doublings)])
         assert np.abs(traj.state_populations - expected).max() <= 5e-11
@@ -508,13 +490,13 @@ class TestReversiblePropagator:
     def test_zero_generator_declines(self, r1_vsc, r1_vsc_p0, reversible_sizes, fallback_calls):
         # every eigenvalue is 0, so the second one is not resolved
         zero = RateMatrix(states=r1_vsc.states, matrix=np.zeros((16, 16)), temperature=298.0)
-        traj = propagate(zero, lump_start(zero, r1_vsc_p0, TimeGrid.linear(0.0, 100.0, 5)))
+        traj = propagate(zero, r1_vsc_p0, TimeGrid.linear(0.0, 100.0, 5))
         assert reversible_sizes == []
         assert fallback_calls == [12]
         assert np.abs(traj.state_populations - r1_vsc_p0).max() == 0.0
         # a single state has no second eigenvalue at all
         single = RateMatrix(StateSpace(("A",), (), np.zeros((1, 1, 1)), ()), np.zeros((1, 1)), 298.0)
-        traj = propagate(single, lump_start(single, np.ones(1), TimeGrid.linear(0.0, 100.0, 5)))
+        traj = propagate(single, np.ones(1), TimeGrid.linear(0.0, 100.0, 5))
         assert reversible_sizes == []
         assert np.array_equal(traj.state_populations, np.ones((5, 1)))
 
@@ -525,7 +507,7 @@ class TestReversiblePropagator:
         gen = build_generator(config)
         assert propagate_module._balanced(gen.matrix, boltzmann_weights(gen))
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
-        propagate(gen, lump_start(gen, p0, config.grid))  # test_reducible_generators_match_mpmath checks the result
+        propagate(gen, p0, config.grid)  # test_reducible_generators_match_mpmath checks the result
         assert reversible_sizes == []
         assert fallback_calls == [orbits]
 
@@ -536,7 +518,7 @@ class TestReversiblePropagator:
         assert propagate_module._balanced(gen.matrix, pi)
         assert np.sqrt(pi.max() / pi.min()) > EIGENBASIS_COND_LIMIT
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
-        traj = propagate(gen, lump_start(gen, p0, config.grid))
+        traj = propagate(gen, p0, config.grid)
         assert reversible_sizes == []
         assert core_sizes == [24]  # the general eigen core serves it
         assert fallback_calls == []
@@ -547,10 +529,10 @@ class TestReversiblePropagator:
         self, r1_vsc, r1_vsc_p0, reversible_sizes, core_sizes
     ):
         grid = TimeGrid.logarithmic(0.1, 5.0e4, 25)
-        balanced = propagate(r1_vsc, lump_start(r1_vsc, r1_vsc_p0, grid))
+        balanced = propagate(r1_vsc, r1_vsc_p0, grid)
         assert reversible_sizes == [12]
         hand_built = replace(r1_vsc, temperature=None)
-        general = propagate(hand_built, lump_start(hand_built, r1_vsc_p0, grid))
+        general = propagate(hand_built, r1_vsc_p0, grid)
         assert reversible_sizes == [12]  # a hand-built matrix claims no balance
         assert core_sizes == [12, 12]
         assert np.abs(general.state_populations - balanced.state_populations).max() <= 1e-10
@@ -576,7 +558,7 @@ class TestExchangeLumping:
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
         assert len(p0) == states
         assert np.array_equal(p0[gen.states.exchange], p0)
-        propagate(gen, lump_start(gen, p0, config.grid))  # test_matches_expm_on_bundled_cases checks the result
+        propagate(gen, p0, config.grid)  # test_matches_expm_on_bundled_cases checks the result
         assert core_sizes == [orbits]
         assert fallback_calls == []
 
@@ -590,7 +572,7 @@ class TestExchangeLumping:
         p0 = np.zeros(len(labels))
         p0[labels.index("A.B|0")] = 0.7  # molecule 2 has already reacted, molecule 1 not
         p0[labels.index("B.C|0")] = 0.3
-        traj = propagate(gen, lump_start(gen, p0, config.grid))
+        traj = propagate(gen, p0, config.grid)
         assert core_sizes == [36]
         assert fallback_calls == []
         expected = expm_oracle(gen.matrix, p0, config.grid.points)
@@ -613,7 +595,7 @@ class TestObservables:
         states = rate_matrix.states
         zero = RateMatrix(states=states, matrix=np.zeros((16, 16)))
         p0 = np.array([1.0 if x == label else 0.0 for x in states.labels()])
-        return propagate(zero, lump_start(zero, p0, TimeGrid(points=(1.0,), spacing="linear")))
+        return propagate(zero, p0, TimeGrid(points=(1.0,), spacing="linear"))
 
     def test_species_population_counts_molecules(self, r1_vsc):
         traj = self.frozen(r1_vsc, "A.B|0")
@@ -633,7 +615,7 @@ class TestObservables:
             traj.normalized_series("Z")
 
     def test_trajectory_species_accounting(self, r1_vsc, r1_vsc_p0):
-        traj = propagate(r1_vsc, lump_start(r1_vsc, r1_vsc_p0, TimeGrid.logarithmic(0.1, 1.0e4, 12)))
+        traj = propagate(r1_vsc, r1_vsc_p0, TimeGrid.logarithmic(0.1, 1.0e4, 12))
         assert traj.species_labels == ("A", "B")
         assert np.array_equal(traj.states.counts().sum(axis=1), np.full(16, 2.0))
         total = traj.species_series("A") + traj.species_series("B")

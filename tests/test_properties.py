@@ -13,9 +13,10 @@ Nonzero displacements reach down to 1e-160, whose one-quantum factors fall
 below the smallest normal double, so reactive pairs that underflow are drawn.
 Propagated trajectories must conserve probability under all three regimes,
 and a config with one wrong field must be rejected by name, both at load and
-through the CLI. The process-wide cache of reactive parts must serve a
-network, basis and temperature equal in value to a cached one, -0.0 for 0.0
-included, with the bits a fresh build gives.
+through the CLI. The process-wide caches of reactive parts and lumped starts
+must serve inputs equal in value to cached ones, -0.0 for 0.0 included, with
+the bits a fresh build gives, and a p0 equal in value propagates to the same
+bits whatever its type.
 """
 
 import contextlib
@@ -44,8 +45,9 @@ from vsckinetics.config import (
     run_scenario,
 )
 from vsckinetics.eigenmodes import mode_basis
-from vsckinetics.propagate import CONSERVATION_TOL, NEGATIVITY_TOL
+from vsckinetics.propagate import CONSERVATION_TOL, NEGATIVITY_TOL, TimeGrid, _lumped_start, propagate
 from vsckinetics.rates import REACTIVE_CACHE_SIZE, REGIME_KINDS, reactive_rates
+from vsckinetics.states import initial_distribution
 from vsckinetics.units import thermal_energy
 
 OMEGA_V = 2000.0
@@ -134,7 +136,7 @@ def arrays_reachable(obj):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(configs(), st.data())
-def test_cached_reactive_part_is_a_fresh_build(raw, data):
+def test_cached_parts_are_fresh_builds(raw, data):
     # a twin equal in value, built separately, with some zeros signed the other way
     twin = copy.deepcopy(raw)
     for entry, other in zip(raw["species"], twin["species"]):
@@ -143,24 +145,53 @@ def test_cached_reactive_part_is_a_fresh_build(raw, data):
                 entry[key], other[key] = data.draw(st.sampled_from([(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)]))
     if twin["cavity"]["g"] == 0.0:
         twin["cavity"]["g"] = -0.0
-    parts, keys = [], []
+    parts, starts, keys = [], [], []
     for config in map(config_from_dict, (raw, twin)):
         basis = mode_basis(config.regime_kind, config.cavity, config.omega_v)
         inputs = (config.network, basis, config.bath.temperature)
         keys.append(inputs)
-        cached, fresh = reactive_rates(*inputs), reactive_rates.__wrapped__(*inputs)
-        assert (cached.basis, cached.temperature) == inputs[1:]
-        assert cached.states.exchange.tobytes() == fresh.states.exchange.tobytes()
+        cached = reactive_rates(*inputs)
+        (states, matrix), (fresh_states, fresh_matrix) = cached, reactive_rates.__wrapped__(*inputs)
+        assert states.exchange.tobytes() == fresh_states.exchange.tobytes()
         for field in ("species", "modes", "mode_swap"):
-            assert getattr(cached.states, field) == getattr(fresh.states, field)
-        assert cached.states.energies.tobytes() == fresh.states.energies.tobytes()
-        assert cached.matrix.tobytes() == fresh.matrix.tobytes()
-        assert not any(array.flags.writeable for array in arrays_reachable(cached))
+            assert getattr(states, field) == getattr(fresh_states, field)
+        assert states.energies.tobytes() == fresh_states.energies.tobytes()
+        assert matrix.tobytes() == fresh_matrix.tobytes()
+        assert not any(array.flags.writeable for array in [matrix, *arrays_reachable(states)])
         parts.append(cached)
+        # the lumped start of the thermal p0, as propagate keys it
+        p0 = initial_distribution(states, config.reactant, config.bath.temperature)
+        start_key = (states, config.bath.temperature, p0.tobytes())
+        start, fresh_start = _lumped_start(*start_key), _lumped_start.__wrapped__(*start_key)
+        assert [None if a is None else a.tobytes() for a in start] == [
+            None if a is None else a.tobytes() for a in fresh_start
+        ]
+        assert not any(array.flags.writeable for array in start if array is not None)
+        starts.append(start)
     # g = -0.0 loads as 0.0, so the twin's basis is the same too, also below resonance
     assert keys[1] == keys[0]
     assert parts[1] is parts[0]
-    assert reactive_rates.cache_info().maxsize == REACTIVE_CACHE_SIZE == 32
+    assert starts[1] is starts[0]
+    assert reactive_rates.cache_info().maxsize == _lumped_start.cache_info().maxsize == REACTIVE_CACHE_SIZE == 32
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(configs())
+def test_equal_starts_propagate_the_same_bits(raw):
+    config = config_from_dict(raw)
+    gen = build_generator(config)
+    grid = TimeGrid.logarithmic(0.1, 1.0e3, 5)
+    p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
+    reference = propagate(gen, p0, grid).state_populations.tobytes()
+    for same in (p0.tolist(), np.where(p0 == 0.0, -0.0, p0)):
+        assert propagate(gen, same, grid).state_populations.tobytes() == reference
+    one_hot = np.zeros(len(gen.states), dtype=int)
+    one_hot[0] = 1
+    reference = propagate(gen, one_hot.astype(float), grid).state_populations.tobytes()
+    assert propagate(gen, one_hot, grid).state_populations.tobytes() == reference
+    n = len(gen.states)
+    with pytest.raises(ValueError, match=rf"^p0 has shape \(1, {n}\), expected \({n},\)$"):
+        propagate(gen, p0[None, :], grid)
 
 
 def in_units_of_omega_v(raw):
