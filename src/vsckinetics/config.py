@@ -100,12 +100,14 @@ class ScenarioConfig:
     grid: TimeGrid
 
     def __post_init__(self) -> None:
-        if self.omega_v <= 0.0:
-            raise ConfigError(f"omega_v must be > 0, got {self.omega_v}")
         if self.regime_kind not in REGIME_KINDS:
             raise ConfigError(
                 f"regime must be one of {REGIME_KINDS}, got {self.regime_kind!r}"
             )
+        try:  # the regime's mode basis checks omega_v > 0 and, under vsc, that g keeps omega_minus > 0
+            mode_basis(self.regime_kind, self.cavity, self.omega_v)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.reactant not in self.network.labels():
             raise ConfigError(f"reactant {self.reactant!r} is not a declared species")
         if self.regime_kind == "weak" and self.cavity.kappa == 0.0 and self.bath.gamma == 0.0:
@@ -480,28 +482,6 @@ def _json_arrays(result: ScenarioResult) -> List[np.ndarray]:
     return [times, state_pop, *(column for pair in zip(species_pop.T, fractions.T) for column in pair)]
 
 
-def _json_pieces(payload: Dict[str, Any]) -> List[str]:
-    """``json.dumps(payload, indent=2)`` cut at each ``_ARRAY``, which is left out.
-
-    Each ``_ARRAY`` is dumped as a string of NULs, lengthened until the text holds it exactly once
-    per ``_ARRAY``: a config name may hold any character, so a shorter one could also end a name.
-    """
-    marker = "\x00"
-    while True:
-        holes = []
-
-        def hole(obj: Any) -> str:
-            if obj is not _ARRAY:
-                return json.JSONEncoder().default(obj)  # raises json's own TypeError
-            holes.append(obj)
-            return marker
-
-        pieces = json.dumps(payload, indent=2, default=hole).split(json.dumps(marker))
-        if len(pieces) == len(holes) + 1:
-            return pieces
-        marker += "\x00"
-
-
 def _array_text(values: List[Any], indent: str) -> str:
     """A list of floats, or of lists of them, as ``json.dumps(indent=2)`` spells it at ``indent``."""
     if not values:
@@ -517,27 +497,42 @@ def _array_text(values: List[Any], indent: str) -> str:
 def _write_json(results: Sequence[ScenarioResult], out_path: Path) -> None:
     """Write the bytes of ``json.dumps(payload, indent=2) + "\\n"`` one array at a time.
 
-    The metadata of every run is dumped first, with holes where the arrays go. A run's arrays are
-    derived only when the writer reaches its first hole, so one run's arrays are alive at a time.
+    CPython's encoder spells the ``None`` that ``hole`` returns for an ``_ARRAY`` as its very next
+    chunk: the array goes there, indented like the slot's line. That is not documented API, so any
+    other chunk there raises. A run is encoded, and its arrays derived, only when it is reached.
     """
-    pieces = _json_pieces({"format_version": 1, "runs": [_json_run(r) for r in results]})
     arrays = (array for result in results for array in _json_arrays(result))
+    slots: List[np.ndarray] = []
+
+    def hole(obj: Any) -> None:
+        if obj is not _ARRAY:
+            return json.JSONEncoder().default(obj)  # raises json's own TypeError
+        slots.append(next(arrays))
+
+    payload = {"format_version": 1, "runs": [_json_run(r) for r in results]}
+    before: List[str] = []  # the chunks since the last slot
     with out_path.open("w") as stream:
-        stream.write(pieces[0])
-        for before, array, piece in zip(pieces[:-1], arrays, pieces[1:], strict=True):
-            line = before.rpartition("\n")[2]
-            text = _array_text(array.tolist(), line[: len(line) - len(line.lstrip(" "))])
-            stream.write(text.replace("nan", "NaN").replace("inf", "Infinity"))
-            stream.write(piece)
-        stream.write("\n")
+        for chunk in json.JSONEncoder(indent=2, default=hole).iterencode(payload):
+            if not slots:
+                before.append(chunk)
+                continue
+            if chunk != "null" or len(slots) > 1:
+                raise RuntimeError(f"the JSON encoder did not spell an array's stand-in as its next chunk: {chunk!r}")
+            text, before = "".join(before), []
+            line = text.rpartition("\n")[2]
+            array = _array_text(slots.pop().tolist(), line[: len(line) - len(line.lstrip(" "))])
+            stream.write(text)
+            stream.write(array.replace("nan", "NaN").replace("inf", "Infinity"))
+        stream.write("".join(before) + "\n")
 
 
 def export(results: Sequence[ScenarioResult], fmt: str, out_path: str | Path) -> List[Path]:
     """Write results deterministically; returns the written paths.
 
     "json" always produces one file holding every run, the bytes of ``json.dumps(payload,
-    indent=2)`` and a newline. It is streamed one float array at a time, and a run's arrays are
-    derived only when the writer reaches them, so memory does not grow with the number of runs.
+    indent=2)`` and a newline. It is streamed one float array at a time, and a run's metadata is
+    encoded and its arrays derived only when the encoder reaches them, so memory does not grow
+    with the number of runs; an unserializable value raises after the runs before it are written.
     "csv" produces one file per run: a single run lands exactly at ``out_path``, several runs
     land at ``<stem>_<label><suffix>`` next to it.
     """

@@ -89,7 +89,11 @@ def build_mode_basis(cavity: CavitySpec, omega_v: float) -> ModeBasis:
     is cos(theta). At g = 0 on resonance the angle is its g -> 0+ limit pi/4,
     so the basis joins smoothly onto its neighbours. The dark row is fixed to
     (0, 1/sqrt2, -1/sqrt2); observable rates must not depend on that sign choice.
+    A g with 2 g^2 >= omega_c omega_v, where omega_minus <= 0, raises ``ValueError``.
     """
+    if omega_v > 0.0 and not 2.0 * cavity.g * cavity.g < cavity.omega_c * omega_v:  # g^2 may read inf
+        bound = math.sqrt(0.5 * cavity.omega_c * omega_v)
+        raise ValueError(f"g must be < sqrt(omega_c omega_v / 2) = {bound:.1f} cm^-1 under vsc, got {cavity.g!r}")
     g_coll = cavity.g * _SQRT2
     detuning = cavity.omega_c - omega_v
     half_split = 0.5 * math.sqrt(detuning * detuning + 4.0 * g_coll * g_coll)

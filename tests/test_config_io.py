@@ -317,6 +317,20 @@ class TestSchema:
         with pytest.raises(ConfigError, match=r"gamma=0\.0.*cavity\.kappa.*bath\.gamma"):
             run_sweep(SweepSpec(parameter="gamma", values=(0.0,), base=base))
 
+    def test_vsc_g_must_keep_the_lower_polariton_above_zero(self):
+        # omega_minus = 0 at 2 g^2 = omega_c omega_v: g = 1414.2 cm^-1 at omega_c = omega_v = 2000
+        for g in (1414.3, 1500.0, 1e154, 1e300):
+            with pytest.raises(ConfigError, match=rf"g must be < .* = 1414\.2 cm\^-1 under vsc, got {re.escape(repr(g))}"):
+                config_from_dict(fast_dict(cavity={"g": g}))
+        config_from_dict(fast_dict(cavity={"g": 1414.2}))
+        for kind in ("bare", "weak"):
+            base = config_from_dict(fast_dict(regime=kind, cavity={"g": 1e300}))
+            with pytest.raises(ConfigError, match="g must be < "):
+                run_comparison(base, [kind, "vsc"])
+        vsc = config_from_dict(fast_dict())
+        with pytest.raises(ConfigError, match=r"g=1500\.0 rejected: g must be < .* 1414\.2 cm\^-1"):
+            run_sweep(SweepSpec(parameter="g", values=(1.0, 1500.0), base=vsc))
+
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.json")
@@ -624,13 +638,31 @@ class TestExport:
 
     @pytest.mark.parametrize(
         "name",
-        ["\x00", 'a"\x00', '"\x00', "\x00" * 3, 'a"\x00\x00', '"\x00"', '\\"', "\\", "\u00e9\u2603\U0001f600", "nan inf"],
+        [
+            "\x00", 'a"\x00', '"\x00', "\x00" * 3, 'a"\x00\x00', '"\x00"', '\\"', "\\", "\u00e9\u2603\U0001f600", "nan inf",
+            "null", '"null"', "null\x00",
+        ],
     )
     def test_json_holds_any_name(self, tmp_path, name):
-        # the name is the one free-text field: one that ends in a quote and NULs mimics a short marker
+        # the name is the one free-text field: it may end in a quote and NULs, or spell the stand-in
         results = run_comparison(config_from_dict(fast_dict(name=name)), ["bare", "vsc"])
         assert_json_export(results, tmp_path / "out.json")
         assert json.loads((tmp_path / "out.json").read_text())["runs"][1]["metadata"]["config"]["name"] == name
+
+    @pytest.mark.parametrize("merged", [": ", "null"])
+    def test_json_stand_in_must_be_its_own_chunk(self, tmp_path, monkeypatch, merged):
+        # an encoder that joins an array's stand-in to the chunk before or after it fails the export
+        class Merging(json.JSONEncoder):
+            def iterencode(self, o, _one_shot=False):
+                chunks = super().iterencode(o, _one_shot)
+                for chunk in chunks:
+                    yield chunk + next(chunks) if chunk == merged else chunk
+
+        results = run_comparison(config_from_dict(fast_dict()), ["bare", "vsc"])
+        monkeypatch.setattr(json, "JSONEncoder", Merging)
+        with pytest.raises(RuntimeError, match="stand-in"):
+            export(results, "json", tmp_path / "out.json")
+        assert '"time_ps": [' not in (tmp_path / "out.json").read_text()
 
     def test_json_edge_arrays(self, tmp_path):
         config = replace(config_from_dict(fast_dict()), grid=TimeGrid(points=(1.0,), spacing="linear"))
@@ -983,6 +1015,27 @@ class TestCli:
         assert "Traceback" not in capsys.readouterr().err
         assert (tmp_path / "swp_g-0.0.csv").is_file()
         assert (tmp_path / "swp_g-0.1.csv").is_file()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare", "sweep", "fcf"])
+    def test_vsc_g_past_the_lower_polariton_bound_exits_2(self, tmp_path, capsys, command):
+        # on the bundled reaction1 cavity omega_minus reaches 0 at g = 1414.2 cm^-1; bare keeps any g
+        raw = json.loads(bundled_config_path("reaction1").read_text())
+        raw["cavity"]["g"] = 0.75  # 1500 cm^-1 in units of omega_v
+        raw["regime"] = "vsc" if command == "simulate" else "bare"
+        path = tmp_path / "r1.json"
+        path.write_text(json.dumps(raw))
+        argv = {
+            "simulate": ["simulate", "--config", str(path)],
+            "compare": ["compare", "--config", str(path), "--regimes", "bare,vsc"],
+            "sweep": ["sweep", "--config", str(bundled_config_path("reaction1")), "--param", "g", "--values", "1500"],
+            "fcf": ["fcf", "--config", str(path), "--regime", "vsc", "--species-from", "A", "--species-to", "B",
+                    "--occ-from", "0,0,0", "--occ-to", "0,1,0"],
+        }[command]
+        assert main(argv if command == "fcf" else [*argv, "--out", str(tmp_path / "out.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "g must be < sqrt(omega_c omega_v / 2) = 1414.2 cm^-1 under vsc, got 1500.0" in captured.err
+        assert captured.out == "" and list(tmp_path.glob("out*")) == []
 
     @pytest.mark.parametrize("values", ["1,inf", "nan", "0,-inf"])
     def test_sweep_rejects_non_finite_values(self, config_path, tmp_path, capsys, values):

@@ -1,6 +1,7 @@
 """Eigenmode structure: polariton frequencies, coefficients, displacements, energies."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,21 @@ def test_decoupled_limit():
     assert basis.coefficients[0][0] == pytest.approx(1.0)
     # mixing angle 0: "+" is the bare cavity mode exactly
     assert basis.coefficients[0] == (1.0, 0.0, 0.0)
+
+
+def test_g_must_keep_the_lower_polariton_above_zero():
+    # omega_+ omega_- = omega_c omega_v - 2 g^2, so omega_- reaches 0 at g = sqrt(omega_c omega_v / 2)
+    omega_c = 2100.0
+    bound = math.sqrt(0.5 * omega_c * OMEGA_V)
+    below = build_mode_basis(CavitySpec(omega_c=omega_c, g=bound * (1.0 - 1e-9), kappa=1.0), OMEGA_V)
+    assert 0.0 < below.frequencies[1] < 1e-4
+    for g in (bound * (1.0 + 1e-12), 2.0 * bound, 1e154, 1e300):  # 2 g^2 overflows to inf past 1e154
+        cavity = CavitySpec(omega_c=omega_c, g=g, kappa=1.0)
+        with pytest.raises(ValueError, match=rf"g must be < .* = {bound:.1f} cm\^-1 under vsc, got {re.escape(repr(g))}"):
+            build_mode_basis(cavity, OMEGA_V)
+        with pytest.raises(ValueError, match="g must be < "):
+            mode_basis("vsc", cavity, OMEGA_V)
+        assert bare_mode_basis(cavity, OMEGA_V).frequencies == (omega_c, OMEGA_V, OMEGA_V)
 
 
 def test_cavity_spec_validation():
