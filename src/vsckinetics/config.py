@@ -16,7 +16,7 @@ import re
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -51,6 +51,7 @@ DEFAULT_OMEGA_V = 2000.0  # cm^-1
 DEFAULT_GRID_START = 0.1  # ps
 DEFAULT_GRID_END = 5.0e4  # ps
 DEFAULT_GRID_POINTS = 400
+MAX_GRID_POINTS = 100_000  # memory grows with the points: a 20,000-point reaction3 CSV simulate peaks near 100 MB
 
 # Every number of a species, coupling, cavity or bath block, in field order: name -> (default,
 # energy?). The unit rule: an energy is read in cm^-1, or in multiples of omega_v under
@@ -264,15 +265,19 @@ def _resolve_config(raw: Dict[str, Any], name: str) -> ScenarioConfig:
     grid_block = _as_block(raw.get("grid", {}), "grid")
     _check_keys(grid_block, {"spacing", "start", "end", "points"}, "grid")
     spacing = grid_block.get("spacing", "log")
+    _require(spacing in ("log", "linear"), f"grid.spacing must be 'log' or 'linear', got {spacing!r}")
     start = _as_float(grid_block.get("start", DEFAULT_GRID_START), "grid.start")
     end = _as_float(grid_block.get("end", DEFAULT_GRID_END), "grid.end")
     n_points = _as_int(grid_block.get("points", DEFAULT_GRID_POINTS), "grid.points")
     if spacing == "log":
-        grid = TimeGrid.logarithmic(start, end, n_points)
-    elif spacing == "linear":
-        grid = TimeGrid.linear(start, end, n_points)
-    else:
-        raise ConfigError(f"grid.spacing must be 'log' or 'linear', got {spacing!r}")
+        _require(start > 0.0, f"grid.start must be > 0 on a log grid, got {start!r}")
+    _require(start >= 0.0, f"grid.start must be >= 0, got {start!r}")
+    _require(end > start, f"grid.end must be > grid.start ({start!r}), got {end!r}")
+    _require(2 <= n_points <= MAX_GRID_POINTS, f"grid.points must be in 2..{MAX_GRID_POINTS}, got {n_points}")
+    try:
+        grid = (TimeGrid.logarithmic if spacing == "log" else TimeGrid.linear)(start, end, n_points)
+    except ValueError as exc:  # more points than doubles between start and end
+        raise ConfigError(f"grid.points: {n_points} points from {start!r} to {end!r}: {exc}") from None
     network = ReactionNetwork(species=tuple(species), couplings=tuple(couplings))
     reactant = _as_str(raw.get("reactant", species[0].label), "reactant")
     return ScenarioConfig(
@@ -459,80 +464,68 @@ def _csv_text(result: ScenarioResult) -> str:
     return "\n".join([f"# fingerprint={result.metadata['fingerprint']}", ",".join(header), *rows, ""])
 
 
-_ARRAY = object()  # where a float array goes in a run's JSON object
-
-
 def _json_run(result: ScenarioResult) -> Dict[str, Any]:
-    """The run's JSON object with ``_ARRAY`` in place of each array of ``_json_arrays``."""
+    """The run's JSON object, its float arrays as numpy arrays."""
     traj = result.trajectory
+    times, state_pop, species_pop, fractions = _columns(traj)
     return {
         "label": result.label,
         "fingerprint": result.metadata["fingerprint"],
         "metadata": result.metadata,
-        "time_ps": _ARRAY,
+        "time_ps": times,
         "states": list(traj.states.labels()),
-        "state_populations": _ARRAY,
-        "species": {lab: {"raw": _ARRAY, "normalized": _ARRAY} for lab in traj.species_labels},
+        "state_populations": state_pop,
+        "species": {
+            lab: {"raw": species_pop[:, k], "normalized": fractions[:, k]} for k, lab in enumerate(traj.species_labels)
+        },
     }
 
 
-def _json_arrays(result: ScenarioResult) -> List[np.ndarray]:
-    """The run's arrays in the order ``_json_run`` holds their places."""
-    times, state_pop, species_pop, fractions = _columns(result.trajectory)
-    return [times, state_pop, *(column for pair in zip(species_pop.T, fractions.T) for column in pair)]
+def _write_value(stream: TextIO, value: Any, indent: str = "") -> None:
+    """Write ``value`` as ``json.dumps(value, indent=2)`` spells it at ``indent``, an array as its list.
 
-
-def _array_text(values: List[Any], indent: str) -> str:
-    """A list of floats, or of lists of them, as ``json.dumps(indent=2)`` spells it at ``indent``."""
-    if not values:
-        return "[]"
+    A ScenarioResult is written as its run object, built only here, and a 2-D array row by row.
+    Any value json cannot encode raises json's own TypeError.
+    """
+    if isinstance(value, ScenarioResult):
+        value = _json_run(value)
     inner = indent + "  "
-    if isinstance(values[0], list):
-        body = f",\n{inner}".join(_array_text(row, inner) for row in values)
-    else:  # a list's str() spells each float with float.__repr__, and no float repr holds ", "
-        body = str(values)[1:-1].replace(", ", f",\n{inner}")
-    return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.size:
+        # a list's str() spells each float with float.__repr__, and no float repr holds ", "
+        body = str(value.tolist())[1:-1].replace(", ", f",\n{inner}")
+        stream.write(f"[\n{inner}{body}\n{indent}]".replace("nan", "NaN").replace("inf", "Infinity"))
+        return
+    if isinstance(value, dict):
+        brackets, items = "{}", ((json.dumps(key) + ": ", item) for key, item in value.items())
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        brackets, items = "[]", (("", item) for item in value)
+    else:
+        stream.write(json.dumps(value))
+        return
+    separator = "\n"
+    stream.write(brackets[0])
+    for prefix, item in items:
+        stream.write(f"{separator}{inner}{prefix}")
+        _write_value(stream, item, inner)
+        separator = ",\n"
+    stream.write(brackets[1] if separator == "\n" else f"\n{indent}{brackets[1]}")
 
 
 def _write_json(results: Sequence[ScenarioResult], out_path: Path) -> None:
-    """Write the bytes of ``json.dumps(payload, indent=2) + "\\n"`` one array at a time.
-
-    CPython's encoder spells the ``None`` that ``hole`` returns for an ``_ARRAY`` as its very next
-    chunk: the array goes there, indented like the slot's line. That is not documented API, so any
-    other chunk there raises. A run is encoded, and its arrays derived, only when it is reached.
-    """
-    arrays = (array for result in results for array in _json_arrays(result))
-    slots: List[np.ndarray] = []
-
-    def hole(obj: Any) -> None:
-        if obj is not _ARRAY:
-            return json.JSONEncoder().default(obj)  # raises json's own TypeError
-        slots.append(next(arrays))
-
-    payload = {"format_version": 1, "runs": [_json_run(r) for r in results]}
-    before: List[str] = []  # the chunks since the last slot
+    """Write the bytes of ``json.dumps(payload, indent=2) + "\\n"``, walking the payload: a run's
+    metadata and arrays are built only when the walk reaches the run, so one run's are alive at a time."""
     with out_path.open("w") as stream:
-        for chunk in json.JSONEncoder(indent=2, default=hole).iterencode(payload):
-            if not slots:
-                before.append(chunk)
-                continue
-            if chunk != "null" or len(slots) > 1:
-                raise RuntimeError(f"the JSON encoder did not spell an array's stand-in as its next chunk: {chunk!r}")
-            text, before = "".join(before), []
-            line = text.rpartition("\n")[2]
-            array = _array_text(slots.pop().tolist(), line[: len(line) - len(line.lstrip(" "))])
-            stream.write(text)
-            stream.write(array.replace("nan", "NaN").replace("inf", "Infinity"))
-        stream.write("".join(before) + "\n")
+        _write_value(stream, {"format_version": 1, "runs": list(results)})
+        stream.write("\n")
 
 
 def export(results: Sequence[ScenarioResult], fmt: str, out_path: str | Path) -> List[Path]:
     """Write results deterministically; returns the written paths.
 
     "json" always produces one file holding every run, the bytes of ``json.dumps(payload,
-    indent=2)`` and a newline. It is streamed one float array at a time, and a run's metadata is
-    encoded and its arrays derived only when the encoder reaches them, so memory does not grow
-    with the number of runs; an unserializable value raises after the runs before it are written.
+    indent=2)`` and a newline. It is written value by value as the payload is walked, and a run's
+    metadata and arrays are built only when the walk reaches the run, so memory does not grow with
+    the number of runs; an unserializable value raises after the runs before it are written.
     "csv" produces one file per run: a single run lands exactly at ``out_path``, several runs
     land at ``<stem>_<label><suffix>`` next to it.
     """

@@ -107,8 +107,9 @@ class Trajectory:
     def species_labels(self) -> Tuple[str, ...]:
         return self.states.species
 
-    @cached_property
+    @property
     def species_populations(self) -> np.ndarray:
+        # derived on each read, not cached, so that exporting many runs keeps no per-run copy alive;
         # one memory layout, so that the BLAS product sums in one order whatever the array's own
         return np.asfortranarray(self.state_populations) @ self.states.counts()
 

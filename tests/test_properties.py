@@ -16,7 +16,10 @@ and a config with one wrong field must be rejected by name, both at load and
 through the CLI. The process-wide caches of reactive parts and lumped starts
 must serve inputs equal in value to cached ones, -0.0 for 0.0 included, with
 the bits a fresh build gives, and a p0 equal in value propagates to the same
-bits whatever its type.
+bits whatever its type. The JSON writer must spell any nesting of dicts with
+string keys, lists, tuples, scalars (NaN, +-inf and -0.0 among the floats) and
+1-D or 2-D float arrays, empty ones included, as ``json.dumps(indent=2)``
+spells it with each array as its list.
 """
 
 import contextlib
@@ -32,12 +35,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import assert_json_export, detailed_balance_worst
 from vsckinetics.cli import main
 from vsckinetics.config import (
     ENERGY_UNITS,
     ConfigError,
+    _write_value,
     build_generator,
     config_from_dict,
     effective_config_dict,
@@ -270,6 +275,38 @@ def test_embedded_config_reexports_identical_bytes(raw):
         for fmt in ("json", "csv"):
             export([again], fmt, out / f"again.{fmt}")
             assert (out / f"again.{fmt}").read_bytes() == (out / f"first.{fmt}").read_bytes()
+
+
+FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+FLOAT_ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4), elements=FLOATS)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | FLOATS | st.text() | FLOAT_ARRAYS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), children, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+def as_lists(value):
+    """``value`` with every array as its nested list."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: as_lists(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [as_lists(item) for item in value]
+    return value
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(JSON_VALUES)
+def test_json_writer_spells_what_json_dumps_spells(value):
+    stream = io.StringIO()
+    _write_value(stream, value)
+    assert stream.getvalue() == json.dumps(as_lists(value), indent=2)
 
 
 BAD_VALUES = {
