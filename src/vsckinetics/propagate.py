@@ -90,7 +90,7 @@ class TimeGrid:
         return times
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Populations over a time grid, per state and aggregated per species.
 

@@ -105,7 +105,7 @@ def effective_coupling(kind: str, g: float) -> float:
     return {"vsc": g, "weak": g / WEAK_COUPLING_DIVISOR}.get(kind, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateMatrix:
     """Master-equation generator over a state space.
 

@@ -243,6 +243,8 @@ class TestSchema:
             ({"grid": {"end": 0.01}}, "grid.end"),
             ({"grid": {"points": 1}}, "grid.points"),
             ({"grid": {"points": MAX_GRID_POINTS + 1}}, "grid.points"),
+            ({"grid": {"points": 10**5000}}, "grid.points"),  # past str()'s digit limit
+            ({"cavity": {"kappa": 10**5000}}, "cavity.kappa"),
             ({"grid": {"start": 1.0, "end": 1.0000000000000002, "points": 3}}, "grid.points"),
             ({"cavity": {"n_molecules": 2}}, "unknown key"),
         ],
@@ -471,6 +473,15 @@ class TestOrchestration:
         export(results, "csv", tmp_path / "sweep.csv")
         assert len(calls) == 3
 
+    def test_results_compare_by_identity(self):
+        # equal-valued arrays have no single truth value: a result, its generator and its
+        # trajectory are each equal only to themselves, and hash by identity
+        config = config_from_dict(fast_dict())
+        a, b = run_scenario(config), run_scenario(config)
+        for x, y in ((a, b), (a.rate_matrix, b.rate_matrix), (a.trajectory, b.trajectory)):
+            assert x == x and x != y
+            assert len({x, y, x}) == 2
+
     @pytest.mark.parametrize("name", ["reaction1", "reaction2", "reaction3"])
     @pytest.mark.parametrize("kind", REGIME_KINDS)
     @pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
@@ -659,7 +670,7 @@ class TestExport:
     def test_json_unserializable_value_raises_json_type_error(self, tmp_path):
         # the runs before it are written; the file is left partial
         results = run_comparison(config_from_dict(fast_dict()), ["bare", "vsc"])
-        results[1].metadata["derived"]["extra"] = object()
+        results[1] = replace(results[1], label=object())
         with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
             export(results, "json", tmp_path / "out.json")
         assert '"label": "bare"' in (tmp_path / "out.json").read_text()
@@ -688,6 +699,28 @@ class TestExport:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    def test_csv_memory_stays_near_json(self, tmp_path, reaction3):
+        # both writers hold one run's arrays and at most one row or array of text
+        result = run_scenario(replace(reaction3, grid=TimeGrid.logarithmic(0.1, 5.0e4, 2000)))
+        peaks = {}
+        for fmt in ("json", "csv"):
+            tracemalloc.start()
+            try:
+                export([result], fmt, tmp_path / f"run.{fmt}")
+                peaks[fmt] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["csv"] <= 2 * peaks["json"], peaks
+
+    def test_metadata_edits_do_not_reach_exports(self, tmp_path):
+        # metadata is a new dict on each read, so an edit to one reaches no export
+        result = run_scenario(config_from_dict(fast_dict()))
+        exported = lambda: [export([result], fmt, tmp_path / f"run.{fmt}")[0].read_bytes() for fmt in ("json", "csv")]
+        before = exported()
+        result.metadata["config"]["name"] = "edited"
+        result.metadata["fingerprint"] = "0" * 64
+        assert exported() == before
 
     def test_export_creates_parent_dirs(self, tmp_path):
         result = run_scenario(config_from_dict(fast_dict()))
