@@ -386,9 +386,9 @@ def build_generator(config: ScenarioConfig) -> RateMatrix:
 
 def _run(variants: Iterable[Tuple[str, ScenarioConfig]]) -> List[ScenarioResult]:
     """Run labelled configs in order: each builds its generator and thermal p0 and propagates,
-    sharing the reactive part and the lumped start with earlier runs through the caches of
-    ``assemble_rate_matrix`` and ``propagate``. A run whose states, temperature, p0, grid and
-    generator are all bit-identical to the run before it takes a copy of that run's populations.
+    sharing the reactive part and its states with earlier runs through the cache of
+    ``assemble_rate_matrix``. A run whose states, temperature, p0, grid and generator are all
+    bit-identical to the run before it takes a copy of that run's populations.
     """
     results: List[ScenarioResult] = []
     last = None  # the inputs of the run before
@@ -415,8 +415,8 @@ def run_comparison(config: ScenarioConfig, regimes: Sequence[str]) -> List[Scena
     """Run the same scenario under several regimes on a shared grid.
 
     Every regime is validated before the first run starts. Bare and weak share
-    the reactive part of the generator and the lumped thermal start, through the
-    caches of ``assemble_rate_matrix`` and ``propagate``; vsc has its own.
+    the reactive part of the generator and its states through the cache of
+    ``assemble_rate_matrix``; vsc has its own.
     """
     if not regimes:
         raise ConfigError("comparison needs at least one regime")
@@ -438,11 +438,11 @@ def _apply_sweep_value(base: ScenarioConfig, parameter: str, value: float) -> Sc
 def run_sweep(sweep: SweepSpec) -> List[ScenarioResult]:
     """Run the base scenario once per sweep value, in the order given; a value is checked in its turn.
 
-    The reactive part, its states and the lumped thermal start are built once for a kappa, gamma
-    or eta sweep and a bare or weak g sweep, and per value for a vsc g sweep, whose mode basis
-    reads g. The stages memoize them per process on their value inputs, so a second sweep over
-    the same network, basis, temperature and reactant builds none. Values that leave the
-    generator bit-identical (eta under bare or weak, g under bare) propagate it once.
+    The reactive part and its states are built once for a kappa, gamma or eta sweep and a bare or
+    weak g sweep, and per value for a vsc g sweep, whose mode basis reads g. Assembly memoizes them
+    per process on their value inputs, so a second sweep over the same network, basis and
+    temperature builds none. Values that leave the generator bit-identical (eta under bare or
+    weak, g under bare) propagate it once.
     """
     return _run(
         (f"{sweep.parameter}={value!r}", _apply_sweep_value(sweep.base, sweep.parameter, value))
@@ -534,24 +534,28 @@ def export(results: Sequence[ScenarioResult], fmt: str, out_path: str | Path) ->
     metadata and arrays are built only when the walk reaches the run, so memory does not grow with
     the number of runs; an unserializable value raises after the runs before it are written.
     "csv" produces one file per run, written row by row without building metadata: a single run
-    lands exactly at ``out_path``, several runs at ``<stem>_<label><suffix>`` next to it.
+    lands exactly at ``out_path``, several runs at ``<stem>_<label><suffix>`` next to it, and two
+    labels that would name one file raise ConfigError before any file is written.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
     if not results:
         raise ConfigError("nothing to export")
     out_path = Path(out_path)
+    targets = [out_path]
+    if fmt == "csv" and len(results) > 1:
+        suffix = out_path.suffix or ".csv"
+        targets = [out_path.with_name(f"{out_path.stem}_{_safe_label(r.label)}{suffix}") for r in results]
+        for k, target in enumerate(targets):  # labels that differ may spell one file name
+            first = results[targets.index(target)].label
+            _require(target not in targets[:k], f"runs {first!r} and {results[k].label!r} would both be written to {target}")
     try:
         out_path.parent.mkdir(parents=True, exist_ok=True)
         if fmt == "json":
             _write_json(results, out_path)
-            return [out_path]
-        suffix = out_path.suffix or ".csv"
-        targets = [out_path] if len(results) == 1 else [
-            out_path.with_name(f"{out_path.stem}_{_safe_label(r.label)}{suffix}") for r in results
-        ]
-        for target, result in zip(targets, results):
-            _write_csv(result, target)
+        else:
+            for target, result in zip(targets, results):
+                _write_csv(result, target)
         return targets
     except OSError as exc:
         raise ConfigError(f"failed to write {out_path}: {exc}") from exc

@@ -1,27 +1,23 @@
-"""Mode bases of two vibrations and one cavity mode, and composite energies.
+"""Mode bases of two vibrations and one cavity mode, and the displacements of their modes.
 
 Every regime works in one ``ModeBasis``: rows of orthonormal coefficients
 over the bare modes (0 = cavity, 1..2 = molecular vibrations). Under VSC the
 rows diagonalize the bilinear cavity-vibration Hamiltonian, giving two
 polaritons ("+", "-") and a dark combination ("d"). Outside the cavity, and
 in the perturbative weak regime, the basis is the identity rotation over the
-bare modes ("c", "v1", "v2"). Displacements, energies, Franck-Condon factors
-and the mode block of loss, gain and exchange (``rates.mode_block``) are then
-one formula for every regime, reading modes by position; labels only name them
-in state labels and exports. Everything is expressed in wavenumbers (cm^-1);
-a quantum of mode q carries energy omega_q directly.
+bare modes ("c", "v1", "v2"). Displacements, the state energies of
+``states.enumerate_states``, Franck-Condon factors and the mode block of loss,
+gain and exchange (``rates.mode_block``) are then one formula for every
+regime, reading modes by position; labels only name them in state labels and
+exports. Everything is expressed in wavenumbers (cm^-1); a quantum of mode q
+carries energy omega_q directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple
-
-import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .states import ReactionNetwork
+from typing import Tuple
 
 __all__ = [
     "CavitySpec",
@@ -30,7 +26,6 @@ __all__ = [
     "bare_mode_basis",
     "mode_basis",
     "mode_displacements",
-    "state_energies",
     "VSC_MODE_LABELS",
     "BARE_MODE_LABELS",
 ]
@@ -50,11 +45,11 @@ class CavitySpec:
     kappa: float  # ps^-1, photon loss rate
 
     def __post_init__(self) -> None:
-        if self.omega_c <= 0.0:
+        if not self.omega_c > 0.0:
             raise ValueError(f"omega_c must be > 0, got {self.omega_c}")
-        if self.g < 0.0:
+        if not self.g >= 0.0:
             raise ValueError(f"g must be >= 0, got {self.g}")
-        if self.kappa < 0.0:
+        if not self.kappa >= 0.0:
             raise ValueError(f"kappa must be >= 0, got {self.kappa}")
         # -0.0 passes the check; below resonance it would swap the signs of the "+" and "-" modes
         object.__setattr__(self, "g", abs(self.g))
@@ -75,7 +70,7 @@ class ModeBasis:
     omega_v: float  # cm^-1, bare vibration (= dark mode) frequency
 
     def __post_init__(self) -> None:
-        if self.omega_v <= 0.0:
+        if not self.omega_v > 0.0:
             raise ValueError(f"omega_v must be > 0, got {self.omega_v}")
 
 
@@ -145,33 +140,3 @@ def mode_displacements(basis: ModeBasis, molecule: int, lam: float) -> Tuple[flo
             for row, omega_q in zip(basis.coefficients, basis.frequencies)
         ]
     )
-
-
-def state_energies(network: "ReactionNetwork", basis: ModeBasis) -> np.ndarray:
-    """Energy (cm^-1) of every composite state over ``basis``, shape (S, S, 1 + M).
-
-    Axes: species of molecule 1 and of molecule 2 in declaration order, then
-    the occupation pattern (ground, then one quantum in each of the M modes in
-    basis order), the layout of ``enumerate_states``. Each energy is the sum
-    of electronic energies and mode quanta, plus the polaron shift
-    omega_v * sum_i lambda_phi_i^2 - sum_q omega_q * lambda_config_q^2 that
-    the basis rotation leaves behind. The shift vanishes in the identity
-    basis, where each vibration is displaced along its own coordinate.
-
-    Swapping the molecules maps (a, b) onto (b, a) and fixes the shift, but
-    in the identity basis its roundoff depends on the order in which the two
-    vibrations are subtracted; (b, a) with a < b therefore takes the shift of
-    (a, b), so the energies are exchange-symmetric bit for bit.
-    """
-    energies = np.array([s.energy for s in network.species])
-    lams = [s.displacement for s in network.species]
-    squares = np.array([lam**2 for lam in lams])
-    mol1, mol2 = (np.array([mode_displacements(basis, i, lam) for lam in lams]) for i in (1, 2))
-    shift = basis.omega_v * (squares[:, None] + squares[None, :])
-    for q, omega_q in enumerate(basis.frequencies):
-        lam = mol1[:, None, q] + mol2[None, :, q]
-        shift = shift - omega_q * lam * lam
-    species = np.arange(len(lams))
-    shift = np.where(species[:, None] > species, shift.T, shift)
-    quanta = np.array([0.0, *basis.frequencies])
-    return (energies[:, None, None] + energies[None, :, None] + quanta) + shift[:, :, None]

@@ -3,9 +3,9 @@
 The generator is tiny (<= 36 states) but stiff: rates span ~1e-4 to 1 ps^-1
 while horizons reach 1e4-1e6 ps. From a start that is symmetric in the two
 identical molecules, the chain lumps exactly onto the orbits of their
-exchange (10-24 instead of 16-36 states); ``propagate(rate_matrix, p0,
-grid)`` memoizes that set-up per process on the states, temperature and p0,
-so runs that share a start share it whatever their grids. The exact p(t) =
+exchange (10-24 instead of 16-36 states, ``StateSpace.orbits``), and
+``propagate(rate_matrix, p0, grid)`` lumps K, p0 and the Boltzmann weights on
+each call, keeping nothing between calls. The exact p(t) =
 exp(K t) p0 on a whole grid comes from one eigendecomposition of the lumped
 generator: a symmetric one where K is in detailed balance with the Boltzmann
 weights of the states, else a general one anchored on the
@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .rates import REACTIVE_CACHE_SIZE, RateMatrix
+from .rates import RateMatrix
 from .states import MOLECULES, StateSpace
 from .units import thermal_energy
 
@@ -63,23 +63,26 @@ class TimeGrid:
             raise ValueError(f"spacing must be 'log' or 'linear', got {self.spacing!r}")
         if not self.points:
             raise ValueError("time grid needs at least one point")
-        if self.points[0] < 0.0:
+        bad = [t for t in self.points if not math.isfinite(t)]
+        if bad:
+            raise ValueError(f"time grid points must be finite, got {bad[0]!r}")
+        if not self.points[0] >= 0.0:
             raise ValueError("time grid must start at t >= 0")
-        if any(b <= a for a, b in zip(self.points, self.points[1:])):
+        if any(not b > a for a, b in zip(self.points, self.points[1:])):
             raise ValueError("time grid must be strictly increasing")
 
     @classmethod
     def logarithmic(cls, start: float, end: float, n: int) -> "TimeGrid":
-        if start <= 0.0:
+        if not start > 0.0:
             raise ValueError("log grid needs start > 0")
-        if n < 2 or end <= start:
-            raise ValueError("log grid needs n >= 2 and end > start")
+        if n < 2 or not start < end < math.inf:
+            raise ValueError("log grid needs n >= 2 and a finite end > start")
         return cls(points=tuple(float(t) for t in np.geomspace(start, end, n)), spacing="log")
 
     @classmethod
     def linear(cls, start: float, end: float, n: int) -> "TimeGrid":
-        if n < 2 or end <= start:
-            raise ValueError("linear grid needs n >= 2 and end > start")
+        if n < 2 or not -math.inf < start < end < math.inf:
+            raise ValueError("linear grid needs n >= 2 and a finite end > finite start")
         return cls(points=tuple(float(t) for t in np.linspace(start, end, n)), spacing="linear")
 
     @cached_property
@@ -183,10 +186,12 @@ def _reversible_populations(
 def _spectral_populations(K: np.ndarray, p0: np.ndarray, times: np.ndarray) -> Optional[np.ndarray]:
     """exp(K t) p0 for every t from one eigendecomposition, or None where it is not trusted."""
     pi = _stationary_vector(K)
+    if pi is None:
+        return None
     lam, V = np.linalg.eig(K)
     null = int(np.argmin(np.abs(lam)))
     drift = max(abs(lam[null]), lam.real.max()) - 2.0 * np.finfo(float).eps * np.abs(K).sum(0).max()
-    if pi is None or drift * times[-1] > EIGENVALUE_DRIFT_LIMIT:
+    if drift * times[-1] > EIGENVALUE_DRIFT_LIMIT:
         return None
     lam[null] = 0.0
     # eigenvectors of nonzero eigenvalues sum to 0: strip what roundoff mixes in
@@ -228,51 +233,16 @@ def _taylor_populations(K: np.ndarray, p0: np.ndarray, times: np.ndarray) -> np.
     return populations
 
 
-@lru_cache(maxsize=REACTIVE_CACHE_SIZE)
-def _lumped_start(states: StateSpace, temperature: Optional[float], p0_bytes: bytes) -> Tuple[np.ndarray, ...]:
-    """The orbit of every state, one state of each orbit, the (orbits, states) lumping matrix, the
-    size of every state's orbit, and the lumped p0 and Boltzmann weights (None without a temperature).
+def propagate(rate_matrix: RateMatrix, p0: np.ndarray, grid: TimeGrid) -> Trajectory:
+    """Evaluate p(t) = exp(K t) p0 on every point of ``grid``, p0 a distribution over K's states.
 
     K commutes with the exchange of the two molecules (``StateSpace.exchange``),
     so from a start that the exchange leaves unchanged, such as every thermal
     start, p(t) is exchange-symmetric and the chain lumps exactly onto the
-    orbits {i, exchange[i]} (Kemeny and Snell, Finite Markov Chains, 1960;
-    Buchholz, J. Appl. Probab. 31, 1994): K~[O', O] = sum_{j in O'} K[j, i0]
-    for any i0 in O, and p_i = p_O / |O|. Other starts keep one orbit per state.
-    Memoized on the states, the temperature and the bits of p0, the last
-    REACTIVE_CACHE_SIZE kept; every array returned is read-only.
-    """
-    p0 = np.frombuffer(p0_bytes)
-    if abs(p0.sum() - 1.0) > 1e-10:
-        raise ValueError(f"p0 must sum to 1 within 1e-10, got {p0.sum()!r}")
-    if p0.min() < 0.0:
-        raise ValueError("p0 must be nonnegative")
-    index, exchange = np.arange(len(p0)), states.exchange
-    orbit = members = index
-    if np.array_equal(p0[exchange], p0):
-        lowest = np.minimum(index, exchange)
-        members = np.flatnonzero(lowest == index)
-        orbit = np.searchsorted(members, lowest)
-    lump = np.zeros((len(members), len(p0)))
-    lump[orbit, index] = 1.0
-    pi = None
-    if temperature is not None:
-        E = states.energies.ravel()
-        pi = lump @ np.exp(-(E - E.min()) / thermal_energy(temperature))
-    parts = (orbit, members, lump, lump.sum(axis=1)[orbit], lump @ p0, pi)
-    for array in parts:
-        if array is not None:
-            array.flags.writeable = False
-    return parts
-
-
-def propagate(rate_matrix: RateMatrix, p0: np.ndarray, grid: TimeGrid) -> Trajectory:
-    """Evaluate p(t) = exp(K t) p0 on every point of ``grid``, p0 a distribution over K's states.
-
-    The chain runs on the orbits of the molecule exchange (``_lumped_start``),
-    whose set-up the process shares between calls over the same states,
-    temperature and p0, whatever their grids, so per call only lumping K into
-    K~, the paths below and the checks run.
+    orbits {i, exchange[i]} (``StateSpace.orbits``; Kemeny and Snell, Finite
+    Markov Chains, 1960; Buchholz, J. Appl. Probab. 31, 1994): K~[O', O] =
+    sum_{j in O'} K[j, i0] for any i0 in O, and p_i = p_O / |O|. Other starts
+    keep one orbit per state.
 
     Three paths evaluate the lumped chain on the whole grid, each handing over
     to the next where it declines; t = 0 returns p0 exactly, and an eigen path
@@ -297,15 +267,25 @@ def propagate(rate_matrix: RateMatrix, p0: np.ndarray, grid: TimeGrid) -> Trajec
     NumericalError if the result loses probability beyond 1e-9 or turns
     negative beyond roundoff; populations are kept unclamped here.
     """
-    states = rate_matrix.states
+    states, n = rate_matrix.states, len(rate_matrix.states)
     p0 = np.asarray(p0, dtype=float)
-    if p0.shape != (len(states),):  # the bits that key the start do not hold the shape
-        raise ValueError(f"p0 has shape {p0.shape}, expected ({len(states)},)")
-    orbit, members, lump, sizes, lumped_p0, pi = _lumped_start(states, rate_matrix.temperature, p0.tobytes())
-    K_lumped = lump @ rate_matrix.matrix[:, members]
+    if p0.shape != (n,):
+        raise ValueError(f"p0 has shape {p0.shape}, expected ({n},)")
+    total = float(p0.sum())
+    if not abs(total - 1.0) <= 1e-10:
+        raise ValueError(f"p0 must sum to 1 within 1e-10, got {total!r}")
+    if not p0.min() >= 0.0:
+        raise ValueError("p0 must be nonnegative")
+    if (p0[states.exchange] == p0).all():
+        orbit, members, lump, sizes = states.orbits
+    else:
+        orbit = members = np.arange(n)
+        lump, sizes = np.eye(n), np.ones(n)
+    K_lumped, lumped_p0 = lump @ rate_matrix.matrix.take(members, axis=1), lump @ p0
     times = grid.times
     lumped = None
-    if pi is not None:
+    if rate_matrix.temperature is not None:
+        pi = lump @ np.exp(-states.excitations / thermal_energy(rate_matrix.temperature))
         lumped = _reversible_populations(K_lumped, pi, lumped_p0, times)
     if lumped is None:
         lumped = _spectral_populations(K_lumped, lumped_p0, times)
@@ -357,11 +337,11 @@ def vsc_scaling_criterion(
     the cavity, is at least the branching fraction k_d/(k_r + k_d). Passing
     the forward rate k_f additionally reports the steady-state net rate.
     """
-    if n_molecules < 1:
+    if not n_molecules >= 1:
         raise ValueError(f"N must be >= 1, got {n_molecules}")
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    if k_r < 0.0 or k_d < 0.0:
+    if not (k_r >= 0.0 and k_d >= 0.0):
         raise ValueError("rates must be >= 0")
     if k_r + k_d == 0.0:
         raise ValueError("k_r + k_d must be > 0")

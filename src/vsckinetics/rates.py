@@ -73,7 +73,7 @@ __all__ = [
 REGIME_KINDS = ("bare", "weak", "vsc")
 WEAK_COUPLING_DIVISOR = 100.0
 MAX_OCCUPATION = 100  # the model holds at most one quantum; element recurrences take O(m) steps
-REACTIVE_CACHE_SIZE = 32  # reactive parts, and lumped starts, kept per process; ~10 kB each at 36 states
+REACTIVE_CACHE_SIZE = 32  # reactive parts kept per process; ~10 kB each at 36 states
 # column sums of the same rates in another order: a few ulps of each entry
 EXCHANGE_RTOL = 64 * np.finfo(float).eps
 
@@ -88,13 +88,13 @@ class BathSpec:
     temperature: float  # K
 
     def __post_init__(self) -> None:
-        if self.gamma < 0.0:
+        if not self.gamma >= 0.0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.eta < 0.0:
+        if not self.eta >= 0.0:
             raise ValueError(f"eta must be >= 0, got {self.eta}")
-        if self.omega_cut <= 0.0:
+        if not self.omega_cut > 0.0:
             raise ValueError(f"omega_cut must be > 0, got {self.omega_cut}")
-        if self.temperature <= 0.0:
+        if not self.temperature > 0.0:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
 
 
@@ -278,7 +278,7 @@ def purcell_exchange_rate(
     symmetric in the two states. Requires a nonzero total linewidth. The
     out-rates may be arrays of matching shape, one rate per pair.
     """
-    if min(np.min(k_out_cavity), np.min(k_out_vib)) < 0.0:
+    if not min(np.min(k_out_cavity), np.min(k_out_vib)) >= 0.0:
         raise ValueError("out-rates must be >= 0")
     k_total = k_out_cavity + k_out_vib
     if np.any(k_total == 0.0):

@@ -7,11 +7,12 @@ over cavity and bare vibrations otherwise), truncated to at most one total
 quantum. For two molecules and S species that gives S^2 configurations of
 P = 4 occupation patterns each, 4*S^2 states, ordered lexicographically by
 configuration (declaration order) and then by occupation pattern (ground,
-then one quantum in each mode in basis order). ``StateSpace`` is that layout:
-a state vector reshapes to (S, S, P), species of molecule 1, species of
-molecule 2, pattern, and a state's energy, species counts, exchange image and
-label all follow from its index by arithmetic. The generator assembly in
-``rates`` relies on exactly this layout.
+then one quantum in each mode in basis order). ``StateSpace`` is that layout
+and owns what follows from it: a state vector reshapes to (S, S, P), species
+of molecule 1, species of molecule 2, pattern, and a state's energy, species
+counts, exchange image, exchange orbit and label all follow from its index.
+The generator assembly in ``rates`` and the lumping in ``propagate`` rely on
+exactly this layout.
 
 The two molecules are identical, so swapping them maps state (a, b, p) onto
 (b, a, sigma(p)), where sigma trades v1 and v2 in the identity basis and
@@ -21,6 +22,7 @@ swap bit for bit, and so is the thermal start of ``initial_distribution``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -28,7 +30,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .eigenmodes import ModeBasis, state_energies
+from .eigenmodes import ModeBasis, mode_displacements
 from .units import thermal_energy
 
 __all__ = [
@@ -55,6 +57,9 @@ class SpeciesSpec:
     def __post_init__(self) -> None:
         if not self.label:
             raise ValueError("species label must be non-empty")
+        for name in ("energy", "displacement"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"species {name} must be finite, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -74,9 +79,11 @@ class CouplingSpec:
             raise ValueError(f"coupling pair must be a tuple, got {type(self.pair).__name__}")
         if len(self.pair) != 2 or self.pair[0] == self.pair[1]:
             raise ValueError(f"coupling pair must name two distinct species, got {self.pair}")
-        if self.J != 0.0 and self.lambda_s <= 0.0:
+        if not math.isfinite(self.J):
+            raise ValueError(f"J must be finite, got {self.J!r}")
+        if self.J != 0.0 and not self.lambda_s > 0.0:
             raise ValueError("lambda_s must be > 0 for a nonzero coupling")
-        if self.lambda_s < 0.0:
+        if not self.lambda_s >= 0.0:
             raise ValueError(f"lambda_s must be >= 0, got {self.lambda_s}")
 
 
@@ -143,6 +150,29 @@ class StateSpace:
         perm.flags.writeable = False
         return perm
 
+    @cached_property
+    def excitations(self) -> np.ndarray:
+        """Each state's energy above the lowest state (cm^-1), flat and read-only."""
+        E = self.energies.ravel()
+        excitations = E - E.min()
+        excitations.flags.writeable = False
+        return excitations
+
+    @cached_property
+    def orbits(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The orbits {i, exchange[i]}: each state's orbit, each orbit's lowest state, the
+        (orbits, states) lumping matrix and the size of each state's orbit, all read-only."""
+        index = np.arange(len(self))
+        lowest = np.minimum(index, self.exchange)
+        members = np.flatnonzero(lowest == index)
+        orbit = np.searchsorted(members, lowest)
+        lump = np.zeros((len(members), len(self)))
+        lump[orbit, index] = 1.0
+        parts = (orbit, members, lump, lump.sum(axis=1)[orbit])
+        for array in parts:
+            array.flags.writeable = False
+        return parts
+
     def counts(self) -> np.ndarray:
         """Molecules of each species in each state, shape (len, S)."""
         S, _, P = self.energies.shape
@@ -164,17 +194,34 @@ def occupation_patterns(n_modes: int) -> Tuple[Tuple[int, ...], ...]:
 def enumerate_states(network: ReactionNetwork, basis: ModeBasis) -> StateSpace:
     """The state space of ``network`` over the modes of ``basis``.
 
-    Energies come from ``state_energies`` in that basis, one array for every
-    configuration and occupation pattern, exchange-symmetric bit for bit.
-    Swapping the bare vibrations turns each mode's coefficient row into plus
-    or minus the row of mode sigma(q): v1 and v2 trade places in the identity
-    basis, while +, - and d stay put under VSC, where the sign of the dark row
-    is unobservable.
+    Each energy (cm^-1) is the sum of electronic energies and mode quanta,
+    plus the polaron shift omega_v * sum_i lambda_phi_i^2 - sum_q omega_q *
+    lambda_config_q^2 that the basis rotation leaves behind. The shift
+    vanishes in the identity basis, where each vibration is displaced along
+    its own coordinate. Swapping the molecules maps (a, b) onto (b, a) and
+    fixes the shift, but in the identity basis its roundoff depends on the
+    order in which the two vibrations are subtracted; (b, a) with a < b
+    therefore takes the shift of (a, b), so the energies are exchange-symmetric
+    bit for bit. Swapping the bare vibrations turns each mode's coefficient
+    row into plus or minus the row of mode sigma(q): v1 and v2 trade places in
+    the identity basis, while +, - and d stay put under VSC, where the sign of
+    the dark row is unobservable.
     """
+    lams = [s.displacement for s in network.species]
+    squares = np.array([lam**2 for lam in lams])
+    mol1, mol2 = (np.array([mode_displacements(basis, i, lam) for lam in lams]) for i in (1, 2))
+    shift = basis.omega_v * (squares[:, None] + squares[None, :])
+    for q, omega_q in enumerate(basis.frequencies):
+        lam = mol1[:, None, q] + mol2[None, :, q]
+        shift = shift - omega_q * lam * lam
+    species = np.arange(len(lams))
+    shift = np.where(species[:, None] > species, shift.T, shift)
+    electronic = np.array([s.energy for s in network.species])
+    quanta = np.array([0.0, *basis.frequencies])
+    energies = (electronic[:, None, None] + electronic[None, :, None] + quanta) + shift[:, :, None]
+    energies.flags.writeable = False
     rows = np.array(basis.coefficients)
     sigma = np.abs(rows[:, [0, 2, 1]] @ rows.T).argmax(axis=1)
-    energies = state_energies(network, basis)
-    energies.flags.writeable = False
     return StateSpace(network.labels(), basis.labels, energies, tuple(sigma.tolist()))
 
 

@@ -39,6 +39,6 @@ def wavenumber_to_angular(nu: float) -> float:
 
 def thermal_energy(temperature: float) -> float:
     """kB*T in cm^-1. Temperature must be strictly positive."""
-    if temperature <= 0.0:
+    if not temperature > 0.0:
         raise ValueError(f"temperature must be > 0 K, got {temperature}")
     return KB * temperature

@@ -70,10 +70,10 @@ def _runs() -> Iterator[Tuple[str, List]]:
 def digests() -> Dict[str, str]:
     """The sha256 of every golden export file, keyed by run set and file name."""
     table = {}
-    with tempfile.TemporaryDirectory() as scratch:
+    with tempfile.TemporaryDirectory() as folder:
         for key, results in _runs():
             for fmt in ("csv", "json"):
-                for path in export(results, fmt, Path(scratch) / f"out.{fmt}"):
+                for path in export(results, fmt, Path(folder) / f"out.{fmt}"):
                     table[f"{key}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
                     path.unlink()
     return table

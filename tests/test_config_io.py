@@ -34,10 +34,11 @@ from vsckinetics.config import (
     run_scenario,
     run_sweep,
 )
-from vsckinetics.eigenmodes import CavitySpec
-from vsckinetics.propagate import TimeGrid, _lumped_start
-from vsckinetics.rates import REGIME_KINDS, BathSpec, reactive_rates
-from vsckinetics.states import CouplingSpec, SpeciesSpec
+from vsckinetics.eigenmodes import CavitySpec, bare_mode_basis
+from vsckinetics.propagate import TimeGrid, propagate, vsc_scaling_criterion
+from vsckinetics.rates import REGIME_KINDS, BathSpec, purcell_exchange_rate, reactive_rates
+from vsckinetics.states import CouplingSpec, SpeciesSpec, initial_distribution
+from vsckinetics.units import thermal_energy
 
 BLOCK_SPECS = {"species": SpeciesSpec, "couplings": CouplingSpec, "cavity": CavitySpec, "bath": BathSpec}
 
@@ -80,8 +81,7 @@ def assert_identical_runs(runs, reference, tmp_path):
 
 
 def count_calls(monkeypatch):
-    """Calls of the parts a sweep may share: states (one per reactive part built) and propagation.
-    The lumped starts built are the misses of ``_lumped_start``."""
+    """Calls of the parts a sweep may share: states (one per reactive part built) and propagation."""
     calls = {}
     for module, name in ((rates_module, "enumerate_states"), (config_module, "propagate")):
         def counted(*args, original=getattr(module, name), name=name):
@@ -90,6 +90,43 @@ def count_calls(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def propagate_nan_p0(config):
+    gen = config_module.build_generator(config)
+    p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
+    p0[-1] = math.nan
+    return propagate(gen, p0, config.grid)
+
+
+# a value built with NaN or +-inf in place of a number, and the error it raises
+NON_FINITE_BUILDS = {
+    "grid nan": (lambda c: TimeGrid(points=(0.0, math.nan), spacing="linear"), "time grid points must be finite, got nan"),
+    "grid inf": (lambda c: TimeGrid(points=(0.0, math.inf), spacing="linear"), "time grid points must be finite, got inf"),
+    "linear grid to inf": (lambda c: TimeGrid.linear(0.0, math.inf, 3), "linear grid needs n >= 2 and a finite end > finite start"),
+    "log grid from nan": (lambda c: TimeGrid.logarithmic(math.nan, 1.0, 3), "log grid needs start > 0"),
+    "p0 nan": (propagate_nan_p0, "p0 must sum to 1 within 1e-10, got nan"),
+    "gamma nan": (lambda c: replace(c.bath, gamma=math.nan), "gamma must be >= 0, got nan"),
+    "eta nan": (lambda c: replace(c.bath, eta=math.nan), "eta must be >= 0, got nan"),
+    "omega_cut nan": (lambda c: replace(c.bath, omega_cut=math.nan), "omega_cut must be > 0, got nan"),
+    "temperature nan": (lambda c: replace(c.bath, temperature=math.nan), "temperature must be > 0, got nan"),
+    "kappa nan": (lambda c: replace(c.cavity, kappa=math.nan), "kappa must be >= 0, got nan"),
+    "omega_c nan": (lambda c: replace(c.cavity, omega_c=math.nan), "omega_c must be > 0, got nan"),
+    "g nan": (lambda c: replace(c.cavity, g=math.nan), "g must be >= 0, got nan"),
+    "omega_v nan": (lambda c: bare_mode_basis(c.cavity, math.nan), "omega_v must be > 0, got nan"),
+    "energy nan": (lambda c: replace(c.network.species[1], energy=math.nan), "species energy must be finite, got nan"),
+    "energy inf": (lambda c: replace(c.network.species[1], energy=-math.inf), "species energy must be finite, got -inf"),
+    "displacement nan": (
+        lambda c: replace(c.network.species[1], displacement=math.nan), "species displacement must be finite, got nan"
+    ),
+    "J nan": (lambda c: replace(c.network.couplings[0], J=math.nan), "J must be finite, got nan"),
+    "J inf": (lambda c: replace(c.network.couplings[0], J=math.inf), "J must be finite, got inf"),
+    "lambda_s nan": (lambda c: replace(c.network.couplings[0], J=0.0, lambda_s=math.nan), "lambda_s must be >= 0, got nan"),
+    "kT nan": (lambda c: thermal_energy(math.nan), "temperature must be > 0 K, got nan"),
+    "out-rate nan": (lambda c: purcell_exchange_rate(math.nan, 0.01, 0.42, 0.0), "out-rates must be >= 0"),
+    "epsilon nan": (lambda c: vsc_scaling_criterion(math.nan, 2, 1.0, 1.0), "epsilon must be >= 0, got nan"),
+    "k_d nan": (lambda c: vsc_scaling_criterion(0.1, 2, 1.0, math.nan), "rates must be >= 0"),
+}
 
 
 class TestBundledConfigs:
@@ -254,6 +291,13 @@ class TestSchema:
         # later as a non-finite generator, an allocation without end or by silent conversion
         with pytest.raises(ConfigError, match=field):
             config_from_dict(fast_dict(**mutation))
+
+    @pytest.mark.parametrize("build, message", NON_FINITE_BUILDS.values(), ids=NON_FINITE_BUILDS.keys())
+    def test_non_finite_values_fail_where_they_are_built(self, build, message):
+        # NaN fails every range check and a number with no range must be finite, so neither
+        # surfaces later as a non-finite generator or population
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(config_from_dict(fast_dict()))
 
     @pytest.mark.parametrize(
         "mutation, field",
@@ -524,24 +568,22 @@ class TestOrchestration:
     )
     def test_shared_parts_are_built_once(self, monkeypatch, kind, parameter, builds, propagations):
         reactive_rates.cache_clear()
-        _lumped_start.cache_clear()
         calls = count_calls(monkeypatch)
         sweep = SweepSpec(parameter, SWEEP_VALUES[parameter], config_from_dict(fast_dict(regime=kind)))
         run_sweep(sweep)
         assert calls == {"enumerate_states": builds, "propagate": propagations}
-        assert reactive_rates.cache_info().misses == _lumped_start.cache_info().misses == builds
-        # a second identical sweep builds no part and lumps no start
+        assert reactive_rates.cache_info().misses == builds
+        # a second identical sweep builds no part
         run_sweep(replace(sweep, base=config_from_dict(fast_dict(regime=kind))))
         assert calls == {"enumerate_states": builds, "propagate": 2 * propagations}
-        assert reactive_rates.cache_info().misses == _lumped_start.cache_info().misses == builds
+        assert reactive_rates.cache_info().misses == builds
 
     def test_comparison_shares_the_bare_basis(self, monkeypatch):
         reactive_rates.cache_clear()
-        _lumped_start.cache_clear()
         calls = count_calls(monkeypatch)
         run_comparison(config_from_dict(fast_dict()), ["bare", "weak", "vsc"])
         assert calls == {"enumerate_states": 2, "propagate": 3}
-        assert reactive_rates.cache_info().misses == _lumped_start.cache_info().misses == 2
+        assert reactive_rates.cache_info().misses == 2
 
     @pytest.mark.parametrize("kind", REGIME_KINDS)
     def test_a_second_sweep_builds_no_reactive_part(self, monkeypatch, tmp_path, kind):
@@ -576,6 +618,14 @@ class TestOrchestration:
 
 
 class TestExport:
+    def test_labels_that_name_one_csv_file_raise_before_any_is_written(self, tmp_path):
+        result = run_scenario(config_from_dict(fast_dict()), label="a b")
+        twin = replace(result, label="a/b")  # both labels spell the file name out_a-b.csv
+        with pytest.raises(ConfigError, match=r"^runs 'a b' and 'a/b' would both be written to .*out_a-b\.csv$"):
+            export([result, twin], "csv", tmp_path / "runs" / "out.csv")
+        assert not (tmp_path / "runs").exists()
+        assert export([result, twin], "json", tmp_path / "out.json") == [tmp_path / "out.json"]
+
     @pytest.mark.parametrize("name", ["reaction1", "reaction3"])
     @pytest.mark.parametrize("kind", REGIME_KINDS)
     def test_memory_layout_of_the_populations_is_unobservable(self, tmp_path, name, kind):

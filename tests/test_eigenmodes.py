@@ -12,9 +12,8 @@ from vsckinetics.eigenmodes import (
     build_mode_basis,
     mode_basis,
     mode_displacements,
-    state_energies,
 )
-from vsckinetics.states import ReactionNetwork, SpeciesSpec
+from vsckinetics.states import ReactionNetwork, SpeciesSpec, enumerate_states
 
 G_VSC = 42.426406871192846  # 0.03 * 2000 / sqrt(2)
 OMEGA_V = 2000.0
@@ -164,12 +163,12 @@ def test_displacement_redistribution():
             mode_displacements(basis, bad, 1.5)
 
 
-# state_energies axes: species of molecule 1 and 2 (A = 0, B = 1), then the
+# state energy axes: species of molecule 1 and 2 (A = 0, B = 1), then the
 # pattern: 0 ground, 1..3 one quantum in the basis modes in order
 def test_composite_energy_bare():
     network = r1_network()
     basis = bare_mode_basis(CavitySpec(omega_c=2000.0, g=0.0, kappa=1.0), OMEGA_V)
-    energies = state_energies(network, basis)
+    energies = enumerate_states(network, basis).energies
     assert energies.shape == (2, 2, 4)
     assert energies[0, 0, 0] == 0.0
     assert energies[1, 0, 2] == pytest.approx(800.0)  # B.A|v1
@@ -181,7 +180,7 @@ def test_composite_energy_bare():
 
 def test_composite_energy_vsc_polaron_shift():
     network = r1_network()
-    energies = state_energies(network, resonant_basis())
+    energies = enumerate_states(network, resonant_basis()).energies
     # frozen values from independent evaluation of the shift formula
     assert energies[1, 0, 0] == pytest.approx(-1200.0 - 2.0268241417265926, rel=1e-12)
     assert energies[1, 1, 0] == pytest.approx(-2400.0 - 8.107296566909099, rel=1e-12)
@@ -195,5 +194,5 @@ def test_vsc_energy_approaches_bare_as_g_vanishes():
     network = r1_network()
     for g in (1.0, 0.1, 0.01):
         basis = build_mode_basis(CavitySpec(omega_c=OMEGA_V, g=g, kappa=1.0), OMEGA_V)
-        e = state_energies(network, basis)[1, 0, 0]
+        e = enumerate_states(network, basis).energies[1, 0, 0]
         assert abs(e - (-1200.0)) < 2e-3 * g * g  # polaron shift dies off quadratically

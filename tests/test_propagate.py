@@ -397,6 +397,18 @@ class TestTaylorFallback:
                 assert np.abs(populations.sum(axis=1) - 1.0).max() <= 1e-14
         assert len(fallback_calls) == 4
 
+    def test_reducible_generator_pays_for_no_general_eigensolver(self, reaction1, monkeypatch, fallback_calls):
+        # bare kappa = 0: GTH finds the lumped chain reducible before eig decomposes it
+        config = with_regime(reaction1, "bare", kappa=0.0)
+        gen = build_generator(config)
+        p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
+        eig_sizes = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda K: eig_sizes.append(len(K)) or eig(K))
+        propagate(gen, p0, config.grid)
+        assert fallback_calls == [10]
+        assert eig_sizes == []
+
     def test_tiny_populations_keep_relative_precision(self, fallback_calls):
         # each molecule walks S0 -> S1 -> ... -> S11 at rate k and stays there; the two are
         # independent, so p(a, b) = f_a f_b with Poisson weights f_a, as small as 6e-60

@@ -13,10 +13,10 @@ Nonzero displacements reach down to 1e-160, whose one-quantum factors fall
 below the smallest normal double, so reactive pairs that underflow are drawn.
 Propagated trajectories must conserve probability under all three regimes,
 and a config with one wrong field must be rejected by name, both at load and
-through the CLI. The process-wide caches of reactive parts and lumped starts
-must serve inputs equal in value to cached ones, -0.0 for 0.0 included, with
-the bits a fresh build gives, and a p0 equal in value propagates to the same
-bits whatever its type. The JSON writer must spell any nesting of dicts with
+through the CLI. The process-wide cache of reactive parts must serve inputs
+equal in value to cached ones, -0.0 for 0.0 included, with the bits a fresh
+build gives, the exchange orbits of its states included, and a p0 equal in
+value propagates to the same bits whatever its type. The JSON writer must spell any nesting of dicts with
 string keys, lists, tuples, scalars (NaN, +-inf and -0.0 among the floats) and
 1-D or 2-D float arrays, empty ones included, as ``json.dumps(indent=2)``
 spells it with each array as its list.
@@ -50,7 +50,7 @@ from vsckinetics.config import (
     run_scenario,
 )
 from vsckinetics.eigenmodes import mode_basis
-from vsckinetics.propagate import CONSERVATION_TOL, NEGATIVITY_TOL, TimeGrid, _lumped_start, propagate
+from vsckinetics.propagate import CONSERVATION_TOL, NEGATIVITY_TOL, TimeGrid, propagate
 from vsckinetics.rates import REACTIVE_CACHE_SIZE, REGIME_KINDS, reactive_rates
 from vsckinetics.states import initial_distribution
 from vsckinetics.units import thermal_energy
@@ -150,7 +150,7 @@ def test_cached_parts_are_fresh_builds(raw, data):
                 entry[key], other[key] = data.draw(st.sampled_from([(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)]))
     if twin["cavity"]["g"] == 0.0:
         twin["cavity"]["g"] = -0.0
-    parts, starts, keys = [], [], []
+    parts, keys = [], []
     for config in map(config_from_dict, (raw, twin)):
         basis = mode_basis(config.regime_kind, config.cavity, config.omega_v)
         inputs = (config.network, basis, config.bath.temperature)
@@ -162,22 +162,14 @@ def test_cached_parts_are_fresh_builds(raw, data):
             assert getattr(states, field) == getattr(fresh_states, field)
         assert states.energies.tobytes() == fresh_states.energies.tobytes()
         assert matrix.tobytes() == fresh_matrix.tobytes()
-        assert not any(array.flags.writeable for array in [matrix, *arrays_reachable(states)])
+        # the orbits propagate lumps on, as the cached states hold them
+        assert [a.tobytes() for a in states.orbits] == [a.tobytes() for a in fresh_states.orbits]
+        assert not any(array.flags.writeable for array in [matrix, *arrays_reachable(states), *states.orbits])
         parts.append(cached)
-        # the lumped start of the thermal p0, as propagate keys it
-        p0 = initial_distribution(states, config.reactant, config.bath.temperature)
-        start_key = (states, config.bath.temperature, p0.tobytes())
-        start, fresh_start = _lumped_start(*start_key), _lumped_start.__wrapped__(*start_key)
-        assert [None if a is None else a.tobytes() for a in start] == [
-            None if a is None else a.tobytes() for a in fresh_start
-        ]
-        assert not any(array.flags.writeable for array in start if array is not None)
-        starts.append(start)
     # g = -0.0 loads as 0.0, so the twin's basis is the same too, also below resonance
     assert keys[1] == keys[0]
     assert parts[1] is parts[0]
-    assert starts[1] is starts[0]
-    assert reactive_rates.cache_info().maxsize == _lumped_start.cache_info().maxsize == REACTIVE_CACHE_SIZE == 32
+    assert reactive_rates.cache_info().maxsize == REACTIVE_CACHE_SIZE == 32
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

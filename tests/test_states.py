@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import coupling, parse_label, reference_energy, species, swapped_label
-from vsckinetics.eigenmodes import CavitySpec, bare_mode_basis, build_mode_basis
+from vsckinetics.eigenmodes import CavitySpec, bare_mode_basis, build_mode_basis, mode_basis
+from vsckinetics.rates import REGIME_KINDS
 from vsckinetics.states import (
     CouplingSpec,
     ReactionNetwork,
@@ -163,6 +164,22 @@ def test_energies_are_exchange_symmetric_bit_for_bit():
             config, occupations = parse_label(label, basis.labels)
             if list(config) == sorted(config):
                 assert e == reference_energy(config, occupations, basis, net)
+
+
+@pytest.mark.parametrize("scenario", ["reaction1", "reaction2", "reaction3"])
+@pytest.mark.parametrize("kind", REGIME_KINDS)
+def test_orbits_are_the_exchange_pairs(request, scenario, kind):
+    # brute force: the distinct sets {i, exchange[i]}, ordered by their lowest state
+    config = request.getfixturevalue(scenario)
+    space = enumerate_states(config.network, mode_basis(kind, config.cavity, config.omega_v))
+    pairs = sorted({frozenset((i, j)) for i, j in enumerate(space.exchange.tolist())}, key=min)
+    orbit, members, lump, sizes = space.orbits
+    assert members.tolist() == [min(pair) for pair in pairs]
+    assert [pairs[o] for o in orbit.tolist()] == [pair for i in range(len(space)) for pair in pairs if i in pair]
+    assert sizes.tolist() == [len(pairs[o]) for o in orbit.tolist()]
+    assert lump.tolist() == [[float(i in pair) for i in range(len(space))] for pair in pairs]
+    assert space.orbits is space.orbits
+    assert not any(array.flags.writeable for array in space.orbits)
 
 
 def test_initial_distribution_bare():
