@@ -202,7 +202,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NumericalError, OverflowError) as exc:  # finite inputs whose arithmetic overflows
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as exc:  # ConfigError is a ValueError
+    except ValueError as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

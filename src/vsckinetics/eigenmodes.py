@@ -22,14 +22,15 @@ from typing import Tuple
 __all__ = [
     "CavitySpec",
     "ModeBasis",
+    "REGIME_KINDS",
     "build_mode_basis",
-    "bare_mode_basis",
     "mode_basis",
     "mode_displacements",
     "VSC_MODE_LABELS",
     "BARE_MODE_LABELS",
 ]
 
+REGIME_KINDS = ("bare", "weak", "vsc")
 VSC_MODE_LABELS: Tuple[str, str, str] = ("+", "-", "d")
 BARE_MODE_LABELS: Tuple[str, str, str] = ("c", "v1", "v2")
 
@@ -110,19 +111,18 @@ def build_mode_basis(cavity: CavitySpec, omega_v: float) -> ModeBasis:
     )
 
 
-def bare_mode_basis(cavity: CavitySpec, omega_v: float) -> ModeBasis:
-    """The uncoupled modes as the identity rotation: cavity, vibration 1, vibration 2."""
+def mode_basis(kind: str, cavity: CavitySpec, omega_v: float) -> ModeBasis:
+    """The basis of a kind out of ``REGIME_KINDS``: the polariton eigenmodes under "vsc", else the identity."""
+    if kind not in REGIME_KINDS:
+        raise ValueError(f"regime must be one of {REGIME_KINDS}, got {kind!r}")
+    if kind == "vsc":
+        return build_mode_basis(cavity, omega_v)
     return ModeBasis(
         labels=BARE_MODE_LABELS,
         frequencies=(cavity.omega_c, omega_v, omega_v),
         coefficients=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
         omega_v=omega_v,
     )
-
-
-def mode_basis(kind: str, cavity: CavitySpec, omega_v: float) -> ModeBasis:
-    """The basis a regime kind works in: the polariton eigenmodes under "vsc", else the identity."""
-    return (build_mode_basis if kind == "vsc" else bare_mode_basis)(cavity, omega_v)
 
 
 def mode_displacements(basis: ModeBasis, molecule: int, lam: float) -> Tuple[float, ...]:

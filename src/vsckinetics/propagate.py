@@ -83,6 +83,8 @@ class TimeGrid:
     def linear(cls, start: float, end: float, n: int) -> "TimeGrid":
         if n < 2 or not -math.inf < start < end < math.inf:
             raise ValueError("linear grid needs n >= 2 and a finite end > finite start")
+        if not math.isfinite(end - start):
+            raise ValueError(f"linear grid span from {start!r} to {end!r} overflows a double")
         return cls(points=tuple(float(t) for t in np.linspace(start, end, n)), spacing="linear")
 
     @cached_property

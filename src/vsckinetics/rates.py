@@ -10,10 +10,10 @@ Three process families populate the generator:
 
 Every regime shares one mode basis: the polariton/dark eigenmodes under VSC,
 the identity rotation over cavity and bare vibrations otherwise. Franck-Condon
-factors, losses and gains are therefore one formula each, indexed by mode
-position; the regime is a plain kind out of ``REGIME_KINDS`` that only
-decides which exchange family joins them and, through ``effective_coupling``,
-which coupling the weak Purcell term sees.
+factors, losses, gains and bath exchange are therefore one formula each, indexed
+by mode position (only eigenmodes share vibrations, so only they exchange); the
+regime is a plain kind out of ``REGIME_KINDS`` that decides only whether the
+weak Purcell term joins them and, through ``effective_coupling``, its coupling.
 
 Assembly follows the same split. Two molecules over S species give S^2
 configurations of P = 4 occupation patterns each, so K is an S^2 x S^2 grid
@@ -44,7 +44,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .eigenmodes import VSC_MODE_LABELS, CavitySpec, ModeBasis, mode_displacements
+from .eigenmodes import REGIME_KINDS, VSC_MODE_LABELS, CavitySpec, ModeBasis, mode_displacements
 from .states import (
     CouplingSpec,
     ReactionNetwork,
@@ -70,7 +70,6 @@ __all__ = [
     "assemble_rate_matrix",
 ]
 
-REGIME_KINDS = ("bare", "weak", "vsc")
 WEAK_COUPLING_DIVISOR = 100.0
 MAX_OCCUPATION = 100  # the model holds at most one quantum; element recurrences take O(m) steps
 REACTIVE_CACHE_SIZE = 32  # reactive parts kept per process; ~10 kB each at 36 states
@@ -225,7 +224,7 @@ def reactive_rate(
     return prefactor * fc * np.exp(-((de + lam_s) ** 2) / (4.0 * lam_s * kT))
 
 
-def mode_block(basis: ModeBasis, cavity: CavitySpec, bath: BathSpec, kind: str) -> np.ndarray:
+def mode_block(basis: ModeBasis, cavity: CavitySpec, bath: BathSpec) -> np.ndarray:
     """Rates among the P = 1 + M occupation patterns of one configuration, indexed [to, from].
 
     Pattern 0 is the ground state and pattern q one quantum in mode q - 1 of
@@ -233,13 +232,13 @@ def mode_block(basis: ModeBasis, cavity: CavitySpec, bath: BathSpec, kind: str) 
     vibrational weight times gamma, C[:,0]^2 kappa + sum_i C[:,i]^2 gamma, and
     the gain from the ground state pairs with each loss by detailed balance.
 
-    Under "vsc" (eigenmode basis) quanta also relax between distinct modes
-    through the anharmonic bath: Ohmic spectral density J(w) = eta * w *
-    exp(-(w/w_cut)^2) at the angular gap, weighted by the modes' vibrational
-    overlap sum_i C[r,i]^2 C[q,i]^2; downhill moves carry (nbar+1) and uphill
-    moves nbar, so each pair satisfies detailed balance. Degenerate modes (zero
-    gap, e.g. g = 0 on resonance) exchange at the w -> 0 limit
-    2 pi * overlap * eta * kT in angular units, the same both ways.
+    Distinct modes that share vibrational weight also exchange quanta through
+    the anharmonic bath: Ohmic spectral density J(w) = eta * w * exp(-(w/w_cut)^2)
+    at the angular gap, weighted by the overlap sum_i C[r,i]^2 C[q,i]^2 (never
+    nonzero in the identity basis); downhill moves carry (nbar+1) and uphill moves
+    nbar, so each pair satisfies detailed balance. Degenerate modes (zero gap,
+    e.g. g = 0 on resonance) exchange at the w -> 0 limit 2 pi * overlap * eta * kT
+    in angular units, the same both ways.
     """
     C = np.array(basis.coefficients)
     weights = C[:, 1:] ** 2  # vibrational weight of each mode, per molecule
@@ -249,21 +248,22 @@ def mode_block(basis: ModeBasis, cavity: CavitySpec, bath: BathSpec, kind: str) 
     block = np.zeros((P, P))
     block[0, 1:] = loss
     block[1:, 0] = [x * math.exp(-omega / kT) for x, omega in zip(loss.tolist(), basis.frequencies)]
-    if kind == "vsc":
-        overlap = (weights[:, None, :] * weights[None, :, :]).sum(axis=2).tolist()
-        w_cut = wavenumber_to_angular(bath.omega_cut)
-        for (q, w_from), (r, w_to) in permutations(enumerate(basis.frequencies), 2):
-            d_omega = w_to - w_from  # cm^-1
-            gap = abs(d_omega)
-            if gap == 0.0:
-                rate = 2.0 * math.pi * overlap[r][q] * bath.eta * wavenumber_to_angular(kT)
-            else:
-                w = wavenumber_to_angular(gap)
-                spectral = bath.eta * w * math.exp(-((w / w_cut) ** 2))
-                nbar = 1.0 / math.expm1(gap / kT)
-                occupancy = nbar + 1.0 if d_omega < 0.0 else nbar
-                rate = 2.0 * math.pi * overlap[r][q] * occupancy * spectral
-            block[1 + r, 1 + q] = rate
+    overlap = (weights[:, None, :] * weights[None, :, :]).sum(axis=2).tolist()
+    w_cut = wavenumber_to_angular(bath.omega_cut)
+    for (q, w_from), (r, w_to) in permutations(enumerate(basis.frequencies), 2):
+        if overlap[r][q] == 0.0:  # 0 * inf would be NaN at an overflowing eta
+            continue
+        d_omega = w_to - w_from  # cm^-1
+        gap = abs(d_omega)
+        if gap == 0.0:
+            rate = 2.0 * math.pi * overlap[r][q] * bath.eta * wavenumber_to_angular(kT)
+        else:
+            w = wavenumber_to_angular(gap)
+            spectral = bath.eta * w * math.exp(-((w / w_cut) ** 2))
+            nbar = 1.0 / math.expm1(gap / kT)
+            occupancy = nbar + 1.0 if d_omega < 0.0 else nbar
+            rate = 2.0 * math.pi * overlap[r][q] * occupancy * spectral
+        block[1 + r, 1 + q] = rate
     return block
 
 
@@ -333,13 +333,12 @@ def assemble_rate_matrix(
 ) -> RateMatrix:
     """The generator of ``network`` over the modes of ``basis`` in a regime ``kind`` (one of ``REGIME_KINDS``).
 
-    The reactive part comes from ``reactive_rates`` at the bath temperature, so
-    generators over equal networks, bases and temperatures share it and its
-    states. Loss, gain and, under "vsc", bath exchange join it; "weak" (identity
-    basis) adds the symmetric Purcell cavity-vibration exchange at the
-    coupling ``effective_coupling(kind, cavity.g)``, whose linewidths are the
-    bare out-rates of the two exchanging states; "bare" adds none. Observable
-    rates must not depend on the arbitrary dark-row sign of the eigenmode basis.
+    ``basis`` is the kind's ``mode_basis``. The reactive part comes from ``reactive_rates`` at the
+    bath temperature, so generators over equal networks, bases and temperatures share it and its
+    states; the basis's ``mode_block`` adds loss, gain and bath exchange. The kind decides only
+    the Purcell term: "weak" adds the symmetric cavity-vibration exchange at the coupling
+    ``effective_coupling(kind, cavity.g)``, whose linewidths are the bare out-rates of the two
+    exchanging states. Observable rates must not depend on the dark-row sign of the eigenmodes.
     """
     g_effective = effective_coupling(kind, cavity.g)
     if (kind == "vsc") != (basis.labels == VSC_MODE_LABELS):
@@ -348,7 +347,7 @@ def assemble_rate_matrix(
     S, _, P = states.energies.shape
     K = reactive.copy()
     configs = np.arange(S * S)
-    K.reshape(S * S, P, S * S, P)[configs, :, configs, :] += mode_block(basis, cavity, bath, kind)
+    K.reshape(S * S, P, S * S, P)[configs, :, configs, :] += mode_block(basis, cavity, bath)
 
     if kind == "weak":
         out = K.sum(axis=0).reshape(S * S, P)  # bare out-rates; the diagonal is still zero here

@@ -23,6 +23,7 @@ swap bit for bit, and so is the thermal start of ``initial_distribution``.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -45,6 +46,10 @@ __all__ = [
 
 MOLECULES = 2  # every layout holds two identical molecules
 
+# state labels join species with "." and "|", CSV headers join columns with ",", and
+# str.splitlines() also breaks at control characters and U+2028/U+2029
+_LABEL_FORBIDDEN = re.compile(r"[.|,\x00-\x1f\x7f-\x9f\u2028\u2029]")
+
 
 @dataclass(frozen=True)
 class SpeciesSpec:
@@ -56,7 +61,12 @@ class SpeciesSpec:
 
     def __post_init__(self) -> None:
         if not self.label:
-            raise ValueError("species label must be non-empty")
+            raise ValueError("species.label must be non-empty")
+        if _LABEL_FORBIDDEN.search(self.label):
+            raise ValueError(
+                "species.label must not contain '.', '|', ',', control characters or line"
+                f" separators, got {self.label!r}"
+            )
         for name in ("energy", "displacement"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"species {name} must be finite, got {getattr(self, name)!r}")

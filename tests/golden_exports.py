@@ -2,7 +2,7 @@
 
 Usage, from any directory:
 
-    python tests/golden_exports.py           # check the bytes against tests/golden/exports.json
+    python tests/golden_exports.py           # write every export, check its bytes against tests/golden/exports.json
     python tests/golden_exports.py --write   # rewrite the table on this build
 
 The golden exports are, in CSV and in JSON, a ``simulate`` of every bundled
@@ -10,9 +10,11 @@ reaction under every regime at its own omega_c and at 1800 and 2150 cm^-1, the
 three-regime compare of every reaction, and a kappa, gamma, eta and g sweep of
 every reaction under every regime: 210 files. Their bits depend on numpy's
 LAPACK and BLAS, so the table records the Python, numpy and platform that wrote
-it, and the bytes are pinned only on that build; elsewhere the check says which
-part of the build differs and pins nothing. Needs only the standard library and
-vsckinetics with its numpy, so it runs where the test extras are not installed.
+it, and the bytes are pinned only on that build. Elsewhere the check still writes
+every export, so a run that raises fails it, but it only reports which part of
+the build differs and how many digests do, and exits 0. Needs only the standard
+library and vsckinetics with its numpy, so it runs where the test extras are not
+installed.
 """
 
 from __future__ import annotations
@@ -94,11 +96,11 @@ def main(argv: List[str]) -> int:
         return 2
     table = load_table()
     mismatch = build_mismatch(table["build"])
-    if mismatch:
-        print(f"bytes not pinned: {mismatch}")
-        return 0
     found = digests()
     wrong = sorted(key for key in table["digests"].keys() | found.keys() if table["digests"].get(key) != found.get(key))
+    if mismatch:
+        print(f"bytes not pinned: {mismatch}; wrote {len(found)} exports, {len(wrong)} digests differ")
+        return 0
     print(f"bytes pinned: {len(found) - len(wrong)} of {len(table['digests'])} exports match", *wrong, sep="\n")
     return 1 if wrong else 0
 

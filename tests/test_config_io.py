@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 import vsckinetics
+import vsckinetics.cli as cli_module
 import vsckinetics.config as config_module
+import vsckinetics.eigenmodes as eigenmodes_module
 import vsckinetics.rates as rates_module
 from conftest import STIFF_REDUCIBLE, assert_json_export, coupling, species
 from vsckinetics.cli import main
@@ -34,7 +36,7 @@ from vsckinetics.config import (
     run_scenario,
     run_sweep,
 )
-from vsckinetics.eigenmodes import CavitySpec, bare_mode_basis
+from vsckinetics.eigenmodes import CavitySpec, mode_basis
 from vsckinetics.propagate import TimeGrid, propagate, vsc_scaling_criterion
 from vsckinetics.rates import REGIME_KINDS, BathSpec, purcell_exchange_rate, reactive_rates
 from vsckinetics.states import CouplingSpec, SpeciesSpec, initial_distribution
@@ -113,7 +115,7 @@ NON_FINITE_BUILDS = {
     "kappa nan": (lambda c: replace(c.cavity, kappa=math.nan), "kappa must be >= 0, got nan"),
     "omega_c nan": (lambda c: replace(c.cavity, omega_c=math.nan), "omega_c must be > 0, got nan"),
     "g nan": (lambda c: replace(c.cavity, g=math.nan), "g must be >= 0, got nan"),
-    "omega_v nan": (lambda c: bare_mode_basis(c.cavity, math.nan), "omega_v must be > 0, got nan"),
+    "omega_v nan": (lambda c: mode_basis("bare", c.cavity, math.nan), "omega_v must be > 0, got nan"),
     "energy nan": (lambda c: replace(c.network.species[1], energy=math.nan), "species energy must be finite, got nan"),
     "energy inf": (lambda c: replace(c.network.species[1], energy=-math.inf), "species energy must be finite, got -inf"),
     "displacement nan": (
@@ -611,6 +613,19 @@ class TestOrchestration:
             config_module.build_generator(loaded)
         assert reactive_rates.cache_info().misses == misses
 
+    @pytest.mark.parametrize("kind", REGIME_KINDS)
+    def test_a_config_builds_its_basis_once(self, monkeypatch, kind):
+        # the config keeps the basis it validated with; the generator reads it and builds none
+        config = config_from_dict(fast_dict(regime=kind))
+        assert config.basis == mode_basis(kind, config.cavity, config.omega_v)
+        builds = []
+        monkeypatch.setattr(eigenmodes_module, "build_mode_basis", lambda *args: builds.append(args))
+        monkeypatch.setattr(config_module, "mode_basis", lambda *args: builds.append(args))
+        config_module.build_generator(config)
+        assert builds == []
+        with pytest.raises(ValueError, match="basis"):  # derived, so no caller may give it
+            replace(config, basis=config.basis)
+
     def test_sweep_value_validation(self):
         config = config_from_dict(fast_dict())
         with pytest.raises(ConfigError):
@@ -618,6 +633,15 @@ class TestOrchestration:
 
 
 class TestExport:
+    def test_a_label_built_in_python_cannot_split_the_csv_header(self, tmp_path):
+        # "a,x" would add a header field per state: 39 header fields over 21-field rows
+        config = config_from_dict(fast_dict())
+        with pytest.raises(ValueError, match="species.label must not contain"):
+            species = (config.network.species[0], replace(config.network.species[1], label="a,x"))
+            network = replace(config.network, species=species, couplings=())
+            export([run_scenario(replace(config, network=network))], "csv", tmp_path / "out.csv")
+        assert list(tmp_path.iterdir()) == []
+
     def test_labels_that_name_one_csv_file_raise_before_any_is_written(self, tmp_path):
         result = run_scenario(config_from_dict(fast_dict()), label="a b")
         twin = replace(result, label="a/b")  # both labels spell the file name out_a-b.csv
@@ -989,6 +1013,16 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_modes_that_share_no_vibration_compute_no_occupancy(self, tmp_path, capsys):
+        # vsc at g = 0 below omega_c: "+" is the bare cavity and shares no vibration with "-", so
+        # their thermal occupancy, which overflows at 1e-300 K, is never computed; bare runs there too
+        raw = fast_dict(cavity={"g": 0.0, "omega_c": 2100.0}, bath={"temperature": 1e-300})
+        for regime in ("vsc", "bare"):
+            path = tmp_path / f"{regime}.json"
+            path.write_text(json.dumps(dict(raw, regime=regime)))
+            assert main(["simulate", "--config", str(path), "--out", str(tmp_path / f"{regime}.csv")]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "regime, param, value, code",
         [
@@ -1201,6 +1235,25 @@ class TestCli:
         captured = capsys.readouterr()
         assert f"argument --lam: expected a finite number, got '{value}'" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, flag", [(["criterion", "--epsilon", "abc"], "--epsilon"), (["fcf", "--lam", "abc"], "--lam")])
+    def test_a_word_for_a_number_exits_2(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        # argparse prints its usage, then one error line that names the flag
+        assert captured.err.splitlines()[-1].endswith(f"error: argument {flag}: expected a number, got 'abc'")
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_a_key_error_is_a_bug_not_bad_input(self, monkeypatch):
+        # no input raises KeyError, so one from a command propagates instead of reading as exit 2
+        def broken(args):
+            raise KeyError("missing")
+
+        monkeypatch.setattr(cli_module, "_cmd_criterion", broken)
+        with pytest.raises(KeyError, match="missing"):
+            main(["criterion", "--epsilon", "1", "--n-molecules", "2", "--k-r", "1", "--k-d", "1"])
 
     def test_non_finite_argument_exits_2_from_the_shell(self):
         src = str(Path(vsckinetics.__file__).parents[1])

@@ -8,7 +8,7 @@ import pytest
 
 from vsckinetics.eigenmodes import (
     CavitySpec,
-    bare_mode_basis,
+    ModeBasis,
     build_mode_basis,
     mode_basis,
     mode_displacements,
@@ -109,7 +109,7 @@ def test_g_must_keep_the_lower_polariton_above_zero():
             build_mode_basis(cavity, OMEGA_V)
         with pytest.raises(ValueError, match="g must be < "):
             mode_basis("vsc", cavity, OMEGA_V)
-        assert bare_mode_basis(cavity, OMEGA_V).frequencies == (omega_c, OMEGA_V, OMEGA_V)
+        assert mode_basis("bare", cavity, OMEGA_V).frequencies == (omega_c, OMEGA_V, OMEGA_V)
 
 
 def test_cavity_spec_validation():
@@ -122,19 +122,30 @@ def test_cavity_spec_validation():
     with pytest.raises(ValueError):
         build_mode_basis(CavitySpec(omega_c=2000.0, g=1.0, kappa=1.0), 0.0)
     with pytest.raises(ValueError):
-        bare_mode_basis(CavitySpec(omega_c=2000.0, g=1.0, kappa=1.0), 0.0)
+        mode_basis("bare", CavitySpec(omega_c=2000.0, g=1.0, kappa=1.0), 0.0)
+
+
+def identity_basis(cavity, omega_v):
+    return ModeBasis(("c", "v1", "v2"), (cavity.omega_c, omega_v, omega_v), tuple(map(tuple, np.eye(3).tolist())), omega_v)
 
 
 @pytest.mark.parametrize(
-    "kind, make_basis", [("vsc", build_mode_basis), ("weak", bare_mode_basis), ("bare", bare_mode_basis)]
+    "kind, make_basis", [("vsc", build_mode_basis), ("weak", identity_basis), ("bare", identity_basis)]
 )
 def test_each_regime_kind_has_one_basis(kind, make_basis):
     cavity = CavitySpec(omega_c=2100.0, g=42.0, kappa=1.0)
     assert mode_basis(kind, cavity, OMEGA_V) == make_basis(cavity, OMEGA_V)
 
 
+@pytest.mark.parametrize("kind", ["strong", "VSC", ""])
+def test_mode_basis_rejects_a_kind_outside_the_regimes(kind):
+    cavity = CavitySpec(omega_c=2100.0, g=42.0, kappa=1.0)
+    with pytest.raises(ValueError, match=re.escape(f"regime must be one of ('bare', 'weak', 'vsc'), got {kind!r}")):
+        mode_basis(kind, cavity, OMEGA_V)
+
+
 def test_bare_basis_is_identity_rotation():
-    basis = bare_mode_basis(CavitySpec(omega_c=2100.0, g=42.0, kappa=1.0), OMEGA_V)
+    basis = mode_basis("bare", CavitySpec(omega_c=2100.0, g=42.0, kappa=1.0), OMEGA_V)
     assert basis.labels == ("c", "v1", "v2")
     assert basis.frequencies == (2100.0, OMEGA_V, OMEGA_V)
     assert np.array_equal(np.array(basis.coefficients), np.eye(3))
@@ -167,7 +178,7 @@ def test_displacement_redistribution():
 # pattern: 0 ground, 1..3 one quantum in the basis modes in order
 def test_composite_energy_bare():
     network = r1_network()
-    basis = bare_mode_basis(CavitySpec(omega_c=2000.0, g=0.0, kappa=1.0), OMEGA_V)
+    basis = mode_basis("bare", CavitySpec(omega_c=2000.0, g=0.0, kappa=1.0), OMEGA_V)
     energies = enumerate_states(network, basis).energies
     assert energies.shape == (2, 2, 4)
     assert energies[0, 0, 0] == 0.0

@@ -114,6 +114,9 @@ class TestTimeGrid:
             TimeGrid.logarithmic(1.0, 1.0, 5)
         with pytest.raises(ValueError):
             TimeGrid.linear(0.0, 10.0, 1)
+        # finite bounds whose span overflows a double fail before numpy warns of the overflow
+        with pytest.raises(ValueError, match=r"linear grid span from -1e\+308 to 1e\+308 overflows a double"):
+            TimeGrid.linear(-1e308, 1e308, 3)
         with pytest.raises(ValueError):
             TimeGrid(points=(), spacing="log")
         with pytest.raises(ValueError):

@@ -21,8 +21,8 @@ from conftest import (
 from vsckinetics.config import build_generator, config_from_dict, run_scenario
 from vsckinetics.eigenmodes import (
     CavitySpec,
-    bare_mode_basis,
     build_mode_basis,
+    mode_basis,
     mode_displacements,
 )
 from vsckinetics.rates import (
@@ -172,7 +172,7 @@ def r1_basis(reaction1):
 
 @pytest.fixture(scope="module")
 def r1_bare_basis(reaction1):
-    return bare_mode_basis(reaction1.cavity, reaction1.omega_v)
+    return mode_basis("bare", reaction1.cavity, reaction1.omega_v)
 
 
 def fc_factor(basis, network, occ_to, occ_from, molecule, species_from, species_to):
@@ -261,7 +261,7 @@ class TestReactiveRate:
             couplings=(CouplingSpec(("A", "B"), 20.0, 160.0),),
         )
         cavity = CavitySpec(omega_c=2000.0, g=0.0, kappa=1.0)
-        space = enumerate_states(net, bare_mode_basis(cavity, 2000.0))
+        space = enumerate_states(net, mode_basis("bare", cavity, 2000.0))
         energy = dict(zip(space.labels(), space.energies.ravel().tolist()))
         kT = thermal_energy(298.0)
         expected = math.sqrt(math.pi / (160.0 * kT)) * 400.0 / HBAR
@@ -292,7 +292,7 @@ class TestReactiveRate:
 def exchange(basis, bath, q_from: str, q_to: str) -> float:
     """Bath exchange rate from mode q_from to mode q_to, read from the vsc mode block."""
     cavity = CavitySpec(omega_c=2000.0, g=0.0, kappa=1.0)  # sets the losses only
-    block = mode_block(basis, cavity, bath, "vsc")
+    block = mode_block(basis, cavity, bath)
     return block[1 + basis.labels.index(q_to), 1 + basis.labels.index(q_from)]
 
 
@@ -300,40 +300,48 @@ class TestLossAndGain:
     # row/column 0 of the block is the ground pattern, 1 + q one quantum in mode q
     def test_polariton_loss_mixes_channels(self, r1_basis, reaction1):
         # resonant upper polariton: half cavity, half vibration
-        block = mode_block(r1_basis, reaction1.cavity, reaction1.bath, "vsc")
+        block = mode_block(r1_basis, reaction1.cavity, reaction1.bath)
         loss = block[0, 1]
         assert loss == pytest.approx(0.5 * 1.0 + 0.5 * 0.01, rel=1e-12)
         loss_lower = block[0, 2]
         assert loss_lower == pytest.approx(loss, rel=1e-12)
 
     def test_dark_loss_is_pure_vibration(self, r1_basis, reaction1):
-        loss = mode_block(r1_basis, reaction1.cavity, reaction1.bath, "vsc")[0, 3]
+        loss = mode_block(r1_basis, reaction1.cavity, reaction1.bath)[0, 3]
         assert loss == pytest.approx(reaction1.bath.gamma, rel=1e-12)
 
     def test_decoupled_limit(self, reaction1):
         cavity = CavitySpec(omega_c=2100.0, g=0.0, kappa=1.0)
-        block = mode_block(build_mode_basis(cavity, 2000.0), cavity, reaction1.bath, "vsc")
+        block = mode_block(build_mode_basis(cavity, 2000.0), cavity, reaction1.bath)
         assert block[0, 1] == pytest.approx(1.0, rel=1e-12)
         assert block[0, 2] == pytest.approx(0.01, rel=1e-12)
 
     def test_bare_modes_lose_to_their_own_channel(self, r1_bare_basis, reaction1):
         # identity basis: the cavity quantum decays at kappa, each vibration at gamma
         cavity, bath = reaction1.cavity, reaction1.bath
-        block = mode_block(r1_bare_basis, cavity, bath, "bare")
+        block = mode_block(r1_bare_basis, cavity, bath)
         assert block[0, 1:].tolist() == [cavity.kappa, bath.gamma, bath.gamma]
 
     def test_gain_factor_frozen(self):
         cavity = CavitySpec(omega_c=2000.0, g=0.0, kappa=1.0)
         bath = BathSpec(gamma=0.505, eta=0.001, omega_cut=200.0, temperature=298.0)
-        block = mode_block(bare_mode_basis(cavity, 2000.0), cavity, bath, "bare")
+        block = mode_block(mode_basis("bare", cavity, 2000.0), cavity, bath)
         assert block[1, 0] == pytest.approx(6.402604171400226e-05, rel=1e-12)
         assert block[2, 0] == pytest.approx(0.505 * 6.402604171400226e-05, rel=1e-12)
+
+    def test_identity_modes_share_no_vibration_even_at_an_overflowing_eta(self, reaction1):
+        # no two identity modes share a vibration: no mode-to-mode entry, and no 0 * inf = NaN
+        cavity = replace(reaction1.cavity, omega_c=2150.0)  # detuned: the c-v gap is nonzero
+        bath = replace(reaction1.bath, eta=1e308)
+        block = mode_block(mode_basis("bare", cavity, reaction1.omega_v), cavity, bath)
+        assert np.isfinite(block).all()
+        assert np.array_equal(block[1:, 1:], np.zeros((3, 3)))
 
     def test_gain_edge_cases(self):
         # a mode that cannot lose its quantum cannot gain one either
         cavity = CavitySpec(omega_c=2000.0, g=0.0, kappa=0.0)
         bath = BathSpec(gamma=0.01, eta=0.001, omega_cut=200.0, temperature=298.0)
-        block = mode_block(bare_mode_basis(cavity, 2000.0), cavity, bath, "bare")
+        block = mode_block(mode_basis("bare", cavity, 2000.0), cavity, bath)
         assert block[0, 1] == block[1, 0] == 0.0
 
 
@@ -365,7 +373,7 @@ class TestExchange:
 
     def test_degenerate_modes_take_the_zero_gap_limit(self, r1_basis, reaction1):
         # a mode never exchanges with itself
-        block = mode_block(r1_basis, reaction1.cavity, reaction1.bath, "vsc")
+        block = mode_block(r1_basis, reaction1.cavity, reaction1.bath)
         assert np.all(np.diag(block) == 0.0)
         # g = 0 on resonance: every mode sits at omega_v and the zero-gap
         # limit 2 pi * overlap * eta * kT applies both ways; '+' (theta = pi/4)
@@ -486,8 +494,7 @@ class TestAssembly:
         if omega_c is not None:
             config = replace(config, cavity=replace(config.cavity, omega_c=omega_c))
         gen = build_generator(config)
-        make_basis = build_mode_basis if kind == "vsc" else bare_mode_basis
-        basis = make_basis(config.cavity, config.omega_v)
+        basis = mode_basis(kind, config.cavity, config.omega_v)
         expected = reference_assembly(
             gen.states, config.network, basis, config.cavity, config.bath, kind
         )
@@ -640,7 +647,7 @@ class TestMoleculeExchange:
         one_quantum = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
         deeper = ((0, 2, 0), (1, 1, 0), (0, 0, 3))
         for basis in (
-            bare_mode_basis(reaction3.cavity, reaction3.omega_v),
+            mode_basis("bare", reaction3.cavity, reaction3.omega_v),
             build_mode_basis(reaction3.cavity, reaction3.omega_v),
         ):
             for a, b in (("A", "B"), ("B", "C"), ("C", "A"), ("B", "B")):

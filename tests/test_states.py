@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import coupling, parse_label, reference_energy, species, swapped_label
-from vsckinetics.eigenmodes import CavitySpec, bare_mode_basis, build_mode_basis, mode_basis
+from vsckinetics.eigenmodes import CavitySpec, build_mode_basis, mode_basis
 from vsckinetics.rates import REGIME_KINDS
 from vsckinetics.states import (
     CouplingSpec,
@@ -21,7 +21,7 @@ from vsckinetics.states import (
 from vsckinetics.units import KB
 
 CAVITY = CavitySpec(omega_c=2000.0, g=42.426406871192846, kappa=1.0)
-BARE = bare_mode_basis(CAVITY, 2000.0)
+BARE = mode_basis("bare", CAVITY, 2000.0)
 VSC = build_mode_basis(CAVITY, 2000.0)
 
 
@@ -46,8 +46,16 @@ def network_abc():
     )
 
 
+@pytest.mark.parametrize("label", ["a,x", "A.A", "A|0", "A\nx", "A\x00", "A\x85", "A\u2028x"])
+def test_species_labels_hold_no_separator(label):
+    # "." and "|" build state labels, "," separates CSV columns, and control characters and
+    # U+2028/U+2029 split lines: a species built in Python keeps the loader's rule
+    with pytest.raises(ValueError, match=r"^species\.label must not contain '\.', '\|', ','"):
+        SpeciesSpec(label, 0.0, 0.0)
+
+
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^species\.label must be non-empty$"):
         SpeciesSpec("", 0.0, 0.0)
     with pytest.raises(ValueError):
         CouplingSpec(("A", "A"), J=1.0, lambda_s=10.0)
