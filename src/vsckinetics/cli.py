@@ -14,27 +14,49 @@ Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import math
 import sys
+from types import ModuleType
 from typing import Any, Callable, List, Optional, Sequence
 
 from . import __version__
-from .config import (
+from .closed_forms import (
+    MAX_OCCUPATION,
     SWEEP_PARAMETERS,
-    ConfigError,
-    SweepSpec,
-    _safe_label,
-    export,
-    load_config,
-    run_comparison,
-    run_scenario,
-    run_sweep,
+    NumericalError,
+    displacement_matrix_element,
+    vsc_scaling_criterion,
 )
-from .eigenmodes import mode_basis, mode_displacements
-from .propagate import NumericalError, vsc_scaling_criterion
-from .rates import MAX_OCCUPATION, displacement_matrix_element, franck_condon
 
 __all__ = ["main", "build_parser"]
+
+
+def _lazy(name: str) -> ModuleType:
+    """The package module ``name``, executed on its first attribute access.
+
+    ``criterion`` and ``fcf --lam`` touch none of these modules, so they start
+    without numpy; the others load what their handler reads.
+    """
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+config, eigenmodes, rates = _lazy("config"), _lazy("eigenmodes"), _lazy("rates")
+
+
+def __getattr__(name: str) -> Any:
+    if name == "load_config":  # for callers that import only the command line; loads ``config``
+        return config.load_config
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _finite_float(text: str) -> float:
@@ -124,27 +146,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _export(args: argparse.Namespace, results: List, default_stem: str) -> int:
     # a config name may hold "/" or "..": the default file stays in the working directory
-    out = args.out if args.out is not None else f"{_safe_label(default_stem)}.{args.format}"
-    for path in export(results, args.format, out):
+    out = args.out if args.out is not None else f"{config._safe_label(default_stem)}.{args.format}"
+    for path in config.export(results, args.format, out):
         print(path)
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    return _export(args, [run_scenario(config)], config.name)
+    scenario = config.load_config(args.config)
+    return _export(args, [config.run_scenario(scenario)], scenario.name)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+    scenario = config.load_config(args.config)
     regimes = [tok.strip() for tok in args.regimes.split(",") if tok.strip()]
-    return _export(args, run_comparison(config, regimes), f"{config.name}_compare")
+    return _export(args, config.run_comparison(scenario, regimes), f"{scenario.name}_compare")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    sweep = SweepSpec(parameter=args.param, values=tuple(args.values), base=config)
-    return _export(args, run_sweep(sweep), f"{config.name}_sweep_{args.param}")
+    scenario = config.load_config(args.config)
+    sweep = config.SweepSpec(parameter=args.param, values=tuple(args.values), base=scenario)
+    return _export(args, config.run_sweep(sweep), f"{scenario.name}_sweep_{args.param}")
 
 
 def _cmd_criterion(args: argparse.Namespace) -> int:
@@ -161,14 +183,14 @@ def _cmd_criterion(args: argparse.Namespace) -> int:
 
 def _cmd_fcf(args: argparse.Namespace) -> int:
     if args.config is None:
-        if args.lam is None:
-            raise ConfigError("fcf needs either --lam (single element) or --config (full factor)")
+        if args.lam is None:  # a ValueError, as ConfigError is, without loading the config module
+            raise ValueError("fcf needs either --lam (single element) or --config (full factor)")
         element = displacement_matrix_element(args.m_to, args.m_from, args.lam)
         print(f"<{args.m_to}|D({args.lam!r})|{args.m_from}> = {element!r}")
         print(f"squared = {element * element!r}")
         return 0
 
-    config = load_config(args.config)
+    scenario = config.load_config(args.config)
     needed = {
         "--species-from": args.species_from,
         "--species-to": args.species_to,
@@ -177,18 +199,18 @@ def _cmd_fcf(args: argparse.Namespace) -> int:
     }
     missing = [flag for flag, value in needed.items() if value is None]
     if missing:
-        raise ConfigError(f"fcf factor mode needs {', '.join(missing)}")
+        raise config.ConfigError(f"fcf factor mode needs {', '.join(missing)}")
     occ_from, occ_to = tuple(args.occ_from), tuple(args.occ_to)
     if len(occ_from) != 3 or len(occ_to) != 3:
-        raise ConfigError("occupation vectors must have three entries")
-    basis = mode_basis(args.regime, config.cavity, config.omega_v)
-    displacements = {s.label: s.displacement for s in config.network.species}
+        raise config.ConfigError("occupation vectors must have three entries")
+    basis = eigenmodes.mode_basis(args.regime, scenario.cavity, scenario.omega_v)
+    displacements = {s.label: s.displacement for s in scenario.network.species}
     lams = []  # the reacting molecule's mode displacements before and after
     for flag, label in (("--species-from", args.species_from), ("--species-to", args.species_to)):
         if label not in displacements:
-            raise ConfigError(f"{flag}: unknown species {label!r}")
-        lams.append(mode_displacements(basis, args.molecule, displacements[label]))
-    factor = float(franck_condon([occ_to], [occ_from], *lams)[0, 0])
+            raise config.ConfigError(f"{flag}: unknown species {label!r}")
+        lams.append(eigenmodes.mode_displacements(basis, args.molecule, displacements[label]))
+    factor = float(rates.franck_condon([occ_to], [occ_from], *lams)[0, 0])
     print(f"|FC|^2 [{args.regime}] {args.species_from}->{args.species_to} "
           f"molecule {args.molecule} {occ_from}->{occ_to} = {factor!r}")
     return 0

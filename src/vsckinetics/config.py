@@ -15,10 +15,11 @@ import math
 import re
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
+from .closed_forms import SWEEP_PARAMETERS
 from .eigenmodes import CavitySpec, ModeBasis, mode_basis
 from .propagate import NumericalError, TimeGrid, Trajectory, clamp_for_output, propagate
 from .rates import BathSpec, RateMatrix, assemble_rate_matrix, effective_coupling
@@ -44,12 +45,12 @@ __all__ = [
 ]
 
 ENERGY_UNITS = ("cm-1", "hbar_omega_v")
-SWEEP_PARAMETERS = ("kappa", "eta", "gamma", "g")
 
 DEFAULT_OMEGA_V = 2000.0  # cm^-1
 DEFAULT_GRID_START = 0.1  # ps
 DEFAULT_GRID_END = 5.0e4  # ps
 DEFAULT_GRID_POINTS = 400
+_ROW_BLOCK = 128  # export rows spelled at a time: each block's strings stay alive until it is written
 MAX_GRID_POINTS = 100_000  # memory grows with the points: a 20,000-point reaction3 simulate peaks at 56 MB (CSV), 54 MB (JSON)
 
 # Every number of a species, coupling, cavity or bath block, in field order: name -> (default,
@@ -446,14 +447,31 @@ def _columns(traj: Trajectory) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return traj.grid.times, clamp_for_output(traj.state_populations), species_pop, species_pop / MOLECULES
 
 
+def _spelled_rows(table: np.ndarray) -> Iterator[Tuple[str, ...]]:
+    """The rows of a 2-D float ``table``, each float spelled by ``repr``, in blocks of _ROW_BLOCK rows.
+
+    Within a block each distinct column is spelled once: exchange partners' state columns are
+    bit-identical (``propagate`` unlumps them from one orbit), and columns are told apart by their bytes.
+    """
+    for first in range(0, len(table), _ROW_BLOCK):
+        spelled: Dict[bytes, List[str]] = {}
+        columns = []
+        for column in table[first : first + _ROW_BLOCK].T:
+            key = column.tobytes()
+            if key not in spelled:
+                spelled[key] = list(map(repr, column.tolist()))
+            columns.append(spelled[key])
+        yield from zip(*columns)
+
+
 def _write_csv(result: ScenarioResult, out_path: Path) -> None:
     traj = result.trajectory
     header = ["time_ps", *(f"p[{label}]" for label in traj.states.labels())]
     header += [f"{column}_{lab}" for column in ("N", "frac") for lab in traj.species_labels]
     with out_path.open("w") as stream:
         stream.write(f"# fingerprint={config_fingerprint(result.config)}\n{','.join(header)}\n")
-        for row in np.column_stack(_columns(traj)):
-            stream.write(",".join(map(repr, row.tolist())) + "\n")
+        for row in _spelled_rows(np.column_stack(_columns(traj))):
+            stream.write(",".join(row) + "\n")
 
 
 def _json_run(result: ScenarioResult) -> Dict[str, Any]:
@@ -474,19 +492,30 @@ def _json_run(result: ScenarioResult) -> Dict[str, Any]:
     }
 
 
+def _json_floats(spellings: Iterable[str], indent: str) -> str:
+    """A list of float reprs as ``json.dumps(indent=2)`` spells it at ``indent``: NaN and Infinity respelled."""
+    inner = indent + "  "
+    text = f"[\n{inner}" + f",\n{inner}".join(spellings) + f"\n{indent}]"
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
+
+
 def _write_value(stream: TextIO, value: Any, indent: str = "") -> None:
     """Write ``value`` as ``json.dumps(value, indent=2)`` spells it at ``indent``, an array as its list.
 
-    A ScenarioResult is written as its run object, built only here, and a 2-D array row by row.
+    A ScenarioResult is written as its run object, built only here, and a 2-D array row by row
+    (``_spelled_rows``).
     Any value json cannot encode raises json's own TypeError.
     """
     if isinstance(value, ScenarioResult):
         value = _json_run(value)
     inner = indent + "  "
-    if isinstance(value, np.ndarray) and value.ndim == 1 and value.size:
-        # a list's str() spells each float with float.__repr__, and no float repr holds ", "
-        body = str(value.tolist())[1:-1].replace(", ", f",\n{inner}")
-        stream.write(f"[\n{inner}{body}\n{indent}]".replace("nan", "NaN").replace("inf", "Infinity"))
+    if isinstance(value, np.ndarray) and value.size:
+        if value.ndim == 1:
+            stream.write(_json_floats(map(repr, value.tolist()), indent))
+        else:
+            for k, row in enumerate(_spelled_rows(value)):
+                stream.write(f"{',' if k else '['}\n{inner}{_json_floats(row, inner)}")
+            stream.write(f"\n{indent}]")
         return
     if isinstance(value, dict):
         brackets, items = "{}", ((json.dumps(key) + ": ", item) for key, item in value.items())

@@ -24,6 +24,7 @@ __all__ = [
     "ModeBasis",
     "REGIME_KINDS",
     "build_mode_basis",
+    "check_regime_kind",
     "mode_basis",
     "mode_displacements",
     "VSC_MODE_LABELS",
@@ -111,10 +112,15 @@ def build_mode_basis(cavity: CavitySpec, omega_v: float) -> ModeBasis:
     )
 
 
-def mode_basis(kind: str, cavity: CavitySpec, omega_v: float) -> ModeBasis:
-    """The basis of a kind out of ``REGIME_KINDS``: the polariton eigenmodes under "vsc", else the identity."""
+def check_regime_kind(kind: str) -> None:
+    """Raise ``ValueError`` unless ``kind`` is one of ``REGIME_KINDS``: the one statement of that rule."""
     if kind not in REGIME_KINDS:
         raise ValueError(f"regime must be one of {REGIME_KINDS}, got {kind!r}")
+
+
+def mode_basis(kind: str, cavity: CavitySpec, omega_v: float) -> ModeBasis:
+    """The basis of a kind out of ``REGIME_KINDS``: the polariton eigenmodes under "vsc", else the identity."""
+    check_regime_kind(kind)
     if kind == "vsc":
         return build_mode_basis(cavity, omega_v)
     return ModeBasis(

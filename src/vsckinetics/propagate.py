@@ -23,6 +23,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .closed_forms import NumericalError, ScalingCriterion, vsc_scaling_criterion
 from .rates import RateMatrix
 from .states import MOLECULES, StateSpace
 from .units import thermal_energy
@@ -45,10 +46,6 @@ BALANCE_RTOL = 1e-12  # flux pairs of config-built generators agree to ~5e-14
 # t_end * eigensolver error beyond roundoff: |null eigenvalue| or a positive one - 2 eps ||K||_1
 EIGENVALUE_DRIFT_LIMIT = 1e-10
 _TAYLOR_BLOCK_POINTS = 512  # grid points per Taylor pass; bounds its (T, n, n) stacks on long grids
-
-
-class NumericalError(RuntimeError):
-    """Propagation produced unphysical populations (non-finite, negative, or leaking)."""
 
 
 @dataclass(frozen=True)
@@ -312,43 +309,3 @@ def clamp_for_output(populations: np.ndarray) -> np.ndarray:
     out = np.array(populations, dtype=float, copy=True)
     out[(out < 0.0) & (out > -OUTPUT_CLAMP)] = 0.0
     return out
-
-
-@dataclass(frozen=True)
-class ScalingCriterion:
-    """Both sides of the collective-scaling condition epsilon/N >= k_d/(k_r + k_d)."""
-
-    modifiable: bool
-    lhs: float
-    rhs: float
-    k_ssa: Optional[float] = None  # steady-state bare rate k_f * k_d / (k_r + k_d)
-
-
-def vsc_scaling_criterion(
-    epsilon: float,
-    n_molecules: float,
-    k_r: float,
-    k_d: float,
-    k_f: Optional[float] = None,
-) -> ScalingCriterion:
-    """Decide whether a per-molecule rate change epsilon can alter ensemble kinetics.
-
-    A vibrationally hot product branches between the reverse reaction (k_r)
-    and decay (k_d); the net conversion is modified only if the relative
-    single-molecule rate change epsilon, diluted by the N molecules sharing
-    the cavity, is at least the branching fraction k_d/(k_r + k_d). Passing
-    the forward rate k_f additionally reports the steady-state net rate.
-    """
-    if not n_molecules >= 1:
-        raise ValueError(f"N must be >= 1, got {n_molecules}")
-    if not epsilon >= 0.0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    if not (k_r >= 0.0 and k_d >= 0.0):
-        raise ValueError("rates must be >= 0")
-    if k_r + k_d == 0.0:
-        raise ValueError("k_r + k_d must be > 0")
-    lhs = epsilon / n_molecules
-    half = 0.5 if k_r + k_d == np.inf else 1.0  # a sum past the largest double: halve both, exactly
-    rhs = (half * k_d) / (half * k_r + half * k_d)
-    k_ssa = None if k_f is None else k_f * rhs
-    return ScalingCriterion(modifiable=lhs >= rhs, lhs=lhs, rhs=rhs, k_ssa=k_ssa)

@@ -44,7 +44,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .eigenmodes import REGIME_KINDS, VSC_MODE_LABELS, CavitySpec, ModeBasis, mode_displacements
+from .closed_forms import MAX_OCCUPATION, displacement_matrix_element
+from .eigenmodes import REGIME_KINDS, VSC_MODE_LABELS, CavitySpec, ModeBasis, check_regime_kind, mode_displacements
 from .states import (
     CouplingSpec,
     ReactionNetwork,
@@ -71,7 +72,6 @@ __all__ = [
 ]
 
 WEAK_COUPLING_DIVISOR = 100.0
-MAX_OCCUPATION = 100  # the model holds at most one quantum; element recurrences take O(m) steps
 REACTIVE_CACHE_SIZE = 32  # reactive parts kept per process; ~10 kB each at 36 states
 # column sums of the same rates in another order: a few ulps of each entry
 EXCHANGE_RTOL = 64 * np.finfo(float).eps
@@ -99,8 +99,7 @@ class BathSpec:
 
 def effective_coupling(kind: str, g: float) -> float:
     """Single-molecule coupling (cm^-1) a regime uses: g under "vsc", g/100 under "weak", 0 bare."""
-    if kind not in REGIME_KINDS:
-        raise ValueError(f"regime kind must be one of {REGIME_KINDS}, got {kind!r}")
+    check_regime_kind(kind)
     return {"vsc": g, "weak": g / WEAK_COUPLING_DIVISOR}.get(kind, 0.0)
 
 
@@ -135,40 +134,6 @@ class RateMatrix:
             raise ValueError("rate matrix does not commute with the molecule exchange")
         if self.temperature is not None and not self.temperature > 0.0:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
-
-
-def displacement_matrix_element(m_to: int, m_from: int, lam: float) -> float:
-    """<m_to| D(lam) |m_from> for a real displacement lam.
-
-    Closed form: sqrt(m_min!/m_max!) * exp(-lam^2/2) * arg^k * L_{m_min}^{(k)}(lam^2)
-    with k = |m_to - m_from| and arg = lam for raising elements, -lam for
-    lowering ones. The Laguerre value comes from the three-term upward
-    recurrence and the factorial ratio from a running product of 1/sqrt, both
-    stable for occupations in 0..MAX_OCCUPATION; others raise ValueError.
-    Raises OverflowError where that arithmetic overflows.
-    """
-    for name, m in (("m_to", m_to), ("m_from", m_from)):
-        if not 0 <= m <= MAX_OCCUPATION:
-            raise ValueError(f"{name} must be a non-negative occupation of at most {MAX_OCCUPATION}, got {m}")
-    n = min(m_to, m_from)
-    k = abs(m_to - m_from)
-    arg = lam if m_to >= m_from else -lam
-    x = lam * lam
-    if n == 0:
-        laguerre = 1.0
-    else:
-        prev = 1.0
-        curr = 1.0 + k - x
-        for j in range(2, n + 1):
-            prev, curr = curr, ((2 * j - 1 + k - x) * curr - (j - 1 + k) * prev) / j
-        laguerre = curr
-    prefactor = math.exp(-0.5 * x)
-    for j in range(1, k + 1):
-        prefactor *= arg / math.sqrt(n + j)
-    element = prefactor * laguerre
-    if not math.isfinite(element):  # lam^2 or the Laguerre recurrence overflowed
-        raise OverflowError(f"<{m_to}|D({lam!r})|{m_from}> overflows")
-    return element
 
 
 def franck_condon(

@@ -16,8 +16,10 @@ import pytest
 
 import vsckinetics
 import vsckinetics.cli as cli_module
+import vsckinetics.closed_forms as closed_forms
 import vsckinetics.config as config_module
 import vsckinetics.eigenmodes as eigenmodes_module
+import vsckinetics.propagate as propagate_module
 import vsckinetics.rates as rates_module
 from conftest import STIFF_REDUCIBLE, assert_json_export, coupling, species
 from vsckinetics.cli import main
@@ -642,6 +644,18 @@ class TestExport:
             export([run_scenario(replace(config, network=network))], "csv", tmp_path / "out.csv")
         assert list(tmp_path.iterdir()) == []
 
+    def test_each_distinct_column_is_spelled_as_its_own_floats(self):
+        # columns are shared only when their bytes agree within a block of rows: -0.0 is not 0.0,
+        # and a column equal to another in one block may differ from it in the next
+        rows = 2 * config_module._ROW_BLOCK + 5
+        values = np.random.default_rng(3).random(rows)
+        late_change = values.copy()
+        late_change[-1] = 0.5
+        table = np.column_stack(
+            [values, values, np.zeros(rows), np.full(rows, -0.0), late_change, np.resize([np.nan, np.inf, -np.inf], rows)]
+        )
+        assert list(config_module._spelled_rows(table)) == [tuple(map(repr, row)) for row in table.tolist()]
+
     def test_labels_that_name_one_csv_file_raise_before_any_is_written(self, tmp_path):
         result = run_scenario(config_from_dict(fast_dict()), label="a b")
         twin = replace(result, label="a/b")  # both labels spell the file name out_a-b.csv
@@ -1096,9 +1110,11 @@ class TestCli:
 
     @pytest.mark.parametrize("preset", [None, "2"])
     def test_package_import_runs_openblas_on_one_thread(self, preset):
-        # a worker thread never pays on generators this small; a value the user set is kept
+        # a worker thread never pays on generators this small; a value the user set is kept.
+        # The package root loads no numpy, so the child loads it through a module that does.
         code = (
-            "import os, vsckinetics\n"
+            "import os, sys, vsckinetics.propagate\n"
+            "assert 'numpy' in sys.modules\n"
             "tasks = '/proc/self/task'\n"
             "print(os.environ['OPENBLAS_NUM_THREADS'],"
             " len(os.listdir(tasks)) if os.path.isdir(tasks) else 1)\n"
@@ -1116,6 +1132,93 @@ class TestCli:
         assert value == (preset or "1")
         if preset is None:
             assert threads == "1"
+
+    def test_closed_form_commands_run_without_numpy(self):
+        # criterion and fcf --lam evaluate closed forms: with numpy unimportable they print what
+        # they always printed, on success and on bad input alike
+        cases = [
+            (["criterion", "--epsilon", "1", "--n-molecules", "2", "--k-r", "3", "--k-d", "1", "--k-f", "0.004"], 0,
+             "lhs (epsilon/N)      = 0.5\nrhs (k_d/(k_r+k_d))  = 0.25\nmodifiable           = True\n"
+             "k_ssa (net bare rate) = 0.001 ps^-1\n", ""),
+            (["criterion", "--epsilon", "1", "--n-molecules", "0", "--k-r", "1", "--k-d", "1"], 2,
+             "", "error: N must be >= 1, got 0.0\n"),
+            (["fcf", "--lam", "1.5", "--m-to", "1"], 0,
+             "<1|D(1.5)|0> = 0.4869787010375246\nsquared = 0.23714825526419478\n", ""),
+            (["fcf"], 2, "", "error: fcf needs either --lam (single element) or --config (full factor)\n"),
+            (["fcf", "--lam", "1e200", "--m-from", "2", "--m-to", "2"], 3,
+             "", "numerical failure: <2|D(1e+200)|2> overflows\n"),
+        ]
+        code = (
+            "import json, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from vsckinetics import cli\n"
+            "sys.exit(cli.main(json.loads(sys.argv[1])))\n"
+        )
+        src = str(Path(vsckinetics.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for argv, exit_code, out, err in cases:
+            done = subprocess.run(
+                [sys.executable, "-c", code, json.dumps(argv)], capture_output=True, text=True, env=env, timeout=120
+            )
+            assert (done.returncode, done.stdout, done.stderr) == (exit_code, out, err), argv
+
+    @pytest.mark.parametrize("command, loads_numpy", [("criterion", False), ("fcf --lam", False), ("fcf --config", True)])
+    def test_a_fresh_cli_loads_numpy_only_for_a_model(self, command, loads_numpy):
+        # -X importtime names every module the interpreter imports, on stderr
+        argv = {
+            "criterion": ["criterion", "--epsilon", "1", "--n-molecules", "2", "--k-r", "1", "--k-d", "1"],
+            "fcf --lam": ["fcf", "--lam", "1.5", "--m-to", "1"],
+            "fcf --config": ["fcf", "--config", str(bundled_config_path("reaction1")), "--species-from", "A",
+                             "--species-to", "B", "--occ-from", "0,0,0", "--occ-to", "0,1,0"],
+        }[command]
+        src = str(Path(vsckinetics.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "vsckinetics.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
+        assert "vsckinetics.closed_forms" in imported
+        assert ("numpy" in imported) == loads_numpy
+
+    def test_every_export_resolves_to_its_owner(self):
+        owners = {
+            "ConfigError": config_module, "SweepSpec": config_module, "bundled_config_path": config_module,
+            "export": config_module, "load_config": config_module, "run_comparison": config_module,
+            "run_scenario": config_module, "run_sweep": config_module, "NumericalError": closed_forms,
+        }
+        for name, owner in owners.items():
+            assert getattr(vsckinetics, name) is getattr(owner, name), name
+            assert name in dir(vsckinetics)
+        assert vsckinetics.__version__ == "0.1.0"
+        assert cli_module.load_config is config_module.load_config
+        moved = {
+            propagate_module: ["NumericalError", "ScalingCriterion", "vsc_scaling_criterion"],
+            rates_module: ["MAX_OCCUPATION", "displacement_matrix_element"],
+            config_module: ["SWEEP_PARAMETERS", "NumericalError"],
+        }
+        for module, names in moved.items():
+            for name in names:
+                assert getattr(module, name) is getattr(closed_forms, name), (module.__name__, name)
+        for module in (vsckinetics, cli_module):
+            with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
+                module.nothing
+
+    def test_importing_the_package_and_its_cli_loads_no_numpy(self):
+        code = (
+            "import sys\n"
+            "import vsckinetics.cli\n"
+            "assert 'numpy' not in sys.modules, 'numpy'\n"
+            "from vsckinetics import NumericalError\n"
+            "assert 'numpy' not in sys.modules, 'NumericalError'\n"
+            "import vsckinetics.config\n"  # the import statement reads the module from the package
+            "assert 'numpy' in sys.modules and vsckinetics.config is vsckinetics.cli.config\n"
+        )
+        src = str(Path(vsckinetics.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     @pytest.mark.parametrize("name", ["reaction1", "reaction2", "reaction3"])
     @pytest.mark.parametrize("omega_c", [1.0, 0.975])

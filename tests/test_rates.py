@@ -440,7 +440,7 @@ class TestSpecValidation:
         assert effective_coupling("vsc", g) == g
         assert effective_coupling("weak", g) == g / 100.0
         assert effective_coupling("bare", g) == 0.0
-        with pytest.raises(ValueError, match="regime kind must be one of"):
+        with pytest.raises(ValueError, match=r"^regime must be one of \('bare', 'weak', 'vsc'\), got 'strong'$"):
             effective_coupling("strong", g)
 
 
