@@ -109,6 +109,10 @@ class ScenarioConfig:
             raise ConfigError("regime 'weak' needs cavity.kappa > 0 or bath.gamma > 0")
 
 
+# the ScenarioConfig block that holds each number of the cavity and bath specs, read from _NUMBERS
+_SWEPT_BLOCKS = {name: block for block, spec in (("cavity", CavitySpec), ("bath", BathSpec)) for name in _NUMBERS[spec]}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One swept parameter, its values, and the base scenario."""
@@ -372,16 +376,19 @@ def build_generator(config: ScenarioConfig) -> RateMatrix:
 
 
 def _run(variants: Iterable[Tuple[str, ScenarioConfig]]) -> List[ScenarioResult]:
-    """Run labelled configs in order: each builds its generator and thermal p0 and propagates,
-    sharing the reactive part and its states with earlier runs through the cache of
-    ``assemble_rate_matrix``. A run whose states, temperature, p0, grid and generator are all
-    bit-identical to the run before it takes a copy of that run's populations.
+    """Run labelled configs in order: each builds its generator and propagates, sharing the
+    reactive part and its states with earlier runs through the cache of ``assemble_rate_matrix``.
+    Consecutive runs over one state space, reactant and temperature share one thermal p0. A run
+    whose states, temperature, p0, grid and generator are all bit-identical to the run before it
+    takes a copy of that run's populations.
     """
     results: List[ScenarioResult] = []
-    last = None  # the inputs of the run before
+    last = start = None  # the inputs of the run before, and what its p0 was drawn from
     for label, config in variants:
         rate_matrix = build_generator(config)
-        p0 = initial_distribution(rate_matrix.states, config.reactant, config.bath.temperature)
+        key = (rate_matrix.states, config.reactant, config.bath.temperature)
+        if key != start:
+            start, p0 = key, initial_distribution(*key)
         inputs = (rate_matrix.states, rate_matrix.temperature, config.grid, p0.tobytes(), rate_matrix.matrix.tobytes())
         if inputs == last:
             populations = results[-1].trajectory.state_populations.copy()
@@ -414,8 +421,7 @@ def run_comparison(config: ScenarioConfig, regimes: Sequence[str]) -> List[Scena
 
 
 def _apply_sweep_value(base: ScenarioConfig, parameter: str, value: float) -> ScenarioConfig:
-    # the block whose spec has the field in _NUMBERS; SweepSpec has checked the parameter
-    block = next(f.name for f in fields(base) if parameter in _NUMBERS.get(type(getattr(base, f.name)), ()))
+    block = _SWEPT_BLOCKS[parameter]  # SweepSpec has checked the parameter
     try:
         return replace(base, **{block: replace(getattr(base, block), **{parameter: value})})
     except ValueError as exc:

@@ -46,6 +46,7 @@ BALANCE_RTOL = 1e-12  # flux pairs of config-built generators agree to ~5e-14
 # t_end * eigensolver error beyond roundoff: |null eigenvalue| or a positive one - 2 eps ||K||_1
 EIGENVALUE_DRIFT_LIMIT = 1e-10
 _TAYLOR_BLOCK_POINTS = 512  # grid points per Taylor pass; bounds its (T, n, n) stacks on long grids
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,10 @@ def _eigen_populations(
     lam: np.ndarray, V: np.ndarray, c: np.ndarray, p0: np.ndarray, times: np.ndarray
 ) -> Optional[np.ndarray]:
     """sum_k exp(lam_k t) c_k V[:, k] for every t, t = 0 returning p0; None if it turns negative."""
-    result = ((np.exp(times[:, None] * lam) * c) @ V.T).real
+    terms = np.multiply.outer(times, lam)  # one (T, n) buffer for exp(lam t) c
+    np.exp(terms, out=terms)
+    terms *= c
+    result = (terms @ V.T).real
     result[times == 0.0] = p0
     return result if result.min() >= NEGATIVITY_TOL else None  # a drift the guards missed
 
@@ -172,7 +176,7 @@ def _reversible_populations(
     S = np.sqrt(K * K.T)  # D^-1/2 K D^1/2 off the diagonal, with no ratio of rates
     np.fill_diagonal(S, K.diagonal())
     lam, U = np.linalg.eigh(S)
-    if len(lam) < 2 or lam[-2] >= -64.0 * np.finfo(float).eps * np.abs(S).sum(axis=0).max():
+    if len(lam) < 2 or lam[-2] >= -64.0 * _EPS * np.abs(S).sum(axis=0).max():
         return None  # one state, or reducible, zero or nearly decomposable: no resolved second mode
     root = np.sqrt(pi)
     anchor = root / np.linalg.norm(root)
@@ -189,7 +193,7 @@ def _spectral_populations(K: np.ndarray, p0: np.ndarray, times: np.ndarray) -> O
         return None
     lam, V = np.linalg.eig(K)
     null = int(np.argmin(np.abs(lam)))
-    drift = max(abs(lam[null]), lam.real.max()) - 2.0 * np.finfo(float).eps * np.abs(K).sum(0).max()
+    drift = max(abs(lam[null]), lam.real.max()) - 2.0 * _EPS * np.abs(K).sum(0).max()
     if drift * times[-1] > EIGENVALUE_DRIFT_LIMIT:
         return None
     lam[null] = 0.0
@@ -219,7 +223,7 @@ def _taylor_populations(K: np.ndarray, p0: np.ndarray, times: np.ndarray) -> np.
         Bh = (K + alpha * np.eye(n)) * (block / 2.0**squarings)[:, None, None]  # alpha h <= 1/2
         term = exp_h = np.tile(np.eye(n), (len(block), 1, 1))
         k = 0
-        while np.any(term > np.finfo(float).eps * exp_h):
+        while np.any(term > _EPS * exp_h):
             k += 1
             term = term @ Bh / k
             exp_h = exp_h + term
@@ -290,18 +294,20 @@ def propagate(rate_matrix: RateMatrix, p0: np.ndarray, grid: TimeGrid) -> Trajec
         lumped = _spectral_populations(K_lumped, lumped_p0, times)
     if lumped is None:
         lumped = _taylor_populations(K_lumped, lumped_p0, times)
-    result = lumped[:, orbit] / sizes
+    orbit_sizes = sizes[members]
+    lumped /= orbit_sizes  # each orbit's share: the population of each of its states
 
-    if not np.all(np.isfinite(result)):
+    if not np.all(np.isfinite(lumped)):
         raise NumericalError("propagation produced non-finite populations")
-    worst_leak = float(np.abs(result.sum(axis=1) - 1.0).max())
+    worst_leak = float(np.abs(lumped @ orbit_sizes - 1.0).max())
     if worst_leak > CONSERVATION_TOL:
         raise NumericalError(f"probability leaked by {worst_leak:.3e} (tolerance {CONSERVATION_TOL})")
-    worst_neg = float(result.min())
+    worst_neg = float(lumped.min())
     if worst_neg < NEGATIVITY_TOL:
         raise NumericalError(f"population went negative: {worst_neg:.3e}")
 
-    return Trajectory(grid=grid, states=states, state_populations=result)
+    # one gather along the states' axis unlumps into an F-contiguous copy (take would give C order)
+    return Trajectory(grid=grid, states=states, state_populations=lumped[:, orbit])
 
 
 def clamp_for_output(populations: np.ndarray) -> np.ndarray:

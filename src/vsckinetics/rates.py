@@ -205,15 +205,15 @@ def mode_block(basis: ModeBasis, cavity: CavitySpec, bath: BathSpec) -> np.ndarr
     e.g. g = 0 on resonance) exchange at the w -> 0 limit 2 pi * overlap * eta * kT
     in angular units, the same both ways.
     """
-    C = np.array(basis.coefficients)
-    weights = C[:, 1:] ** 2  # vibrational weight of each mode, per molecule
-    loss = C[:, 0] * C[:, 0] * cavity.kappa + weights.sum(axis=1) * bath.gamma
+    # each mode's cavity weight and its vibrational weight per molecule, as Python floats
+    weights = [(c * c, v1 * v1, v2 * v2) for c, v1, v2 in basis.coefficients]
+    loss = [w0 * cavity.kappa + (w1 + w2) * bath.gamma for w0, w1, w2 in weights]
     kT = thermal_energy(bath.temperature)
     P = 1 + len(basis.frequencies)
     block = np.zeros((P, P))
     block[0, 1:] = loss
-    block[1:, 0] = [x * math.exp(-omega / kT) for x, omega in zip(loss.tolist(), basis.frequencies)]
-    overlap = (weights[:, None, :] * weights[None, :, :]).sum(axis=2).tolist()
+    block[1:, 0] = [x * math.exp(-omega / kT) for x, omega in zip(loss, basis.frequencies)]
+    overlap = [[a1 * b1 + a2 * b2 for _, b1, b2 in weights] for _, a1, a2 in weights]
     w_cut = wavenumber_to_angular(bath.omega_cut)
     for (q, w_from), (r, w_to) in permutations(enumerate(basis.frequencies), 2):
         if overlap[r][q] == 0.0:  # 0 * inf would be NaN at an overflowing eta

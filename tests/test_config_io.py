@@ -589,6 +589,24 @@ class TestOrchestration:
         assert calls == {"enumerate_states": 2, "propagate": 3}
         assert reactive_rates.cache_info().misses == 2
 
+    @pytest.mark.parametrize(
+        "run, starts",
+        [
+            (lambda base: run_sweep(SweepSpec("kappa", SWEEP_VALUES["kappa"], base)), 1),
+            (lambda base: run_sweep(SweepSpec("g", SWEEP_VALUES["g"], base)), 3),  # a new StateSpace per value
+            (lambda base: run_comparison(base, ["bare", "weak", "vsc"]), 2),  # bare and weak share one
+        ],
+        ids=["kappa-sweep", "vsc-g-sweep", "comparison"],
+    )
+    def test_consecutive_runs_over_one_state_space_share_one_thermal_start(self, monkeypatch, run, starts):
+        calls = []
+        original = config_module.initial_distribution
+        monkeypatch.setattr(config_module, "initial_distribution", lambda *args: calls.append(args) or original(*args))
+        results = run(config_from_dict(fast_dict()))
+        assert len(calls) == starts
+        spaces = [r.rate_matrix.states for r in results]
+        assert [space for space, _, _ in calls] == [s for k, s in enumerate(spaces) if s not in spaces[:k]]
+
     @pytest.mark.parametrize("kind", REGIME_KINDS)
     def test_a_second_sweep_builds_no_reactive_part(self, monkeypatch, tmp_path, kind):
         # equal inputs, built separately: the second sweep shares the first one's parts and states

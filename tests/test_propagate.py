@@ -78,6 +78,22 @@ def drive_negative(populations: np.ndarray) -> np.ndarray:
     return moved
 
 
+# spoils of a core result and the messages of the checks that catch them, whatever the orbit sizes
+CORE_SPOILS = [
+    (lambda p: np.where(p == p.max(), np.nan, p), "^propagation produced non-finite populations$"),
+    (lambda p: p * (1.0 + 1e-6), r"^probability leaked by 1\.000e-06 \(tolerance 1e-09\)$"),
+    (drive_negative, "^population went negative: -1.000e-06$"),
+]
+CORE_SPOIL_IDS = ["non-finite", "leak", "negative"]
+
+
+def assert_spoiled_core_raises(monkeypatch, rate_matrix, p0, spoil, message):
+    for name in ("_reversible_populations", "_spectral_populations"):  # whichever serves
+        monkeypatch.setattr(propagate_module, name, spoiled(getattr(propagate_module, name), spoil))
+    with pytest.raises(NumericalError, match=message):
+        propagate(rate_matrix, p0, TimeGrid.logarithmic(0.1, 100.0, 5))
+
+
 @pytest.fixture(scope="module")
 def r1_vsc(reaction1):
     return build_generator(with_regime(reaction1, "vsc"))
@@ -179,20 +195,18 @@ class TestPropagate:
         assert sol.success
         assert np.abs(traj.state_populations - sol.y.T).max() <= 1e-8
 
-    @pytest.mark.parametrize(
-        "spoil, message",
-        [
-            (lambda p: np.where(p == p.max(), np.nan, p), "non-finite populations"),
-            (lambda p: p * (1.0 + 1e-6), "probability leaked by 1.000e-06"),
-            (drive_negative, "population went negative"),
-        ],
-        ids=["non-finite", "leak", "negative"],
-    )
+    @pytest.mark.parametrize("spoil, message", CORE_SPOILS, ids=CORE_SPOIL_IDS)
     def test_bad_core_results_raise(self, monkeypatch, r1_vsc, r1_vsc_p0, spoil, message):
-        for name in ("_reversible_populations", "_spectral_populations"):  # whichever serves
-            monkeypatch.setattr(propagate_module, name, spoiled(getattr(propagate_module, name), spoil))
-        with pytest.raises(NumericalError, match=message):
-            propagate(r1_vsc, r1_vsc_p0, TimeGrid.logarithmic(0.1, 100.0, 5))
+        assert_spoiled_core_raises(monkeypatch, r1_vsc, r1_vsc_p0, spoil, message)
+
+    @pytest.mark.parametrize("spoil, message", CORE_SPOILS, ids=CORE_SPOIL_IDS)
+    def test_bad_core_results_raise_where_each_state_is_its_own_orbit(self, monkeypatch, r1_vsc, spoil, message):
+        # the checks read orbit shares: from a start the exchange changes, each share is one state's
+        p0 = np.zeros(len(r1_vsc.states))
+        p0[r1_vsc.states.labels().index("A.B|0")] = 1.0
+        assert (p0[r1_vsc.states.exchange] != p0).any()
+        assert propagate(r1_vsc, p0, TimeGrid.logarithmic(0.1, 100.0, 5)).state_populations.flags.f_contiguous
+        assert_spoiled_core_raises(monkeypatch, r1_vsc, p0, spoil, message)
 
     def test_initial_distribution_validation(self, r1_vsc):
         grid = TimeGrid.linear(0.0, 1.0, 2)

@@ -2,7 +2,7 @@
 
 import math
 from dataclasses import replace
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -395,6 +395,77 @@ class TestExchange:
                 assert exchange(near, bath, q_from, q_to) == pytest.approx(
                     exchange(at_zero, bath, q_from, q_to), rel=g
                 )
+
+
+def numpy_mode_block(basis, cavity, bath) -> np.ndarray:
+    """``mode_block`` with its weights, losses and overlaps formed as 3 x 3 numpy arrays."""
+    C = np.array(basis.coefficients)
+    weights = C[:, 1:] ** 2
+    loss = C[:, 0] * C[:, 0] * cavity.kappa + weights.sum(axis=1) * bath.gamma
+    kT = thermal_energy(bath.temperature)
+    P = 1 + len(basis.frequencies)
+    block = np.zeros((P, P))
+    block[0, 1:] = loss
+    block[1:, 0] = [x * math.exp(-omega / kT) for x, omega in zip(loss.tolist(), basis.frequencies)]
+    overlap = (weights[:, None, :] * weights[None, :, :]).sum(axis=2).tolist()
+    w_cut = wavenumber_to_angular(bath.omega_cut)
+    for (q, w_from), (r, w_to) in permutations(enumerate(basis.frequencies), 2):
+        if overlap[r][q] == 0.0:
+            continue
+        d_omega = w_to - w_from
+        gap = abs(d_omega)
+        if gap == 0.0:
+            rate = 2.0 * math.pi * overlap[r][q] * bath.eta * wavenumber_to_angular(kT)
+        else:
+            w = wavenumber_to_angular(gap)
+            spectral = bath.eta * w * math.exp(-((w / w_cut) ** 2))
+            nbar = 1.0 / math.expm1(gap / kT)
+            occupancy = nbar + 1.0 if d_omega < 0.0 else nbar
+            rate = 2.0 * math.pi * overlap[r][q] * occupancy * spectral
+        block[1 + r, 1 + q] = rate
+    return block
+
+
+def random_mode_block_inputs(seed: int, draws: int):
+    """(basis, cavity, bath) with kappa, gamma, eta, T, g and omega_c drawn log- or linearly uniform."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        g, kappa, gamma = (float(rng.choice([0.0, x])) for x in 10.0 ** rng.uniform([-2.0, -4.0, -4.0], [2.3, 4.0, 2.0]))
+        cavity = CavitySpec(omega_c=float(rng.uniform(1500.0, 2500.0)), g=g, kappa=kappa)
+        eta, omega_cut, temperature = (float(x) for x in rng.uniform([-6.0, 50.0, 10.0], [1.0, 500.0, 1000.0]))
+        bath = BathSpec(gamma=gamma, eta=10.0**eta, omega_cut=omega_cut, temperature=temperature)
+        for kind in REGIME_KINDS:
+            yield mode_basis(kind, cavity, 2000.0), cavity, bath
+
+
+class TestModeBlockArithmetic:
+    # mode_block forms its weights, losses and overlaps as Python floats: the same products and
+    # two-term sums as the numpy arrays of numpy_mode_block, so the same bits
+    @pytest.mark.parametrize("omega_c", [2000.0, 2150.0, 1850.0])
+    @pytest.mark.parametrize("kind", REGIME_KINDS)
+    def test_bundled_bath_at_g_zero_resonant_and_detuned(self, reaction1, kind, omega_c):
+        cavity = CavitySpec(omega_c=omega_c, g=0.0, kappa=1.0)
+        basis = mode_basis(kind, cavity, 2000.0)
+        block = mode_block(basis, cavity, reaction1.bath)
+        assert block.tobytes() == numpy_mode_block(basis, cavity, reaction1.bath).tobytes()
+
+    def test_random_draws(self):
+        for basis, cavity, bath in random_mode_block_inputs(seed=24, draws=200):
+            assert mode_block(basis, cavity, bath).tobytes() == numpy_mode_block(basis, cavity, bath).tobytes()
+
+    @pytest.mark.parametrize("omega_c", [2000.0, 2150.0])
+    @pytest.mark.parametrize("kind", REGIME_KINDS)
+    def test_an_overflowing_eta_leaves_no_nan(self, reaction1, kind, omega_c):
+        # at g = 0 detuned, the vsc "+" mode is the bare cavity: it shares no vibration with "-" or "d"
+        cavity = CavitySpec(omega_c=omega_c, g=0.0, kappa=1.0)
+        basis = mode_basis(kind, cavity, 2000.0)
+        bath = replace(reaction1.bath, eta=1e308)
+        block = mode_block(basis, cavity, bath)
+        assert not np.isnan(block).any()
+        assert block.tobytes() == numpy_mode_block(basis, cavity, bath).tobytes()
+        if kind == "vsc" and omega_c != 2000.0:
+            assert block[1, 2:].tolist() == block[2:, 1].tolist() == [0.0, 0.0]
+            assert np.isinf(block[2, 3]) and np.isinf(block[3, 2])  # "-" and "d" overlap, and overflow
 
 
 class TestPurcellExchange:
