@@ -9,18 +9,19 @@ Subcommands:
     fcf        inspect displacement matrix elements and Franck-Condon factors
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure.
+
+``config``, ``eigenmodes`` and ``rates`` are the package root's lazily executed modules,
+so each command loads only what its handler reads: ``criterion`` and ``fcf --lam`` no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import math
 import sys
-from types import ModuleType
 from typing import Any, Callable, List, Optional, Sequence
 
-from . import __version__
+from . import __version__, config, eigenmodes, rates
 from .closed_forms import (
     MAX_OCCUPATION,
     SWEEP_PARAMETERS,
@@ -30,27 +31,6 @@ from .closed_forms import (
 )
 
 __all__ = ["main", "build_parser"]
-
-
-def _lazy(name: str) -> ModuleType:
-    """The package module ``name``, executed on its first attribute access.
-
-    ``criterion`` and ``fcf --lam`` touch none of these modules, so they start
-    without numpy; the others load what their handler reads.
-    """
-    full = f"{__package__}.{name}"
-    if full in sys.modules:
-        return sys.modules[full]
-    spec = importlib.util.find_spec(full)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[full] = module
-    spec.loader.exec_module(module)
-    setattr(sys.modules[__package__], name, module)
-    return module
-
-
-config, eigenmodes, rates = _lazy("config"), _lazy("eigenmodes"), _lazy("rates")
 
 
 def __getattr__(name: str) -> Any:

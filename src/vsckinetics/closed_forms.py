@@ -4,9 +4,9 @@ The paper's collective-scaling criterion and the displacement matrix elements
 behind every Franck-Condon factor are closed forms, so the ``criterion`` and
 ``fcf --lam`` commands evaluate them here and never load numpy. The module
 also owns the names every command's parser and error handler read: the
-occupation bound, the sweep parameters and ``NumericalError``. ``propagate``,
-``rates`` and ``config`` import them from here, so each is one object under
-either name.
+occupation bound, the sweep parameters and ``NumericalError``. This is each
+name's one home: ``propagate``, ``rates``, ``config`` and ``cli`` import them
+from here and export none of them.
 """
 
 from __future__ import annotations

@@ -19,9 +19,9 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Text
 
 import numpy as np
 
-from .closed_forms import SWEEP_PARAMETERS
+from .closed_forms import SWEEP_PARAMETERS, NumericalError
 from .eigenmodes import CavitySpec, ModeBasis, mode_basis
-from .propagate import NumericalError, TimeGrid, Trajectory, clamp_for_output, propagate
+from .propagate import TimeGrid, Trajectory, clamp_for_output, propagate
 from .rates import BathSpec, RateMatrix, assemble_rate_matrix, effective_coupling
 from .states import MOLECULES, CouplingSpec, ReactionNetwork, SpeciesSpec, initial_distribution
 from .units import ANGULAR_PER_WAVENUMBER, HBAR, KB, SPEED_OF_LIGHT_CM_PER_PS
@@ -32,7 +32,6 @@ __all__ = [
     "SweepSpec",
     "ScenarioResult",
     "ENERGY_UNITS",
-    "SWEEP_PARAMETERS",
     "config_from_dict",
     "load_config",
     "bundled_config_path",
@@ -147,7 +146,23 @@ class ScenarioResult:
     @property
     def metadata(self) -> Dict[str, Any]:
         """Effective config, its fingerprint, derived quantities and constants; a new dict built on each read."""
-        return _metadata(self.config, self.rate_matrix)
+        effective = effective_config_dict(self.config)
+        return {
+            "config": effective,
+            "fingerprint": _sha256(effective),
+            "derived": {
+                "g_effective": effective_coupling(self.config.regime_kind, self.config.cavity.g),
+                "basis": "vsc" if self.config.regime_kind == "vsc" else "bare",
+                "state_count": len(self.rate_matrix.states),
+                "state_labels": list(self.rate_matrix.states.labels()),
+            },
+            "constants": {
+                "hbar_cm_ps": HBAR,
+                "kB_cm_per_K": KB,
+                "c_cm_per_ps": SPEED_OF_LIGHT_CM_PER_PS,
+                "angular_per_wavenumber": ANGULAR_PER_WAVENUMBER,
+            },
+        }
 
 
 def _require(condition: bool, message: str) -> None:
@@ -346,26 +361,6 @@ def _sha256(effective: Dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _metadata(config: ScenarioConfig, rate_matrix: RateMatrix) -> Dict[str, Any]:
-    effective = effective_config_dict(config)
-    return {
-        "config": effective,
-        "fingerprint": _sha256(effective),
-        "derived": {
-            "g_effective": effective_coupling(config.regime_kind, config.cavity.g),
-            "basis": "vsc" if config.regime_kind == "vsc" else "bare",
-            "state_count": len(rate_matrix.states),
-            "state_labels": list(rate_matrix.states.labels()),
-        },
-        "constants": {
-            "hbar_cm_ps": HBAR,
-            "kB_cm_per_K": KB,
-            "c_cm_per_ps": SPEED_OF_LIGHT_CM_PER_PS,
-            "angular_per_wavenumber": ANGULAR_PER_WAVENUMBER,
-        },
-    }
-
-
 def build_generator(config: ScenarioConfig) -> RateMatrix:
     """The generator of ``config`` over ``config.basis``, its reactive part shared by the
     process between equal networks, bases and temperatures (``assemble_rate_matrix``)."""
@@ -379,8 +374,8 @@ def _run(variants: Iterable[Tuple[str, ScenarioConfig]]) -> List[ScenarioResult]
     """Run labelled configs in order: each builds its generator and propagates, sharing the
     reactive part and its states with earlier runs through the cache of ``assemble_rate_matrix``.
     Consecutive runs over one state space, reactant and temperature share one thermal p0. A run
-    whose states, temperature, p0, grid and generator are all bit-identical to the run before it
-    takes a copy of that run's populations.
+    whose start (states, reactant and temperature), grid and generator are all bit-identical to the
+    run before it takes a copy of that run's populations.
     """
     results: List[ScenarioResult] = []
     last = start = None  # the inputs of the run before, and what its p0 was drawn from
@@ -389,7 +384,7 @@ def _run(variants: Iterable[Tuple[str, ScenarioConfig]]) -> List[ScenarioResult]
         key = (rate_matrix.states, config.reactant, config.bath.temperature)
         if key != start:
             start, p0 = key, initial_distribution(*key)
-        inputs = (rate_matrix.states, rate_matrix.temperature, config.grid, p0.tobytes(), rate_matrix.matrix.tobytes())
+        inputs = (start, config.grid, rate_matrix.matrix.tobytes())
         if inputs == last:
             populations = results[-1].trajectory.state_populations.copy()
             trajectory = replace(results[-1].trajectory, state_populations=populations)

@@ -23,19 +23,16 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .closed_forms import NumericalError, ScalingCriterion, vsc_scaling_criterion
+from .closed_forms import NumericalError
 from .rates import RateMatrix
 from .states import MOLECULES, StateSpace
 from .units import thermal_energy
 
 __all__ = [
-    "NumericalError",
     "TimeGrid",
     "Trajectory",
     "propagate",
     "clamp_for_output",
-    "ScalingCriterion",
-    "vsc_scaling_criterion",
 ]
 
 CONSERVATION_TOL = 1e-9

@@ -12,7 +12,7 @@ Every regime shares one mode basis: the polariton/dark eigenmodes under VSC,
 the identity rotation over cavity and bare vibrations otherwise. Franck-Condon
 factors, losses, gains and bath exchange are therefore one formula each, indexed
 by mode position (only eigenmodes share vibrations, so only they exchange); the
-regime is a plain kind out of ``REGIME_KINDS`` that decides only whether the
+regime is a plain kind out of ``eigenmodes.REGIME_KINDS`` that decides only whether the
 weak Purcell term joins them and, through ``effective_coupling``, its coupling.
 
 Assembly follows the same split. Two molecules over S species give S^2
@@ -45,7 +45,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .closed_forms import MAX_OCCUPATION, displacement_matrix_element
-from .eigenmodes import REGIME_KINDS, VSC_MODE_LABELS, CavitySpec, ModeBasis, check_regime_kind, mode_displacements
+from .eigenmodes import VSC_MODE_LABELS, CavitySpec, ModeBasis, check_regime_kind, mode_displacements
 from .states import (
     CouplingSpec,
     ReactionNetwork,
@@ -58,10 +58,7 @@ from .units import HBAR, thermal_energy, wavenumber_to_angular
 __all__ = [
     "BathSpec",
     "RateMatrix",
-    "REGIME_KINDS",
-    "MAX_OCCUPATION",
     "WEAK_COUPLING_DIVISOR",
-    "displacement_matrix_element",
     "franck_condon",
     "reactive_rate",
     "effective_coupling",
@@ -157,15 +154,12 @@ def franck_condon(
     levels = int(max(to.max(), frm.max())) + 1
     amp = np.ones((len(to), len(frm)))
     for q, (a, b) in enumerate(zip(lam_from, lam_to)):
-        if b == a:  # undisplaced mode: the element is 1 or 0
-            table = np.eye(levels)
-        else:
-            table = np.array(
-                [
-                    [displacement_matrix_element(m, n, b - a) for n in range(levels)]
-                    for m in range(levels)
-                ]
-            )
+        table = np.array(
+            [
+                [displacement_matrix_element(m, n, b - a) for n in range(levels)]
+                for m in range(levels)
+            ]
+        )
         amp = amp * table[to[:, None, q], frm[None, :, q]]
     return amp * amp
 
@@ -296,7 +290,7 @@ def reactive_rates(network: ReactionNetwork, basis: ModeBasis, temperature: floa
 def assemble_rate_matrix(
     network: ReactionNetwork, basis: ModeBasis, cavity: CavitySpec, bath: BathSpec, kind: str
 ) -> RateMatrix:
-    """The generator of ``network`` over the modes of ``basis`` in a regime ``kind`` (one of ``REGIME_KINDS``).
+    """The generator of ``network`` over the modes of ``basis`` in a regime ``kind`` (one of ``eigenmodes.REGIME_KINDS``).
 
     ``basis`` is the kind's ``mode_basis``. The reactive part comes from ``reactive_rates`` at the
     bath temperature, so generators over equal networks, bases and temperatures share it and its

@@ -24,10 +24,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from vsckinetics.closed_forms import displacement_matrix_element
 from vsckinetics.config import ScenarioConfig, bundled_config_path, export, load_config
 from vsckinetics.eigenmodes import mode_displacements
 from vsckinetics.propagate import clamp_for_output
-from vsckinetics.rates import displacement_matrix_element, purcell_exchange_rate
+from vsckinetics.rates import purcell_exchange_rate
 from vsckinetics.states import MOLECULES
 from vsckinetics.units import HBAR, thermal_energy, wavenumber_to_angular
 

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from conftest import detailed_balance_worst, displacement_oracle, kmc_state_counts, with_regime
+from vsckinetics.closed_forms import displacement_matrix_element, vsc_scaling_criterion
 from vsckinetics.config import build_generator, run_scenario
 from vsckinetics.eigenmodes import build_mode_basis
-from vsckinetics.propagate import TimeGrid, propagate, vsc_scaling_criterion
-from vsckinetics.rates import assemble_rate_matrix, displacement_matrix_element
+from vsckinetics.propagate import TimeGrid, propagate
+from vsckinetics.rates import assemble_rate_matrix
 from vsckinetics.states import initial_distribution
 from vsckinetics.units import thermal_energy
 

@@ -1,8 +1,10 @@
 """Config loading, orchestration, deterministic export, and the CLI."""
 
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -23,10 +25,11 @@ import vsckinetics.propagate as propagate_module
 import vsckinetics.rates as rates_module
 from conftest import STIFF_REDUCIBLE, assert_json_export, coupling, species
 from vsckinetics.cli import main
+from vsckinetics.closed_forms import SWEEP_PARAMETERS, vsc_scaling_criterion
 from vsckinetics.config import (
     MAX_GRID_POINTS,
-    SWEEP_PARAMETERS,
     ConfigError,
+    ScenarioResult,
     SweepSpec,
     bundled_config_path,
     config_fingerprint,
@@ -38,9 +41,9 @@ from vsckinetics.config import (
     run_scenario,
     run_sweep,
 )
-from vsckinetics.eigenmodes import CavitySpec, mode_basis
-from vsckinetics.propagate import TimeGrid, propagate, vsc_scaling_criterion
-from vsckinetics.rates import REGIME_KINDS, BathSpec, purcell_exchange_rate, reactive_rates
+from vsckinetics.eigenmodes import REGIME_KINDS, CavitySpec, mode_basis
+from vsckinetics.propagate import TimeGrid, propagate
+from vsckinetics.rates import BathSpec, purcell_exchange_rate, reactive_rates
 from vsckinetics.states import CouplingSpec, SpeciesSpec, initial_distribution
 from vsckinetics.units import thermal_energy
 
@@ -506,13 +509,13 @@ class TestOrchestration:
 
     def test_metadata_is_built_on_first_read(self, tmp_path, monkeypatch):
         calls = []
-        metadata = config_module._metadata
+        metadata = ScenarioResult.metadata.fget
 
-        def counted(config, rate_matrix):
-            calls.append(config)
-            return metadata(config, rate_matrix)
+        def counted(result):
+            calls.append(result.config)
+            return metadata(result)
 
-        monkeypatch.setattr(config_module, "_metadata", counted)
+        monkeypatch.setattr(ScenarioResult, "metadata", property(counted))
         base = config_from_dict(fast_dict())
         results = run_sweep(SweepSpec(parameter="kappa", values=(0.0, 1.0, 2.0), base=base))
         assert calls == []
@@ -1211,17 +1214,29 @@ class TestCli:
             assert name in dir(vsckinetics)
         assert vsckinetics.__version__ == "0.1.0"
         assert cli_module.load_config is config_module.load_config
-        moved = {
-            propagate_module: ["NumericalError", "ScalingCriterion", "vsc_scaling_criterion"],
-            rates_module: ["MAX_OCCUPATION", "displacement_matrix_element"],
-            config_module: ["SWEEP_PARAMETERS", "NumericalError"],
+        retired = {  # names these modules once re-exported from closed_forms and eigenmodes
+            propagate_module: {"NumericalError", "ScalingCriterion", "vsc_scaling_criterion"},
+            rates_module: {"REGIME_KINDS", "MAX_OCCUPATION", "displacement_matrix_element"},
+            config_module: {"SWEEP_PARAMETERS"},
         }
-        for module, names in moved.items():
-            for name in names:
-                assert getattr(module, name) is getattr(closed_forms, name), (module.__name__, name)
+        for module, names in retired.items():
+            assert not names & set(module.__all__), module.__name__
+        unused = [(propagate_module, "ScalingCriterion"), (propagate_module, "vsc_scaling_criterion"),
+                  (rates_module, "REGIME_KINDS")]  # imported only to be re-exported, so no longer imported
+        assert [(m.__name__, name) for m, name in unused if hasattr(m, name)] == []
+        importlib.reload(vsckinetics)  # re-runs the root, which keeps the modules callers already hold
+        assert vsckinetics.config is config_module is cli_module.config
+        assert vsckinetics.ConfigError is config_module.ConfigError
         for module in (vsckinetics, cli_module):
             with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
                 module.nothing
+
+    def test_each_public_name_has_one_home(self):
+        homes = {}
+        for info in pkgutil.iter_modules(vsckinetics.__path__):
+            for name in importlib.import_module(f"vsckinetics.{info.name}").__all__:
+                homes.setdefault(name, []).append(info.name)
+        assert {name: owners for name, owners in homes.items() if len(owners) > 1} == {}
 
     def test_importing_the_package_and_its_cli_loads_no_numpy(self):
         code = (

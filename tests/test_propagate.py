@@ -15,6 +15,7 @@ from scipy.sparse.csgraph import connected_components
 from conftest import STIFF_REDUCIBLE, mpmath_doubling_populations, swapped_label, with_regime
 from test_properties import OMEGA_V, configs
 from vsckinetics import propagate as propagate_module
+from vsckinetics.closed_forms import NumericalError, vsc_scaling_criterion
 from vsckinetics.config import (
     DEFAULT_GRID_END,
     DEFAULT_GRID_POINTS,
@@ -25,13 +26,12 @@ from vsckinetics.config import (
 )
 from vsckinetics.propagate import (
     EIGENBASIS_COND_LIMIT,
-    NumericalError,
     TimeGrid,
     clamp_for_output,
     propagate,
-    vsc_scaling_criterion,
 )
-from vsckinetics.rates import REGIME_KINDS, RateMatrix
+from vsckinetics.eigenmodes import REGIME_KINDS
+from vsckinetics.rates import RateMatrix
 from vsckinetics.states import StateSpace, initial_distribution
 from vsckinetics.units import thermal_energy
 

@@ -49,9 +49,9 @@ from vsckinetics.config import (
     export,
     run_scenario,
 )
-from vsckinetics.eigenmodes import mode_basis
+from vsckinetics.eigenmodes import REGIME_KINDS, mode_basis
 from vsckinetics.propagate import CONSERVATION_TOL, NEGATIVITY_TOL, TimeGrid, propagate
-from vsckinetics.rates import REACTIVE_CACHE_SIZE, REGIME_KINDS, reactive_rates
+from vsckinetics.rates import REACTIVE_CACHE_SIZE, reactive_rates
 from vsckinetics.states import initial_distribution
 from vsckinetics.units import thermal_energy
 

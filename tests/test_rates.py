@@ -18,8 +18,10 @@ from conftest import (
     swapped_label,
     with_regime,
 )
+from vsckinetics.closed_forms import MAX_OCCUPATION, displacement_matrix_element
 from vsckinetics.config import build_generator, config_from_dict, run_scenario
 from vsckinetics.eigenmodes import (
+    REGIME_KINDS,
     CavitySpec,
     build_mode_basis,
     mode_basis,
@@ -27,12 +29,9 @@ from vsckinetics.eigenmodes import (
 )
 from vsckinetics.rates import (
     EXCHANGE_RTOL,
-    MAX_OCCUPATION,
-    REGIME_KINDS,
     BathSpec,
     RateMatrix,
     assemble_rate_matrix,
-    displacement_matrix_element,
     effective_coupling,
     franck_condon,
     mode_block,

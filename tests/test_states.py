@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import coupling, parse_label, reference_energy, species, swapped_label
-from vsckinetics.eigenmodes import CavitySpec, build_mode_basis, mode_basis
-from vsckinetics.rates import REGIME_KINDS
+from vsckinetics.eigenmodes import REGIME_KINDS, CavitySpec, build_mode_basis, mode_basis
 from vsckinetics.states import (
     CouplingSpec,
     ReactionNetwork,
