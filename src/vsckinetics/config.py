@@ -21,7 +21,7 @@ import numpy as np
 
 from .closed_forms import SWEEP_PARAMETERS, NumericalError
 from .eigenmodes import CavitySpec, ModeBasis, mode_basis
-from .propagate import TimeGrid, Trajectory, clamp_for_output, propagate
+from .propagate import TimeGrid, Trajectory, _lumped_start, clamp_for_output, propagate
 from .rates import BathSpec, RateMatrix, assemble_rate_matrix, effective_coupling
 from .states import MOLECULES, CouplingSpec, ReactionNetwork, SpeciesSpec, initial_distribution
 from .units import ANGULAR_PER_WAVENUMBER, HBAR, KB, SPEED_OF_LIGHT_CM_PER_PS
@@ -373,23 +373,24 @@ def build_generator(config: ScenarioConfig) -> RateMatrix:
 def _run(variants: Iterable[Tuple[str, ScenarioConfig]]) -> List[ScenarioResult]:
     """Run labelled configs in order: each builds its generator and propagates, sharing the
     reactive part and its states with earlier runs through the cache of ``assemble_rate_matrix``.
-    Consecutive runs over one state space, reactant and temperature share one thermal p0. A run
-    whose start (states, reactant and temperature), grid and generator are all bit-identical to the
-    run before it takes a copy of that run's populations.
+    Consecutive runs over one state space, reactant and temperature share one thermal p0, checked
+    and lumped once (``propagate``'s start). A run whose start (states, reactant and temperature),
+    grid and generator are all bit-identical to the run before it takes a copy of that run's
+    populations.
     """
     results: List[ScenarioResult] = []
-    last = start = None  # the inputs of the run before, and what its p0 was drawn from
+    last = drawn = None  # the inputs of the run before, and what its start was drawn from
     for label, config in variants:
         rate_matrix = build_generator(config)
         key = (rate_matrix.states, config.reactant, config.bath.temperature)
-        if key != start:
-            start, p0 = key, initial_distribution(*key)
-        inputs = (start, config.grid, rate_matrix.matrix.tobytes())
+        if key != drawn:
+            drawn, start = key, _lumped_start(key[0], initial_distribution(*key), key[2])
+        inputs = (key, config.grid, rate_matrix.matrix.tobytes())
         if inputs == last:
             populations = results[-1].trajectory.state_populations.copy()
             trajectory = replace(results[-1].trajectory, state_populations=populations)
         else:
-            trajectory = propagate(rate_matrix, p0, config.grid)
+            trajectory = propagate(rate_matrix, start, config.grid)
         results.append(ScenarioResult(label, config, rate_matrix, trajectory))
         last = inputs
     return results

@@ -3,9 +3,9 @@
 The generator is tiny (<= 36 states) but stiff: rates span ~1e-4 to 1 ps^-1
 while horizons reach 1e4-1e6 ps. From a start that is symmetric in the two
 identical molecules, the chain lumps exactly onto the orbits of their
-exchange (10-24 instead of 16-36 states, ``StateSpace.orbits``), and
-``propagate(rate_matrix, p0, grid)`` lumps K, p0 and the Boltzmann weights on
-each call, keeping nothing between calls. The exact p(t) =
+exchange (10-24 instead of 16-36 states, ``StateSpace.orbits``). ``propagate``
+lumps K on each call and keeps nothing between calls; runs from one start
+share its checked and lumped p0 and Boltzmann weights. The exact p(t) =
 exp(K t) p0 on a whole grid comes from one eigendecomposition of the lumped
 generator: a symmetric one where K is in detailed balance with the Boltzmann
 weights of the states, else a general one anchored on the
@@ -17,6 +17,7 @@ series that never subtracts (Xue and Ye, Math. Comp. 82, 2013) runs instead.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
@@ -131,7 +132,7 @@ def _stationary_vector(K: np.ndarray) -> Optional[np.ndarray]:
     rates only, so every component keeps full relative precision.
     """
     A = K.T.copy()  # A[i, j] = rate i -> j
-    np.fill_diagonal(A, 0.0)
+    A.ravel()[:: len(A) + 1] = 0.0
     for k in range(len(A) - 1, 0, -1):
         exit_down = A[k, :k].sum()
         if exit_down <= 0.0:
@@ -152,14 +153,15 @@ def _eigen_populations(
     np.exp(terms, out=terms)
     terms *= c
     result = (terms @ V.T).real
-    result[times == 0.0] = p0
+    if times[0] == 0.0:  # only the first point of a strictly increasing grid can be 0
+        result[0] = p0
     return result if result.min() >= NEGATIVITY_TOL else None  # a drift the guards missed
 
 
 def _balanced(K: np.ndarray, pi: np.ndarray) -> bool:
     """Whether every flux pair pi_i K[j, i], pi_j K[i, j] agrees to BALANCE_RTOL of the larger."""
     flux = K * pi
-    return bool(np.all(np.abs(flux - flux.T) <= BALANCE_RTOL * np.abs(np.maximum(flux, flux.T))))
+    return bool((np.abs(flux - flux.T) <= BALANCE_RTOL * np.abs(np.maximum(flux, flux.T))).all())
 
 
 def _reversible_populations(
@@ -171,13 +173,13 @@ def _reversible_populations(
     if pi.max() > EIGENBASIS_COND_LIMIT**2 * pi.min() or not _balanced(K, pi):
         return None  # cond(D^1/2 U) = sqrt(max pi / min pi) for orthogonal U
     S = np.sqrt(K * K.T)  # D^-1/2 K D^1/2 off the diagonal, with no ratio of rates
-    np.fill_diagonal(S, K.diagonal())
+    S.ravel()[:: len(S) + 1] = K.diagonal()
     lam, U = np.linalg.eigh(S)
     if len(lam) < 2 or lam[-2] >= -64.0 * _EPS * np.abs(S).sum(axis=0).max():
         return None  # one state, or reducible, zero or nearly decomposable: no resolved second mode
     root = np.sqrt(pi)
-    anchor = root / np.linalg.norm(root)
-    U -= np.outer(anchor, anchor @ U)  # the other eigenvectors are orthogonal to the anchor
+    anchor = root / math.sqrt(root @ root)
+    U -= anchor[:, None] * (anchor @ U)  # the other eigenvectors are orthogonal to the anchor
     U[:, -1], lam[-1] = anchor, 0.0
     return _eigen_populations(lam, root[:, None] * U, U.T @ (p0 / root), p0, times)
 
@@ -195,7 +197,7 @@ def _spectral_populations(K: np.ndarray, p0: np.ndarray, times: np.ndarray) -> O
         return None
     lam[null] = 0.0
     # eigenvectors of nonzero eigenvalues sum to 0: strip what roundoff mixes in
-    V -= np.outer(pi, V.sum(axis=0))
+    V -= pi[:, None] * V.sum(axis=0)
     V[:, null] = pi
     if np.linalg.cond(V) > EIGENBASIS_COND_LIMIT:
         return None
@@ -233,6 +235,31 @@ def _taylor_populations(K: np.ndarray, p0: np.ndarray, times: np.ndarray) -> np.
     return populations
 
 
+# all that ``propagate`` reads of the states, p0 and temperature, for runs from one start to share: the
+# orbits as in StateSpace.orbits but one size per orbit, the lumped p0 and Boltzmann weights (or None)
+_Start = namedtuple("_Start", "states orbit members lump p0 pi sizes")
+
+
+def _lumped_start(states: StateSpace, p0: np.ndarray, temperature: Optional[float]) -> _Start:
+    """p0 checked and lumped on the orbits it allows, with the Boltzmann weights at ``temperature``."""
+    n = len(states)
+    p0 = np.asarray(p0, dtype=float)
+    if p0.shape != (n,):
+        raise ValueError(f"p0 has shape {p0.shape}, expected ({n},)")
+    total = float(p0.sum())
+    if not abs(total - 1.0) <= 1e-10:
+        raise ValueError(f"p0 must sum to 1 within 1e-10, got {total!r}")
+    if not p0.min() >= 0.0:
+        raise ValueError("p0 must be nonnegative")
+    if (p0[states.exchange] == p0).all():
+        orbit, members, lump, sizes = states.orbits
+    else:
+        orbit = members = np.arange(n)
+        lump, sizes = np.eye(n), np.ones(n)
+    pi = None if temperature is None else lump @ np.exp(-states.excitations / thermal_energy(temperature))
+    return _Start(states, orbit, members, lump, lump @ p0, pi, sizes[members])
+
+
 def propagate(rate_matrix: RateMatrix, p0: np.ndarray, grid: TimeGrid) -> Trajectory:
     """Evaluate p(t) = exp(K t) p0 on every point of ``grid``, p0 a distribution over K's states.
 
@@ -263,48 +290,34 @@ def propagate(rate_matrix: RateMatrix, p0: np.ndarray, grid: TimeGrid) -> Trajec
     3. The Taylor series of the non-negative K~ + alpha I (Xue and Ye, 2013),
        which raises NumericalError where 2 alpha t overflows a double.
 
-    Raises ValueError for a p0 of the wrong shape, off sum 1 or negative, and
+    p0 may also be ``_lumped_start`` of a p0 over K's states at K's temperature,
+    which runs from one start share (``config._run``). Raises ValueError for a
+    p0 of the wrong shape, off sum 1 or negative, or a start for other states, and
     NumericalError if the result loses probability beyond 1e-9 or turns
     negative beyond roundoff; populations are kept unclamped here.
     """
-    states, n = rate_matrix.states, len(rate_matrix.states)
-    p0 = np.asarray(p0, dtype=float)
-    if p0.shape != (n,):
-        raise ValueError(f"p0 has shape {p0.shape}, expected ({n},)")
-    total = float(p0.sum())
-    if not abs(total - 1.0) <= 1e-10:
-        raise ValueError(f"p0 must sum to 1 within 1e-10, got {total!r}")
-    if not p0.min() >= 0.0:
-        raise ValueError("p0 must be nonnegative")
-    if (p0[states.exchange] == p0).all():
-        orbit, members, lump, sizes = states.orbits
-    else:
-        orbit = members = np.arange(n)
-        lump, sizes = np.eye(n), np.ones(n)
-    K_lumped, lumped_p0 = lump @ rate_matrix.matrix.take(members, axis=1), lump @ p0
-    times = grid.times
-    lumped = None
-    if rate_matrix.temperature is not None:
-        pi = lump @ np.exp(-states.excitations / thermal_energy(rate_matrix.temperature))
-        lumped = _reversible_populations(K_lumped, pi, lumped_p0, times)
+    start = p0 if isinstance(p0, _Start) else _lumped_start(rate_matrix.states, p0, rate_matrix.temperature)
+    if start.states is not rate_matrix.states:
+        raise ValueError("the start was lumped for other states")
+    K_lumped = start.lump @ rate_matrix.matrix.take(start.members, axis=1)
+    lumped = None if start.pi is None else _reversible_populations(K_lumped, start.pi, start.p0, grid.times)
     if lumped is None:
-        lumped = _spectral_populations(K_lumped, lumped_p0, times)
+        lumped = _spectral_populations(K_lumped, start.p0, grid.times)
     if lumped is None:
-        lumped = _taylor_populations(K_lumped, lumped_p0, times)
-    orbit_sizes = sizes[members]
-    lumped /= orbit_sizes  # each orbit's share: the population of each of its states
+        lumped = _taylor_populations(K_lumped, start.p0, grid.times)
+    lumped /= start.sizes  # each orbit's share: the population of each of its states
 
-    if not np.all(np.isfinite(lumped)):
-        raise NumericalError("propagation produced non-finite populations")
-    worst_leak = float(np.abs(lumped @ orbit_sizes - 1.0).max())
-    if worst_leak > CONSERVATION_TOL:
+    worst_leak = float(np.abs(lumped @ start.sizes - 1.0).max())
+    if not worst_leak <= CONSERVATION_TOL:  # a NaN or inf share makes its row's sum NaN or inf
+        if not np.isfinite(lumped).all():
+            raise NumericalError("propagation produced non-finite populations")
         raise NumericalError(f"probability leaked by {worst_leak:.3e} (tolerance {CONSERVATION_TOL})")
     worst_neg = float(lumped.min())
     if worst_neg < NEGATIVITY_TOL:
         raise NumericalError(f"population went negative: {worst_neg:.3e}")
 
     # one gather along the states' axis unlumps into an F-contiguous copy (take would give C order)
-    return Trajectory(grid=grid, states=states, state_populations=lumped[:, orbit])
+    return Trajectory(grid=grid, states=rate_matrix.states, state_populations=lumped[:, start.orbit])
 
 
 def clamp_for_output(populations: np.ndarray) -> np.ndarray:

@@ -126,8 +126,9 @@ class RateMatrix:
         if negative.any():
             raise ValueError("negative off-diagonal rate")
         perm = self.states.exchange
-        drift = np.abs(K.take(perm, axis=0).take(perm, axis=1) - K)
-        if (drift > EXCHANGE_RTOL * np.abs(K)).any():
+        drift = K.take(perm, axis=0).take(perm, axis=1)
+        drift -= K
+        if (np.abs(drift, out=drift) > EXCHANGE_RTOL * np.abs(K)).any():
             raise ValueError("rate matrix does not commute with the molecule exchange")
         if self.temperature is not None and not self.temperature > 0.0:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
@@ -237,7 +238,7 @@ def purcell_exchange_rate(
     symmetric in the two states. Requires a nonzero total linewidth. The
     out-rates may be arrays of matching shape, one rate per pair.
     """
-    if not min(np.min(k_out_cavity), np.min(k_out_vib)) >= 0.0:
+    if not (np.min(k_out_cavity) >= 0.0 and np.min(k_out_vib) >= 0.0):  # min() of the two would drop a second NaN
         raise ValueError("out-rates must be >= 0")
     k_total = k_out_cavity + k_out_vib
     if np.any(k_total == 0.0):
@@ -313,10 +314,11 @@ def assemble_rate_matrix(
         delta = cavity.omega_c - basis.omega_v
         gamma_p = purcell_exchange_rate(out[:, 1:2], out[:, 2:], g_effective, delta)
         i_c = np.arange(1, S * S * P, P)[:, None]  # the cavity-excited state of each configuration
-        K[i_c + [1, 2], i_c] = K[i_c, i_c + [1, 2]] = gamma_p
+        i_v = i_c + np.arange(1, 3)  # and its two vibration-excited states
+        K[i_v, i_c] = K[i_c, i_v] = gamma_p
 
     out_rates = K.sum(axis=0)
     if not np.isfinite(out_rates).all():  # each sums its column, so it carries any inf or nan
         raise OverflowError("a rate of the generator overflows a double")
-    np.fill_diagonal(K, -out_rates)
+    K.ravel()[:: len(K) + 1] = -out_rates
     return RateMatrix(states=states, matrix=K, temperature=bath.temperature)

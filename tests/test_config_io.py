@@ -131,6 +131,11 @@ NON_FINITE_BUILDS = {
     "lambda_s nan": (lambda c: replace(c.network.couplings[0], J=0.0, lambda_s=math.nan), "lambda_s must be >= 0, got nan"),
     "kT nan": (lambda c: thermal_energy(math.nan), "temperature must be > 0 K, got nan"),
     "out-rate nan": (lambda c: purcell_exchange_rate(math.nan, 0.01, 0.42, 0.0), "out-rates must be >= 0"),
+    "out-rate nan, vibrational": (lambda c: purcell_exchange_rate(1.0, math.nan, 0.42, 0.0), "out-rates must be >= 0"),
+    "out-rate nan in an array": (
+        lambda c: purcell_exchange_rate(np.array([1.0, 1.0]), np.array([0.01, math.nan]), 0.42, 0.0),
+        "out-rates must be >= 0",
+    ),
     "epsilon nan": (lambda c: vsc_scaling_criterion(math.nan, 2, 1.0, 1.0), "epsilon must be >= 0, got nan"),
     "k_d nan": (lambda c: vsc_scaling_criterion(0.1, 2, 1.0, math.nan), "rates must be >= 0"),
 }
@@ -602,13 +607,19 @@ class TestOrchestration:
         ids=["kappa-sweep", "vsc-g-sweep", "comparison"],
     )
     def test_consecutive_runs_over_one_state_space_share_one_thermal_start(self, monkeypatch, run, starts):
-        calls = []
-        original = config_module.initial_distribution
-        monkeypatch.setattr(config_module, "initial_distribution", lambda *args: calls.append(args) or original(*args))
+        # one p0 drawn, and checked, lumped and weighted once (propagate's start), per stretch of runs
+        calls = {"initial_distribution": [], "_lumped_start": []}
+        for name, made in calls.items():
+            original = getattr(config_module, name)
+            monkeypatch.setattr(config_module, name, lambda *args, made=made, f=original: made.append(args) or f(*args))
+        propagations = count_calls(monkeypatch)
         results = run(config_from_dict(fast_dict()))
-        assert len(calls) == starts
+        assert propagations["propagate"] == len(results) == 3
         spaces = [r.rate_matrix.states for r in results]
-        assert [space for space, _, _ in calls] == [s for k, s in enumerate(spaces) if s not in spaces[:k]]
+        firsts = [(s, results[0].config.bath.temperature) for k, s in enumerate(spaces) if s not in spaces[:k]]
+        for made in calls.values():
+            assert len(made) == starts
+            assert [(space, temperature) for space, _, temperature in made] == firsts
 
     @pytest.mark.parametrize("kind", REGIME_KINDS)
     def test_a_second_sweep_builds_no_reactive_part(self, monkeypatch, tmp_path, kind):

@@ -81,10 +81,12 @@ def drive_negative(populations: np.ndarray) -> np.ndarray:
 # spoils of a core result and the messages of the checks that catch them, whatever the orbit sizes
 CORE_SPOILS = [
     (lambda p: np.where(p == p.max(), np.nan, p), "^propagation produced non-finite populations$"),
+    # its row sums to inf, not NaN, and fails the leak test: the non-finite message still comes first
+    (lambda p: np.where(p == p.max(), np.inf, p), "^propagation produced non-finite populations$"),
     (lambda p: p * (1.0 + 1e-6), r"^probability leaked by 1\.000e-06 \(tolerance 1e-09\)$"),
     (drive_negative, "^population went negative: -1.000e-06$"),
 ]
-CORE_SPOIL_IDS = ["non-finite", "leak", "negative"]
+CORE_SPOIL_IDS = ["non-finite", "infinite", "leak", "negative"]
 
 
 def assert_spoiled_core_raises(monkeypatch, rate_matrix, p0, spoil, message):
@@ -207,6 +209,16 @@ class TestPropagate:
         assert (p0[r1_vsc.states.exchange] != p0).any()
         assert propagate(r1_vsc, p0, TimeGrid.logarithmic(0.1, 100.0, 5)).state_populations.flags.f_contiguous
         assert_spoiled_core_raises(monkeypatch, r1_vsc, p0, spoil, message)
+
+    def test_a_shared_start_propagates_bit_for_bit(self, r1_vsc, r1_vsc_p0, reaction1):
+        grid = TimeGrid.logarithmic(0.1, 100.0, 5)
+        start = propagate_module._lumped_start(r1_vsc.states, r1_vsc_p0, r1_vsc.temperature)
+        for _ in range(2):  # a start is read, never written
+            shared = propagate(r1_vsc, start, grid).state_populations
+            assert shared.tobytes() == propagate(r1_vsc, r1_vsc_p0, grid).state_populations.tobytes()
+        bare = build_generator(with_regime(reaction1, "bare"))
+        with pytest.raises(ValueError, match="^the start was lumped for other states$"):
+            propagate(bare, start, grid)
 
     def test_initial_distribution_validation(self, r1_vsc):
         grid = TimeGrid.linear(0.0, 1.0, 2)
@@ -389,6 +401,30 @@ class TestSpectralPropagator:
         traj = propagate(r1_vsc, r1_vsc_p0, TimeGrid.linear(0.0, 100.0, 5))
         assert fallback_calls == []
         assert np.array_equal(traj.state_populations[0], r1_vsc_p0)
+
+    @pytest.mark.parametrize(
+        "kind, omega_c, kappa, path",
+        [("vsc", None, None, "symmetric"), ("weak", 1800.0, None, "eig"), ("bare", None, 0.0, "taylor")],
+        ids=["symmetric", "eig", "taylor"],
+    )
+    def test_first_row_is_p0_bit_for_bit_only_on_a_grid_from_zero(
+        self, request, monkeypatch, fallback_calls, kind, omega_c, kappa, path
+    ):
+        config = bundled_case(request, "reaction1", kind, omega_c)
+        if kappa is not None:
+            config = with_regime(config, kind, kappa=kappa)
+        gen = build_generator(config)
+        p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
+        symmetric = served_sizes(monkeypatch, "_reversible_populations")
+        general = served_sizes(monkeypatch, "_spectral_populations")
+        from_zero = propagate(gen, p0, TimeGrid.linear(0.0, 1000.0, 3)).state_populations
+        later = propagate(gen, p0, TimeGrid.linear(500.0, 1000.0, 2)).state_populations
+        served = {"symmetric": symmetric, "eig": general, "taylor": fallback_calls}
+        assert {name for name, sizes in served.items() if sizes} == {path}
+        assert from_zero[0].tobytes() == p0.tobytes()
+        # from t = 500 ps the first row is evaluated: it has moved away from p0, to p(500 ps)
+        assert np.abs(later[0] - p0).max() > 1e-4
+        assert np.abs(later[0] - from_zero[1]).max() <= 1e-12
 
 
 class TestTaylorFallback:
