@@ -43,7 +43,6 @@ EIGENBASIS_COND_LIMIT = 1e8  # cond(V) or sqrt(max pi / min pi); bundled cases r
 BALANCE_RTOL = 1e-12  # flux pairs of config-built generators agree to ~5e-14
 # t_end * eigensolver error beyond roundoff: |null eigenvalue| or a positive one - 2 eps ||K||_1
 EIGENVALUE_DRIFT_LIMIT = 1e-10
-_TAYLOR_BLOCK_POINTS = 512  # grid points per Taylor pass; bounds its (T, n, n) stacks on long grids
 _EPS = np.finfo(float).eps
 
 
@@ -205,34 +204,39 @@ def _spectral_populations(K: np.ndarray, p0: np.ndarray, times: np.ndarray) -> O
 
 
 def _taylor_populations(K: np.ndarray, p0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """exp(K t) p0 for every t by scaling and squaring the Taylor series of K + alpha I >= 0.
+    """exp(K t) p0 for every t from one chain of squarings of the Taylor series of K + alpha I >= 0.
 
-    Terms are added until the last one is below roundoff in every entry, which an entry
-    first reached in that term is not. Normalising the columns, after the sum and after
-    every squaring, removes e^(alpha h) and keeps the squarings from leaking probability.
+    With h the largest power of two where alpha h < 1/2, t = (q + r) h exactly, 0 <= r < 1. exp(K h)
+    adds terms until the last is below roundoff in every entry, which an entry first reached in it is
+    not; no term is negative, so as many serve each exp(K r h) p0, by Horner's rule on the rows of a
+    (T, n) buffer, whose rows with bit j of q set then take the j-th square of exp(K h). Normalising
+    each square's columns, and at the end each row to p0's sum, removes e^(alpha h) and any leak.
     """
-    n = len(K)
-    alpha, horizon = float(-K.diagonal().min()), float(times[-1])
-    if not math.isfinite(2.0 * alpha * horizon):  # the scaling 2^s >= 2 alpha t would not fit a double
+    n, alpha, horizon = len(K), float(-K.diagonal().min()), float(times[-1])
+    h = math.ldexp(0.5, -max(math.frexp(alpha)[1], -1024))  # 2^1023 for a subnormal alpha
+    if not math.isfinite(horizon / h):  # t / h is 2 to 4 alpha t: this fails from alpha t of 2^1022 to 2^1023 on
         raise NumericalError(f"the fastest rate, {alpha:.3e} ps^-1, over {horizon!r} ps overflows a double")
-    populations = np.empty((len(times), n))
-    for first in range(0, len(times), _TAYLOR_BLOCK_POINTS):
-        block = times[first : first + _TAYLOR_BLOCK_POINTS]
-        squarings = np.ceil(np.log2(np.maximum(2.0 * alpha * block, 1.0))).astype(int)
-        Bh = (K + alpha * np.eye(n)) * (block / 2.0**squarings)[:, None, None]  # alpha h <= 1/2
-        term = exp_h = np.tile(np.eye(n), (len(block), 1, 1))
-        k = 0
-        while np.any(term > _EPS * exp_h):
-            k += 1
-            term = term @ Bh / k
-            exp_h = exp_h + term
-        exp_h /= exp_h.sum(axis=1, keepdims=True)
-        for s in range(squarings.max()):
-            pending = squarings > s
-            squared = exp_h[pending] @ exp_h[pending]
-            exp_h[pending] = squared / squared.sum(axis=1, keepdims=True)
-        populations[first : first + len(block)] = exp_h @ p0
-    return populations
+    r, q = np.modf(times / h)  # exact
+    Ah = (K + alpha * np.eye(n)) * h
+    term, exp_h, terms = np.eye(n), np.eye(n), 0
+    while np.any(term > _EPS * exp_h):
+        terms += 1
+        term = term @ Ah / terms
+        exp_h = exp_h + term
+    rows, spare = np.tile(p0, (len(times), 1)), np.empty((len(times), n))
+    for k in range(terms, 0, -1):  # p0 + r Ah / k (p0 + ...); at t = 0 this is p0 exactly
+        np.matmul(rows, Ah.T / k, out=spare)
+        spare *= r[:, None]
+        spare += p0
+        rows, spare = spare, rows
+    for _ in range(math.frexp(q[-1])[1]):  # the bits of q, from the lowest
+        exp_h /= exp_h.sum(axis=0)
+        np.matmul(rows, exp_h.T, out=spare)
+        np.copyto(rows, spare, where=np.fmod(q, 2.0, out=r)[:, None] == 1.0)
+        np.floor(np.multiply(q, 0.5, out=q), out=q)
+        exp_h = exp_h @ exp_h
+    rows *= np.divide(p0.sum(), rows.sum(axis=1, out=r), out=r)[:, None]
+    return rows
 
 
 # all that ``propagate`` reads of the states, p0 and temperature, for runs from one start to share: the
@@ -287,8 +291,9 @@ def propagate(rate_matrix: RateMatrix, p0: np.ndarray, grid: TimeGrid) -> Trajec
        reducible K~, cond(V) above EIGENBASIS_COND_LIMIT, eigenvalue drift
        above EIGENVALUE_DRIFT_LIMIT or a NaN result; about 1 in 6,000 random
        nearly decomposable generators passes these guards and errs by up to 1.3e-9.
-    3. The Taylor series of the non-negative K~ + alpha I (Xue and Ye, 2013),
-       which raises NumericalError where 2 alpha t overflows a double.
+    3. The Taylor series of the non-negative K~ + alpha I (Xue and Ye, 2013) on one chain of
+       squarings: exp(K~ h) for the largest power of two h with alpha h < 1/2, and for each t = (q + r) h,
+       exp(K~ r h) p0 times the squares the bits of q select. It raises NumericalError where t/h overflows.
 
     p0 may also be ``_lumped_start`` of a p0 over K's states at K's temperature,
     which runs from one start share (``config._run``). Raises ValueError for a

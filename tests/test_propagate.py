@@ -1,6 +1,7 @@
 """Propagation: time grids, spectral evolution against expm, observables, scaling criterion."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 
@@ -20,6 +21,7 @@ from vsckinetics.config import (
     DEFAULT_GRID_END,
     DEFAULT_GRID_POINTS,
     DEFAULT_GRID_START,
+    MAX_GRID_POINTS,
     build_generator,
     config_from_dict,
     run_scenario,
@@ -429,7 +431,7 @@ class TestSpectralPropagator:
 
 class TestTaylorFallback:
     @pytest.mark.parametrize("scenario", ["reaction1", "reaction2", "reaction3", "stiff"])
-    def test_reducible_generators_match_mpmath(self, request, monkeypatch, fallback_calls, scenario):
+    def test_reducible_generators_match_mpmath(self, request, fallback_calls, scenario):
         # bare kappa = 0 strands the cavity quantum; the stiff config has two closed species
         if scenario == "stiff":
             config = config_from_dict(STIFF_REDUCIBLE)
@@ -440,15 +442,12 @@ class TestTaylorFallback:
         t0, doublings = 0.1, 19  # up to 5.2e4 ps, past the default grid
         grid = TimeGrid(points=(0.0, *(t0 * 2.0 ** np.arange(doublings + 1))), spacing="log")
         expected = np.vstack([p0, mpmath_doubling_populations(gen.matrix, p0, t0, doublings)])
-        # both grids fit one block by default; blocks of 3 points split them
-        for block_points in (propagate_module._TAYLOR_BLOCK_POINTS, 3):
-            monkeypatch.setattr(propagate_module, "_TAYLOR_BLOCK_POINTS", block_points)
-            traj = propagate(gen, p0, grid)
-            assert np.abs(traj.state_populations - expected).max() <= 1e-13
-            default = propagate(gen, p0, config.grid)
-            for populations in (traj.state_populations, default.state_populations):
-                assert np.abs(populations.sum(axis=1) - 1.0).max() <= 1e-14
-        assert len(fallback_calls) == 4
+        traj = propagate(gen, p0, grid)
+        assert np.abs(traj.state_populations - expected).max() <= 1e-13
+        default = propagate(gen, p0, config.grid)
+        for populations in (traj.state_populations, default.state_populations):
+            assert np.abs(populations.sum(axis=1) - 1.0).max() <= 1e-14
+        assert len(fallback_calls) == 2
 
     def test_reducible_generator_pays_for_no_general_eigensolver(self, reaction1, monkeypatch, fallback_calls):
         # bare kappa = 0: GTH finds the lumped chain reducible before eig decomposes it
@@ -483,6 +482,48 @@ class TestTaylorFallback:
             f = [math.exp(-k * t) * (k * t) ** a / math.factorial(a) for a in range(S + 150)]
             f = np.array([*f[: S - 1], math.fsum(f[S - 1 :])])  # S11 holds the Poisson tail
             np.testing.assert_allclose(populations, np.outer(f, f).ravel(), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("alpha_t_end", [7e4, 1e20, 1e100, 1e165])
+    def test_two_states_match_the_closed_form_past_2_to_the_53_steps(self, alpha_t_end):
+        # 0 -> 1 at rate a, 1 -> 0 at b = 0.37 a: p_1(t) = a (1 - e^-st) / s, s = a + b, alpha = a, and
+        # t = (q + r) h with alpha h < 1/2, so q = t / h passes 2^53 by alpha t = 4.5e15
+        a = alpha_t_end / 5e4
+        b = 0.37 * a
+        K = np.array([[-a, b], [a, -b]])
+        times = np.array([0.0, *np.geomspace(1e-2 / a, 5e4, 40)])
+        populations = propagate_module._taylor_populations(K, np.array([1.0, 0.0]), times)
+        s = a + b
+        expected = np.column_stack([(b + a * np.exp(-s * times)) / s, -a * np.expm1(-s * times) / s])
+        assert populations[0].tobytes() == np.array([1.0, 0.0]).tobytes()
+        np.testing.assert_allclose(populations[1:], expected[1:], rtol=1e-14, atol=0.0)
+
+    def test_subnormal_rates_take_the_largest_finite_step(self):
+        # out-rates below 2^-1022, as gamma = 1e-310 under bare kappa = 0 gives: h stops at 2^1023
+        a, b = 3.0 * 2.0**-1030, 2.0**-1030  # s = a + b = 2^-1028, a / s = 3 / 4
+        K = np.array([[-a, b], [a, -b]])
+        times = np.array([0.0, 1e3, 5e4, 1e300])
+        populations = propagate_module._taylor_populations(K, np.array([1.0, 0.0]), times)
+        decay = -np.expm1(-(a + b) * times)
+        expected = np.column_stack([1.0 - 0.75 * decay, 0.75 * decay])
+        np.testing.assert_allclose(populations, expected, rtol=1e-14, atol=0.0)
+
+    def test_memory_is_two_buffers_of_the_grid(self, reaction3):
+        # bare kappa = 0 on the longest grid a config accepts: the chain works in two (T, n) buffers
+        config = with_regime(reaction3, "bare", kappa=0.0)
+        gen = build_generator(config)
+        start = propagate_module._lumped_start(
+            gen.states, initial_distribution(gen.states, config.reactant, config.bath.temperature), gen.temperature
+        )
+        K = start.lump @ gen.matrix.take(start.members, axis=1)
+        times = TimeGrid.logarithmic(DEFAULT_GRID_START, DEFAULT_GRID_END, MAX_GRID_POINTS).times
+        tracemalloc.start()
+        try:
+            populations = propagate_module._taylor_populations(K, start.p0, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert populations.shape == (MAX_GRID_POINTS, 21)
+        assert peak <= 3 * populations.nbytes
 
 
 def served_sizes(monkeypatch, *names):
