@@ -376,7 +376,7 @@ def _run(variants: Iterable[Tuple[str, ScenarioConfig]]) -> List[ScenarioResult]
     Consecutive runs over one state space, reactant and temperature share one thermal p0, checked
     and lumped once (``propagate``'s start). A run whose start (states, reactant and temperature),
     grid and generator are all bit-identical to the run before it takes a copy of that run's
-    populations.
+    populations through ``replace``, so it reports the path and declines of the propagation it copied.
     """
     results: List[ScenarioResult] = []
     last = drawn = None  # the inputs of the run before, and what its start was drawn from

@@ -20,7 +20,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -97,11 +97,15 @@ class Trajectory:
     ``state_populations[k]`` is the state distribution at ``grid.points[k]``;
     ``species_populations[k]`` holds the raw molecule counts N_phi(t) in
     [0, 2], columns aligned with ``species_labels``, the species of the space.
+    ``path`` names the path of ``propagate`` that served ("symmetric", "eig" or
+    "taylor") and ``declines`` holds one "path: guard" per path that declined before it.
     """
 
     grid: TimeGrid
     states: StateSpace
     state_populations: np.ndarray
+    path: str
+    declines: Tuple[str, ...]
 
     @property
     def species_labels(self) -> Tuple[str, ...]:
@@ -146,15 +150,15 @@ def _stationary_vector(K: np.ndarray) -> Optional[np.ndarray]:
 
 def _eigen_populations(
     lam: np.ndarray, V: np.ndarray, c: np.ndarray, p0: np.ndarray, times: np.ndarray
-) -> Optional[np.ndarray]:
-    """sum_k exp(lam_k t) c_k V[:, k] for every t, t = 0 returning p0; None if it turns negative."""
+) -> Union[np.ndarray, str]:
+    """sum_k exp(lam_k t) c_k V[:, k] for every t, t = 0 returning p0, or a decline if it turns negative or NaN."""
     terms = np.multiply.outer(times, lam)  # one (T, n) buffer for exp(lam t) c
     np.exp(terms, out=terms)
     terms *= c
     result = (terms @ V.T).real
     if times[0] == 0.0:  # only the first point of a strictly increasing grid can be 0
         result[0] = p0
-    return result if result.min() >= NEGATIVITY_TOL else None  # a drift the guards missed
+    return result if result.min() >= NEGATIVITY_TOL else "negative or NaN"  # a drift the guards missed
 
 
 def _balanced(K: np.ndarray, pi: np.ndarray) -> bool:
@@ -163,47 +167,49 @@ def _balanced(K: np.ndarray, pi: np.ndarray) -> bool:
     return bool((np.abs(flux - flux.T) <= BALANCE_RTOL * np.abs(np.maximum(flux, flux.T))).all())
 
 
-def _reversible_populations(
-    K: np.ndarray, pi: np.ndarray, p0: np.ndarray, times: np.ndarray
-) -> Optional[np.ndarray]:
-    """exp(K t) p0 for every t from the symmetric form of a K in detailed balance with pi, or None."""
+def _reversible_populations(K: np.ndarray, start: _Start, times: np.ndarray) -> Union[np.ndarray, str]:
+    """exp(K t) p0 for every t from the symmetric form of a K in detailed balance with start.pi, or a decline."""
+    if start.pi is None:
+        return "no temperature"  # a hand-built K claims no balance
     if -K.diagonal().min() > 1e154:
-        return None  # no rate exceeds its column's out-rate, so below this K_ij K_ji and K pi stay finite
-    if pi.max() > EIGENBASIS_COND_LIMIT**2 * pi.min() or not _balanced(K, pi):
-        return None  # cond(D^1/2 U) = sqrt(max pi / min pi) for orthogonal U
+        return "rate past 1e154"  # no rate exceeds its column's out-rate, so below this K_ij K_ji and K pi stay finite
+    if start.pi.max() > EIGENBASIS_COND_LIMIT**2 * start.pi.min():
+        return "π range"  # cond(D^1/2 U) = sqrt(max pi / min pi) for orthogonal U
+    if not _balanced(K, start.pi):
+        return "unbalanced"
     S = np.sqrt(K * K.T)  # D^-1/2 K D^1/2 off the diagonal, with no ratio of rates
     S.ravel()[:: len(S) + 1] = K.diagonal()
     lam, U = np.linalg.eigh(S)
     if len(lam) < 2 or lam[-2] >= -64.0 * _EPS * np.abs(S).sum(axis=0).max():
-        return None  # one state, or reducible, zero or nearly decomposable: no resolved second mode
-    root = np.sqrt(pi)
+        return "second mode unresolved"  # one state, or reducible, zero or nearly decomposable
+    root = np.sqrt(start.pi)
     anchor = root / math.sqrt(root @ root)
     U -= anchor[:, None] * (anchor @ U)  # the other eigenvectors are orthogonal to the anchor
     U[:, -1], lam[-1] = anchor, 0.0
-    return _eigen_populations(lam, root[:, None] * U, U.T @ (p0 / root), p0, times)
+    return _eigen_populations(lam, root[:, None] * U, U.T @ (start.p0 / root), start.p0, times)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # huge rates overflow: NaN declines, inf fails propagate's checks
-def _spectral_populations(K: np.ndarray, p0: np.ndarray, times: np.ndarray) -> Optional[np.ndarray]:
-    """exp(K t) p0 for every t from one eigendecomposition, or None where it is not trusted."""
+def _spectral_populations(K: np.ndarray, start: _Start, times: np.ndarray) -> Union[np.ndarray, str]:
+    """exp(K t) p0 for every t from one eigendecomposition, or a decline where it is not trusted."""
     pi = _stationary_vector(K)
     if pi is None:
-        return None
+        return "reducible"  # a transient state too: the chain is not one closed class
     lam, V = np.linalg.eig(K)
     null = int(np.argmin(np.abs(lam)))
     drift = max(abs(lam[null]), lam.real.max()) - 2.0 * _EPS * np.abs(K).sum(0).max()
     if drift * times[-1] > EIGENVALUE_DRIFT_LIMIT:
-        return None
+        return "drift"
     lam[null] = 0.0
     # eigenvectors of nonzero eigenvalues sum to 0: strip what roundoff mixes in
     V -= pi[:, None] * V.sum(axis=0)
     V[:, null] = pi
     if np.linalg.cond(V) > EIGENBASIS_COND_LIMIT:
-        return None
-    return _eigen_populations(lam, V, np.linalg.solve(V, p0), p0, times)
+        return "cond(V)"
+    return _eigen_populations(lam, V, np.linalg.solve(V, start.p0), start.p0, times)
 
 
-def _taylor_populations(K: np.ndarray, p0: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _taylor_populations(K: np.ndarray, start: _Start, times: np.ndarray) -> np.ndarray:
     """exp(K t) p0 for every t from one chain of squarings of the Taylor series of K + alpha I >= 0.
 
     With h the largest power of two where alpha h < 1/2, t = (q + r) h exactly, 0 <= r < 1. exp(K h)
@@ -212,7 +218,7 @@ def _taylor_populations(K: np.ndarray, p0: np.ndarray, times: np.ndarray) -> np.
     (T, n) buffer, whose rows with bit j of q set then take the j-th square of exp(K h). Normalising
     each square's columns, and at the end each row to p0's sum, removes e^(alpha h) and any leak.
     """
-    n, alpha, horizon = len(K), float(-K.diagonal().min()), float(times[-1])
+    n, alpha, horizon, p0 = len(K), float(-K.diagonal().min()), float(times[-1]), start.p0
     h = math.ldexp(0.5, -max(math.frexp(alpha)[1], -1024))  # 2^1023 for a subnormal alpha
     if not math.isfinite(horizon / h):  # t / h is 2 to 4 alpha t: this fails from alpha t of 2^1022 to 2^1023 on
         raise NumericalError(f"the fastest rate, {alpha:.3e} ps^-1, over {horizon!r} ps overflows a double")
@@ -238,6 +244,8 @@ def _taylor_populations(K: np.ndarray, p0: np.ndarray, times: np.ndarray) -> np.
     rows *= np.divide(p0.sum(), rows.sum(axis=1, out=r), out=r)[:, None]
     return rows
 
+
+_PATHS = (("symmetric", _reversible_populations), ("eig", _spectral_populations), ("taylor", _taylor_populations))
 
 # all that ``propagate`` reads of the states, p0 and temperature, for runs from one start to share: the
 # orbits as in StateSpace.orbits but one size per orbit, the lumped p0 and Boltzmann weights (or None)
@@ -275,24 +283,24 @@ def propagate(rate_matrix: RateMatrix, p0: np.ndarray, grid: TimeGrid) -> Trajec
     sum_{j in O'} K[j, i0] for any i0 in O, and p_i = p_O / |O|. Other starts
     keep one orbit per state.
 
-    Three paths evaluate the lumped chain on the whole grid, each handing over
-    to the next where it declines; t = 0 returns p0 exactly, and an eigen path
-    declines where a population falls below NEGATIVITY_TOL.
+    Three paths evaluate the lumped chain on the whole grid, tried in order
+    (``_PATHS``); each returns the lumped populations or the name of the guard that
+    declined, which the Trajectory records (``path``, ``declines``). t = 0 returns p0 exactly.
 
-    1. An assembled K~ (``temperature`` set) whose flux pairs pi_i K~[j, i] and
-       pi_j K~[i, j] agree to BALANCE_RTOL, pi the lumped Boltzmann weights
-       exp(-(E - E_min)/kT), as in every config-built K but a detuned weak one:
-       ``eigh`` of S = D^-1/2 K~ D^1/2, D = diag(pi), built as sqrt(K~_ij K~_ji),
-       its top eigenpair pinned to (0, sqrt(pi)). It declines when
-       sqrt(max pi / min pi) = cond(D^1/2 U) exceeds EIGENBASIS_COND_LIMIT, the
-       second eigenvalue is within 64 eps ||S||_1 of 0 (kappa = 0, K = 0), or a
-       rate exceeds 1e154 ps^-1, past which K~_ij K~_ji overflows.
-    2. ``eig`` of K~ anchored on the GTH stationary vector. It declines for a
-       reducible K~, cond(V) above EIGENBASIS_COND_LIMIT, eigenvalue drift
-       above EIGENVALUE_DRIFT_LIMIT or a NaN result; about 1 in 6,000 random
-       nearly decomposable generators passes these guards and errs by up to 1.3e-9.
-    3. The Taylor series of the non-negative K~ + alpha I (Xue and Ye, 2013) on one chain of
-       squarings: exp(K~ h) for the largest power of two h with alpha h < 1/2, and for each t = (q + r) h,
+    1. "symmetric", for an assembled K~ in detailed balance with pi, the lumped Boltzmann
+       weights exp(-(E - E_min)/kT), as every config-built K but a detuned weak one: ``eigh``
+       of S = D^-1/2 K~ D^1/2, D = diag(pi), built as sqrt(K~_ij K~_ji), its top eigenpair pinned
+       to (0, sqrt(pi)). Declines: "no temperature" (``temperature`` None); "rate past 1e154"
+       ps^-1, where K~_ij K~_ji overflows; "π range", sqrt(max pi / min pi) = cond(D^1/2 U) above
+       EIGENBASIS_COND_LIMIT; "unbalanced", a flux pair pi_i K~[j, i], pi_j K~[i, j] apart beyond
+       BALANCE_RTOL; "second mode unresolved", lambda_2 within 64 eps ||S||_1 of 0 (kappa = 0, K = 0).
+    2. "eig" of K~ anchored on the GTH stationary vector. Declines: "reducible", a reducible K~ or a
+       transient state; "drift", eigenvalue drift above EIGENVALUE_DRIFT_LIMIT; "cond(V)" above
+       EIGENBASIS_COND_LIMIT. About 1 in 6,000 random nearly decomposable generators passes these
+       guards and errs by up to 1.3e-9. Both eigen paths decline with "negative or NaN" where a
+       population falls below NEGATIVITY_TOL or is NaN.
+    3. "taylor", which never declines: the Taylor series of K~ + alpha I >= 0 (Xue and Ye, 2013) on one
+       chain of squarings, exp(K~ h) for the largest power of two h with alpha h < 1/2 and, per t = (q + r) h,
        exp(K~ r h) p0 times the squares the bits of q select. It raises NumericalError where t/h overflows.
 
     p0 may also be ``_lumped_start`` of a p0 over K's states at K's temperature,
@@ -305,11 +313,12 @@ def propagate(rate_matrix: RateMatrix, p0: np.ndarray, grid: TimeGrid) -> Trajec
     if start.states is not rate_matrix.states:
         raise ValueError("the start was lumped for other states")
     K_lumped = start.lump @ rate_matrix.matrix.take(start.members, axis=1)
-    lumped = None if start.pi is None else _reversible_populations(K_lumped, start.pi, start.p0, grid.times)
-    if lumped is None:
-        lumped = _spectral_populations(K_lumped, start.p0, grid.times)
-    if lumped is None:
-        lumped = _taylor_populations(K_lumped, start.p0, grid.times)
+    declines = []
+    for path, populations in _PATHS:
+        lumped = populations(K_lumped, start, grid.times)
+        if not isinstance(lumped, str):
+            break
+        declines.append(f"{path}: {lumped}")
     lumped /= start.sizes  # each orbit's share: the population of each of its states
 
     worst_leak = float(np.abs(lumped @ start.sizes - 1.0).max())
@@ -322,7 +331,7 @@ def propagate(rate_matrix: RateMatrix, p0: np.ndarray, grid: TimeGrid) -> Trajec
         raise NumericalError(f"population went negative: {worst_neg:.3e}")
 
     # one gather along the states' axis unlumps into an F-contiguous copy (take would give C order)
-    return Trajectory(grid=grid, states=rate_matrix.states, state_populations=lumped[:, start.orbit])
+    return Trajectory(grid, rate_matrix.states, lumped[:, start.orbit], path, tuple(declines))
 
 
 def clamp_for_output(populations: np.ndarray) -> np.ndarray:

@@ -73,11 +73,13 @@ SWEEP_VALUES = {"kappa": (0.0, 0.3, 3.0), "eta": (0.0, 1e-3, 1e-2), "gamma": (0.
 
 
 def assert_identical_runs(runs, reference, tmp_path):
-    """Same labels, bit-identical generators and populations, no shared arrays, same export bytes."""
+    """Same labels, bit-identical generators and populations, the same propagation paths and declines,
+    no shared arrays, same export bytes."""
     assert [r.label for r in runs] == [r.label for r in reference]
     for run, ref in zip(runs, reference):
         assert run.rate_matrix.matrix.tobytes() == ref.rate_matrix.matrix.tobytes()
         assert run.trajectory.state_populations.tobytes() == ref.trajectory.state_populations.tobytes()
+        assert (run.trajectory.path, run.trajectory.declines) == (ref.trajectory.path, ref.trajectory.declines)
     for earlier, later in zip(runs, runs[1:]):
         assert not np.shares_memory(earlier.trajectory.state_populations, later.trajectory.state_populations)
     for fmt in ("csv", "json"):
@@ -589,6 +591,16 @@ class TestOrchestration:
         run_sweep(replace(sweep, base=config_from_dict(fast_dict(regime=kind))))
         assert calls == {"enumerate_states": builds, "propagate": 2 * propagations}
         assert reactive_rates.cache_info().misses == builds
+
+    def test_a_copied_run_reports_the_propagation_it_copied(self, monkeypatch):
+        # under bare, eta changes no rate: the sweep propagates its one generator once and copies the rest
+        calls = count_calls(monkeypatch)
+        base = replace(load_config(bundled_config_path("reaction1")), regime_kind="bare", grid=SHORT_GRID)
+        base = replace(base, cavity=replace(base.cavity, kappa=0.0))  # so that two paths decline first
+        runs = run_sweep(SweepSpec("eta", SWEEP_VALUES["eta"], base))
+        assert calls["propagate"] == 1
+        records = [(r.trajectory.path, r.trajectory.declines) for r in runs]
+        assert records == [("taylor", ("symmetric: second mode unresolved", "eig: reducible"))] * 3
 
     def test_comparison_shares_the_bare_basis(self, monkeypatch):
         reactive_rates.cache_clear()

@@ -67,9 +67,19 @@ def boltzmann_weights(rate_matrix: RateMatrix) -> np.ndarray:
     return np.exp(-(E - E.min()) / thermal_energy(rate_matrix.temperature))
 
 
-def spoiled(core, spoil):
-    """``core`` with ``spoil`` applied to every result it serves; a declined call stays None."""
-    return lambda *args: None if (result := core(*args)) is None else spoil(result)
+def orbit_count(rate_matrix: RateMatrix, p0: np.ndarray) -> int:
+    """How many exchange orbits ``propagate`` evaluates the chain of ``rate_matrix`` on from ``p0``."""
+    return len(propagate_module._lumped_start(rate_matrix.states, p0, rate_matrix.temperature).members)
+
+
+def start_of(p0: np.ndarray):
+    """A start that carries only p0, for calling a path on a hand-made lumped generator."""
+    return propagate_module._Start(None, None, None, None, p0=p0, pi=None, sizes=None)
+
+
+def spoiled(path, spoil):
+    """``path`` with ``spoil`` applied to every result it serves; a decline stays its name."""
+    return lambda *args: result if isinstance(result := path(*args), str) else spoil(result)
 
 
 def drive_negative(populations: np.ndarray) -> np.ndarray:
@@ -92,8 +102,8 @@ CORE_SPOIL_IDS = ["non-finite", "infinite", "leak", "negative"]
 
 
 def assert_spoiled_core_raises(monkeypatch, rate_matrix, p0, spoil, message):
-    for name in ("_reversible_populations", "_spectral_populations"):  # whichever serves
-        monkeypatch.setattr(propagate_module, name, spoiled(getattr(propagate_module, name), spoil))
+    paths = tuple((name, spoiled(path, spoil)) for name, path in propagate_module._PATHS)  # whichever serves
+    monkeypatch.setattr(propagate_module, "_PATHS", paths)
     with pytest.raises(NumericalError, match=message):
         propagate(rate_matrix, p0, TimeGrid.logarithmic(0.1, 100.0, 5))
 
@@ -241,20 +251,6 @@ def expm_oracle(matrix: np.ndarray, p0: np.ndarray, times) -> np.ndarray:
     return np.array([expm(matrix * t) @ p0 for t in times])
 
 
-@pytest.fixture()
-def fallback_calls(monkeypatch):
-    """State counts that reach the Taylor fallback, one per propagate call that takes it."""
-    calls = []
-    taylor = propagate_module._taylor_populations
-
-    def counted(K, p0, times):
-        calls.append(len(K))
-        return taylor(K, p0, times)
-
-    monkeypatch.setattr(propagate_module, "_taylor_populations", counted)
-    return calls
-
-
 # irreducible, but weak couplings leave slow rates near the roundoff of a dense eigensolver
 NEARLY_DECOMPOSABLE = [
     # eigenvalues drift by 6e-13 from rates of 1e-12; unguarded error 1.6e-8
@@ -303,18 +299,18 @@ class TestSpectralPropagator:
     @pytest.mark.parametrize("scenario", ["reaction1", "reaction2", "reaction3"])
     @pytest.mark.parametrize("kind", REGIME_KINDS)
     @pytest.mark.parametrize("omega_c", [None, 1800.0, 2150.0])
-    def test_matches_expm_on_bundled_cases(self, request, fallback_calls, scenario, kind, omega_c):
+    def test_matches_expm_on_bundled_cases(self, request, scenario, kind, omega_c):
         config = with_regime(request.getfixturevalue(scenario), kind)
         if omega_c is not None:
             config = replace(config, cavity=replace(config.cavity, omega_c=omega_c))
         gen = build_generator(config)
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
         traj = propagate(gen, p0, config.grid)
-        assert fallback_calls == []  # the spectral path served the whole grid
+        assert traj.path in ("symmetric", "eig")  # an eigen path served the whole grid
         expected = expm_oracle(gen.matrix, p0, config.grid.points)
         assert np.abs(traj.state_populations - expected).max() <= 1e-10
 
-    def test_random_configs_match_expm(self, fallback_calls):
+    def test_random_configs_match_expm(self):
         # reducible generators (kappa, gamma or eta = 0, uncoupled species)
         # always take the Taylor fallback; irreducible ones take the spectral path
         # unless a guard rejects their eigenbasis
@@ -330,11 +326,10 @@ class TestSpectralPropagator:
             gen = build_generator(config)
             K = gen.matrix
             p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
-            fallback_calls.clear()
             traj = propagate(gen, p0, grid)
             # a dense float graph would read its smallest rates as missing edges
             irreducible = connected_components(K != 0.0, connection="strong")[0] == 1
-            spectral = fallback_calls == []
+            spectral = traj.path != "taylor"
             assert irreducible or not spectral
             paths.add(spectral)
             expected = expm_oracle(K, p0, grid.points)
@@ -355,18 +350,19 @@ class TestSpectralPropagator:
         expected = expm_oracle(gen.matrix, p0, config.grid.points)
         assert np.abs(traj.state_populations - expected).max() <= 1e-10
 
-    def test_negative_spectral_result_falls_back(self, fallback_calls):
+    def test_negative_spectral_result_falls_back(self):
         # the first nearly decomposable generator passes the drift and cond(V) guards,
         # lumped, but its spectral populations turn negative beyond NEGATIVITY_TOL
         config = nearly_decomposable(*NEARLY_DECOMPOSABLE[0])
         gen = build_generator(config)
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
         traj = propagate(gen, p0, config.grid)
-        assert len(fallback_calls) == 1
+        assert traj.path == "taylor"
+        assert traj.declines == ("symmetric: π range", "eig: negative or NaN")
         expected = expm_oracle(gen.matrix, p0, config.grid.points)
         assert np.abs(traj.state_populations - expected).max() <= 1e-10
 
-    def test_ill_conditioned_eigenbasis_falls_back(self, request, fallback_calls, monkeypatch):
+    def test_ill_conditioned_eigenbasis_falls_back(self, request, monkeypatch):
         # the detuned Purcell exchange breaks detailed balance, so eig serves this generator
         monkeypatch.setattr(propagate_module, "EIGENBASIS_COND_LIMIT", 1.0)
         config = bundled_case(request, "reaction1", "weak", 1800.0)
@@ -374,34 +370,38 @@ class TestSpectralPropagator:
         assert not propagate_module._balanced(gen.matrix, boltzmann_weights(gen))
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
         traj = propagate(gen, p0, config.grid)
-        assert fallback_calls == [10]
+        assert (traj.path, traj.declines) == ("taylor", ("symmetric: π range", "eig: cond(V)"))
+        assert orbit_count(gen, p0) == 10
         expected = expm_oracle(gen.matrix, p0, config.grid.points)
         assert np.abs(traj.state_populations - expected).max() <= 1e-10
 
-    def test_eigenvalue_drift_falls_back(self, request, fallback_calls, monkeypatch):
+    def test_eigenvalue_drift_falls_back(self, request, monkeypatch):
         monkeypatch.setattr(propagate_module, "EIGENVALUE_DRIFT_LIMIT", -np.inf)
         config = bundled_case(request, "reaction1", "weak", 1800.0)
         gen = build_generator(config)
         assert not propagate_module._balanced(gen.matrix, boltzmann_weights(gen))  # eig serves it
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
         traj = propagate(gen, p0, config.grid)
-        assert fallback_calls == [10]
+        assert (traj.path, traj.declines) == ("taylor", ("symmetric: unbalanced", "eig: drift"))
+        assert orbit_count(gen, p0) == 10
         expected = expm_oracle(gen.matrix, p0, config.grid.points)
         assert np.abs(traj.state_populations - expected).max() <= 1e-10
 
-    def test_transient_state_falls_back(self, fallback_calls):
+    def test_transient_state_falls_back(self):
         # B decays into the absorbing A: every state reaches A.A, but B.B is transient
         k = 0.17
         irreversible = two_species_generator(k)
         gen = replace(irreversible, matrix=irreversible.matrix[::-1, ::-1].copy())
         grid = TimeGrid.linear(0.0, 40.0, 9)
-        traj = propagate(gen, np.array([0.0, 0.0, 0.0, 1.0]), grid)
-        assert fallback_calls == [3]
+        p0 = np.array([0.0, 0.0, 0.0, 1.0])
+        traj = propagate(gen, p0, grid)
+        assert (traj.path, traj.declines) == ("taylor", ("symmetric: no temperature", "eig: reducible"))
+        assert orbit_count(gen, p0) == 3
         assert traj.species_series("B") == pytest.approx(2.0 * np.exp(-k * np.asarray(grid.points)), rel=1e-12)
 
-    def test_time_zero_returns_p0_exactly(self, r1_vsc, r1_vsc_p0, fallback_calls):
+    def test_time_zero_returns_p0_exactly(self, r1_vsc, r1_vsc_p0):
         traj = propagate(r1_vsc, r1_vsc_p0, TimeGrid.linear(0.0, 100.0, 5))
-        assert fallback_calls == []
+        assert traj.path == "symmetric"
         assert np.array_equal(traj.state_populations[0], r1_vsc_p0)
 
     @pytest.mark.parametrize(
@@ -409,20 +409,15 @@ class TestSpectralPropagator:
         [("vsc", None, None, "symmetric"), ("weak", 1800.0, None, "eig"), ("bare", None, 0.0, "taylor")],
         ids=["symmetric", "eig", "taylor"],
     )
-    def test_first_row_is_p0_bit_for_bit_only_on_a_grid_from_zero(
-        self, request, monkeypatch, fallback_calls, kind, omega_c, kappa, path
-    ):
+    def test_first_row_is_p0_bit_for_bit_only_on_a_grid_from_zero(self, request, kind, omega_c, kappa, path):
         config = bundled_case(request, "reaction1", kind, omega_c)
         if kappa is not None:
             config = with_regime(config, kind, kappa=kappa)
         gen = build_generator(config)
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
-        symmetric = served_sizes(monkeypatch, "_reversible_populations")
-        general = served_sizes(monkeypatch, "_spectral_populations")
-        from_zero = propagate(gen, p0, TimeGrid.linear(0.0, 1000.0, 3)).state_populations
-        later = propagate(gen, p0, TimeGrid.linear(500.0, 1000.0, 2)).state_populations
-        served = {"symmetric": symmetric, "eig": general, "taylor": fallback_calls}
-        assert {name for name, sizes in served.items() if sizes} == {path}
+        runs = [propagate(gen, p0, grid) for grid in (TimeGrid.linear(0.0, 1000.0, 3), TimeGrid.linear(500.0, 1000.0, 2))]
+        assert [run.path for run in runs] == [path, path]
+        from_zero, later = (run.state_populations for run in runs)
         assert from_zero[0].tobytes() == p0.tobytes()
         # from t = 500 ps the first row is evaluated: it has moved away from p0, to p(500 ps)
         assert np.abs(later[0] - p0).max() > 1e-4
@@ -431,7 +426,7 @@ class TestSpectralPropagator:
 
 class TestTaylorFallback:
     @pytest.mark.parametrize("scenario", ["reaction1", "reaction2", "reaction3", "stiff"])
-    def test_reducible_generators_match_mpmath(self, request, fallback_calls, scenario):
+    def test_reducible_generators_match_mpmath(self, request, scenario):
         # bare kappa = 0 strands the cavity quantum; the stiff config has two closed species
         if scenario == "stiff":
             config = config_from_dict(STIFF_REDUCIBLE)
@@ -447,9 +442,9 @@ class TestTaylorFallback:
         default = propagate(gen, p0, config.grid)
         for populations in (traj.state_populations, default.state_populations):
             assert np.abs(populations.sum(axis=1) - 1.0).max() <= 1e-14
-        assert len(fallback_calls) == 2
+        assert traj.path == default.path == "taylor"
 
-    def test_reducible_generator_pays_for_no_general_eigensolver(self, reaction1, monkeypatch, fallback_calls):
+    def test_reducible_generator_pays_for_no_general_eigensolver(self, reaction1, monkeypatch):
         # bare kappa = 0: GTH finds the lumped chain reducible before eig decomposes it
         config = with_regime(reaction1, "bare", kappa=0.0)
         gen = build_generator(config)
@@ -457,11 +452,11 @@ class TestTaylorFallback:
         eig_sizes = []
         eig = np.linalg.eig
         monkeypatch.setattr(np.linalg, "eig", lambda K: eig_sizes.append(len(K)) or eig(K))
-        propagate(gen, p0, config.grid)
-        assert fallback_calls == [10]
+        traj = propagate(gen, p0, config.grid)
+        assert (traj.path, traj.declines[-1]) == ("taylor", "eig: reducible")
         assert eig_sizes == []
 
-    def test_tiny_populations_keep_relative_precision(self, fallback_calls):
+    def test_tiny_populations_keep_relative_precision(self):
         # each molecule walks S0 -> S1 -> ... -> S11 at rate k and stays there; the two are
         # independent, so p(a, b) = f_a f_b with Poisson weights f_a, as small as 6e-60
         S, k = 12, 1.0
@@ -477,7 +472,8 @@ class TestTaylorFallback:
         times = (0.01, 1.0, 30.0)
         chain = RateMatrix(states=space, matrix=K)
         traj = propagate(chain, p0, TimeGrid(points=times, spacing="log"))
-        assert fallback_calls == [S * (S + 1) // 2]
+        assert traj.path == "taylor"
+        assert orbit_count(chain, p0) == S * (S + 1) // 2
         for t, populations in zip(times, traj.state_populations):
             f = [math.exp(-k * t) * (k * t) ** a / math.factorial(a) for a in range(S + 150)]
             f = np.array([*f[: S - 1], math.fsum(f[S - 1 :])])  # S11 holds the Poisson tail
@@ -491,7 +487,7 @@ class TestTaylorFallback:
         b = 0.37 * a
         K = np.array([[-a, b], [a, -b]])
         times = np.array([0.0, *np.geomspace(1e-2 / a, 5e4, 40)])
-        populations = propagate_module._taylor_populations(K, np.array([1.0, 0.0]), times)
+        populations = propagate_module._taylor_populations(K, start_of(np.array([1.0, 0.0])), times)
         s = a + b
         expected = np.column_stack([(b + a * np.exp(-s * times)) / s, -a * np.expm1(-s * times) / s])
         assert populations[0].tobytes() == np.array([1.0, 0.0]).tobytes()
@@ -502,7 +498,7 @@ class TestTaylorFallback:
         a, b = 3.0 * 2.0**-1030, 2.0**-1030  # s = a + b = 2^-1028, a / s = 3 / 4
         K = np.array([[-a, b], [a, -b]])
         times = np.array([0.0, 1e3, 5e4, 1e300])
-        populations = propagate_module._taylor_populations(K, np.array([1.0, 0.0]), times)
+        populations = propagate_module._taylor_populations(K, start_of(np.array([1.0, 0.0])), times)
         decay = -np.expm1(-(a + b) * times)
         expected = np.column_stack([1.0 - 0.75 * decay, 0.75 * decay])
         np.testing.assert_allclose(populations, expected, rtol=1e-14, atol=0.0)
@@ -518,40 +514,12 @@ class TestTaylorFallback:
         times = TimeGrid.logarithmic(DEFAULT_GRID_START, DEFAULT_GRID_END, MAX_GRID_POINTS).times
         tracemalloc.start()
         try:
-            populations = propagate_module._taylor_populations(K, start.p0, times)
+            populations = propagate_module._taylor_populations(K, start, times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert populations.shape == (MAX_GRID_POINTS, 21)
         assert peak <= 3 * populations.nbytes
-
-
-def served_sizes(monkeypatch, *names):
-    """State counts of the calls that the named cores of ``propagate`` serve rather than decline."""
-    sizes = []
-    for name in names:
-        core = getattr(propagate_module, name)
-
-        def recorded(K, *args, core=core):
-            result = core(K, *args)
-            if result is not None:
-                sizes.append(len(K))
-            return result
-
-        monkeypatch.setattr(propagate_module, name, recorded)
-    return sizes
-
-
-@pytest.fixture()
-def core_sizes(monkeypatch):
-    """State counts that an eigen core serves, symmetric or general, one per call it serves."""
-    return served_sizes(monkeypatch, "_reversible_populations", "_spectral_populations")
-
-
-@pytest.fixture()
-def reversible_sizes(monkeypatch):
-    """State counts that the symmetric eigen core serves, one per call it serves."""
-    return served_sizes(monkeypatch, "_reversible_populations")
 
 
 # every bundled generator balances but a detuned weak one; reaction3 vsc at omega_c = 2150
@@ -566,14 +534,14 @@ REVERSIBLE_BUNDLED = [
 
 class TestReversiblePropagator:
     @pytest.mark.parametrize("scenario, kind, omega_c", REVERSIBLE_BUNDLED)
-    def test_matches_mpmath_on_bundled_cases(self, request, reversible_sizes, scenario, kind, omega_c):
+    def test_matches_mpmath_on_bundled_cases(self, request, scenario, kind, omega_c):
         config = bundled_case(request, scenario, kind, omega_c)
         gen = build_generator(config)
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
         t0, doublings = 0.1, 19  # up to 5.2e4 ps, past the default grid
         grid = TimeGrid(points=(0.0, *(t0 * 2.0 ** np.arange(doublings + 1))), spacing="log")
         traj = propagate(gen, p0, grid)
-        assert len(reversible_sizes) == 1
+        assert (traj.path, traj.declines) == ("symmetric", ())
         expected = np.vstack([p0, mpmath_doubling_populations(gen.matrix, p0, t0, doublings)])
         assert np.abs(traj.state_populations - expected).max() <= 5e-11
 
@@ -593,31 +561,31 @@ class TestReversiblePropagator:
 
         check()
 
-    def test_zero_generator_declines(self, r1_vsc, r1_vsc_p0, reversible_sizes, fallback_calls):
+    def test_zero_generator_declines(self, r1_vsc, r1_vsc_p0):
         # every eigenvalue is 0, so the second one is not resolved
         zero = RateMatrix(states=r1_vsc.states, matrix=np.zeros((16, 16)), temperature=298.0)
         traj = propagate(zero, r1_vsc_p0, TimeGrid.linear(0.0, 100.0, 5))
-        assert reversible_sizes == []
-        assert fallback_calls == [12]
+        assert (traj.path, traj.declines) == ("taylor", ("symmetric: second mode unresolved", "eig: reducible"))
+        assert orbit_count(zero, r1_vsc_p0) == 12
         assert np.abs(traj.state_populations - r1_vsc_p0).max() == 0.0
         # a single state has no second eigenvalue at all
         single = RateMatrix(StateSpace(("A",), (), np.zeros((1, 1, 1)), ()), np.zeros((1, 1)), 298.0)
         traj = propagate(single, np.ones(1), TimeGrid.linear(0.0, 100.0, 5))
-        assert reversible_sizes == []
+        assert traj.declines == ("symmetric: second mode unresolved",)
         assert np.array_equal(traj.state_populations, np.ones((5, 1)))
 
     @pytest.mark.parametrize("scenario, orbits", [("reaction1", 10), ("reaction2", 10), ("reaction3", 21)])
-    def test_reducible_balanced_generator_declines(self, request, reversible_sizes, fallback_calls, scenario, orbits):
+    def test_reducible_balanced_generator_declines(self, request, scenario, orbits):
         # bare kappa = 0 balances, but its stranded cavity quantum adds a second null eigenvalue
         config = with_regime(request.getfixturevalue(scenario), "bare", kappa=0.0)
         gen = build_generator(config)
         assert propagate_module._balanced(gen.matrix, boltzmann_weights(gen))
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
-        propagate(gen, p0, config.grid)  # test_reducible_generators_match_mpmath checks the result
-        assert reversible_sizes == []
-        assert fallback_calls == [orbits]
+        traj = propagate(gen, p0, config.grid)  # test_reducible_generators_match_mpmath checks the result
+        assert (traj.path, traj.declines) == ("taylor", ("symmetric: second mode unresolved", "eig: reducible"))
+        assert orbit_count(gen, p0) == orbits
 
-    def test_wide_boltzmann_range_declines(self, request, reversible_sizes, core_sizes, fallback_calls):
+    def test_wide_boltzmann_range_declines(self, request):
         config = bundled_case(request, "reaction3", "vsc", 2150.0)
         gen = build_generator(config)
         pi = boltzmann_weights(gen)
@@ -625,23 +593,64 @@ class TestReversiblePropagator:
         assert np.sqrt(pi.max() / pi.min()) > EIGENBASIS_COND_LIMIT
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
         traj = propagate(gen, p0, config.grid)
-        assert reversible_sizes == []
-        assert core_sizes == [24]  # the general eigen core serves it
-        assert fallback_calls == []
+        assert (traj.path, traj.declines) == ("eig", ("symmetric: π range",))
+        assert orbit_count(gen, p0) == 24
         expected = expm_oracle(gen.matrix, p0, config.grid.points)
         assert np.abs(traj.state_populations - expected).max() <= 1e-10
 
-    def test_rate_matrix_without_temperature_takes_the_general_path(
-        self, r1_vsc, r1_vsc_p0, reversible_sizes, core_sizes
-    ):
+    def test_rate_matrix_without_temperature_takes_the_general_path(self, r1_vsc, r1_vsc_p0):
         grid = TimeGrid.logarithmic(0.1, 5.0e4, 25)
         balanced = propagate(r1_vsc, r1_vsc_p0, grid)
-        assert reversible_sizes == [12]
+        assert (balanced.path, balanced.declines) == ("symmetric", ())
         hand_built = replace(r1_vsc, temperature=None)
         general = propagate(hand_built, r1_vsc_p0, grid)
-        assert reversible_sizes == [12]  # a hand-built matrix claims no balance
-        assert core_sizes == [12, 12]
+        # a hand-built matrix claims no balance
+        assert (general.path, general.declines) == ("eig", ("symmetric: no temperature",))
+        assert orbit_count(r1_vsc, r1_vsc_p0) == orbit_count(hand_built, r1_vsc_p0) == 12
         assert np.abs(general.state_populations - balanced.state_populations).max() <= 1e-10
+
+
+# a trigger for each decline name: scenario (None: two_species_generator), regime kind, config changes,
+# limits patched in propagate, and the path and declines that result
+KAPPA_0 = ("reaction1", "bare", {"kappa": 0.0}, {}, "taylor", ("symmetric: second mode unresolved", "eig: reducible"))
+HUGE_GAMMA = ("reaction1", "bare", {"gamma": 1e160}, {}, "taylor", ("symmetric: rate past 1e154", "eig: negative or NaN"))
+DETUNED = ("reaction1", "weak", {"omega_c": 1800.0})
+DECLINE_TRIGGERS = {
+    "symmetric: no temperature": (None, None, {}, {}, "taylor", ("symmetric: no temperature", "eig: reducible")),
+    "symmetric: rate past 1e154": HUGE_GAMMA,
+    "symmetric: π range": ("reaction3", "bare", {"temperature": 100.0}, {}, "eig", ("symmetric: π range",)),
+    "symmetric: unbalanced": (*DETUNED, {}, "eig", ("symmetric: unbalanced",)),
+    "symmetric: second mode unresolved": KAPPA_0,
+    # with the π-range guard raised, the symmetric reconstruction reaches -25 at 77 K
+    "symmetric: negative or NaN": (
+        "reaction3", "vsc", {"temperature": 77.0}, {"EIGENBASIS_COND_LIMIT": 1e31}, "eig", ("symmetric: negative or NaN",)
+    ),
+    "eig: reducible": KAPPA_0,
+    "eig: drift": (*DETUNED, {"EIGENVALUE_DRIFT_LIMIT": -np.inf}, "taylor", ("symmetric: unbalanced", "eig: drift")),
+    "eig: cond(V)": (*DETUNED, {"EIGENBASIS_COND_LIMIT": 1.0}, "taylor", ("symmetric: π range", "eig: cond(V)")),
+    "eig: negative or NaN": HUGE_GAMMA,
+}
+
+
+class TestPathRecord:
+    @pytest.mark.parametrize("name", DECLINE_TRIGGERS)
+    def test_each_decline_is_reached_and_recorded(self, request, monkeypatch, name):
+        scenario, kind, changes, limits, path, declines = DECLINE_TRIGGERS[name]
+        for limit, value in limits.items():
+            monkeypatch.setattr(propagate_module, limit, value)
+        if scenario is None:
+            gen, p0, grid = two_species_generator(0.17), np.array([1.0, 0.0, 0.0, 0.0]), TimeGrid.linear(0.0, 40.0, 9)
+        else:
+            changes = dict(changes)
+            config = bundled_case(request, scenario, kind, changes.pop("omega_c", None))
+            if "temperature" in changes:
+                config = replace(config, bath=replace(config.bath, temperature=changes.pop("temperature")))
+            config = with_regime(config, kind, **changes)
+            gen, grid = build_generator(config), config.grid
+            p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
+        traj = propagate(gen, p0, grid)
+        assert name in traj.declines
+        assert (traj.path, traj.declines) == (path, declines)
 
 
 class TestExchangeLumping:
@@ -656,22 +665,18 @@ class TestExchangeLumping:
             ("reaction3", "vsc", 36, 24),
         ],
     )
-    def test_thermal_starts_reach_the_core_as_orbits(
-        self, request, core_sizes, fallback_calls, scenario, kind, states, orbits
-    ):
+    def test_thermal_starts_reach_the_core_as_orbits(self, request, scenario, kind, states, orbits):
         config = with_regime(request.getfixturevalue(scenario), kind)
         gen = build_generator(config)
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
         assert len(p0) == states
         assert np.array_equal(p0[gen.states.exchange], p0)
-        propagate(gen, p0, config.grid)  # test_matches_expm_on_bundled_cases checks the result
-        assert core_sizes == [orbits]
-        assert fallback_calls == []
+        traj = propagate(gen, p0, config.grid)  # test_matches_expm_on_bundled_cases checks the result
+        assert traj.path in ("symmetric", "eig")
+        assert orbit_count(gen, p0) == orbits
 
     @pytest.mark.parametrize("kind", REGIME_KINDS)
-    def test_asymmetric_start_propagates_every_state(
-        self, reaction3, core_sizes, fallback_calls, kind
-    ):
+    def test_asymmetric_start_propagates_every_state(self, reaction3, kind):
         config = with_regime(reaction3, kind)
         gen = build_generator(config)
         labels = gen.states.labels()
@@ -679,8 +684,8 @@ class TestExchangeLumping:
         p0[labels.index("A.B|0")] = 0.7  # molecule 2 has already reacted, molecule 1 not
         p0[labels.index("B.C|0")] = 0.3
         traj = propagate(gen, p0, config.grid)
-        assert core_sizes == [36]
-        assert fallback_calls == []
+        assert traj.path in ("symmetric", "eig")
+        assert orbit_count(gen, p0) == 36
         expected = expm_oracle(gen.matrix, p0, config.grid.points)
         assert np.abs(traj.state_populations - expected).max() <= 1e-10
 
