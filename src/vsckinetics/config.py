@@ -1,9 +1,9 @@
 """Config ingestion, scenario orchestration, and deterministic export.
 
 A config is one JSON object, of which the README shows every key; all but "species" are optional.
-The keys of its "species", "couplings", "cavity" and "bath" blocks are the fields of SpeciesSpec,
-CouplingSpec, CavitySpec and BathSpec, and ``_NUMBERS`` gives each of their numbers its default and
-its unit rule. Exports are byte-deterministic and stamped with a sha256 fingerprint of the
+The keys of its "species", "couplings", "cavity", "bath" and "grid" blocks are the fields of SpeciesSpec,
+CouplingSpec, CavitySpec, BathSpec and GridSpec, and ``_NUMBERS`` gives each of their floats its default
+and its unit rule. Exports are byte-deterministic and stamped with a sha256 fingerprint of the
 effective (canonical) configuration.
 """
 
@@ -28,6 +28,7 @@ from .units import ANGULAR_PER_WAVENUMBER, HBAR, KB, SPEED_OF_LIGHT_CM_PER_PS
 
 __all__ = [
     "ConfigError",
+    "GridSpec",
     "ScenarioConfig",
     "SweepSpec",
     "ScenarioResult",
@@ -46,22 +47,50 @@ __all__ = [
 ENERGY_UNITS = ("cm-1", "hbar_omega_v")
 
 DEFAULT_OMEGA_V = 2000.0  # cm^-1
-DEFAULT_GRID_START = 0.1  # ps
-DEFAULT_GRID_END = 5.0e4  # ps
 DEFAULT_GRID_POINTS = 400
 _ROW_BLOCK = 128  # export rows spelled at a time: each block's strings stay alive until it is written
 MAX_GRID_POINTS = 100_000  # memory grows with the points: a 20,000-point reaction3 simulate peaks at 56 MB (CSV), 54 MB (JSON)
 
-# Every number of a species, coupling, cavity or bath block, in field order: name -> (default,
+
+@dataclass(frozen=True)
+class GridSpec:
+    """``points`` output times from ``start`` to ``end`` ps, log or linear spaced, and every rule they obey.
+    Their TimeGrid, ``time_grid``, is held outside the fields, which alone give equality, keys and ``asdict``."""
+
+    spacing: str  # "log" or "linear"
+    start: float  # ps
+    end: float  # ps
+    points: int
+
+    def __post_init__(self) -> None:
+        _require(self.spacing in ("log", "linear"), f"grid.spacing must be 'log' or 'linear', got {self.spacing!r}")
+        if isinstance(self.points, bool) or not isinstance(self.points, int):
+            raise ConfigError(f"grid.points must be an integer, got {self.points!r}")
+        if self.spacing == "log":
+            _require(self.start > 0.0, f"grid.start must be > 0 on a log grid, got {self.start!r}")
+        _require(self.start >= 0.0, f"grid.start must be >= 0, got {self.start!r}")
+        _require(self.end > self.start, f"grid.end must be > grid.start ({self.start!r}), got {self.end!r}")
+        _require(self.end < math.inf, f"grid.end must be finite, got {self.end!r}")
+        _require(2 <= self.points <= MAX_GRID_POINTS, f"grid.points must be in 2..{MAX_GRID_POINTS}, got {_int_text(self.points)}")
+        start, end = float(self.start) + 0.0, float(self.end)  # an int or -0.0 spells the same grid as 0.0
+        times = (np.geomspace if self.spacing == "log" else np.linspace)(start, end, self.points).tolist()
+        try:
+            self.__dict__.update(start=start, end=end, time_grid=TimeGrid(tuple(times)))
+        except ValueError as exc:  # more points than doubles between start and end
+            raise ConfigError(f"grid.points: {self.points} points from {self.start!r} to {self.end!r}: {exc}") from None
+
+
+# Every float of a species, coupling, cavity, bath or grid block, in field order: name -> (default,
 # energy?). The unit rule: an energy is read in cm^-1, or in multiples of omega_v under
 # "energy_unit": "hbar_omega_v", and the loader converts it to cm^-1 at once; every other number
-# (displacements, kappa and gamma in ps^-1, eta, the temperature in K) never rescales. An energy's
-# default is a multiple of omega_v, any other default absolute.
+# (displacements, kappa and gamma in ps^-1, eta, the temperature in K, grid times in ps) never
+# rescales. An energy's default is a multiple of omega_v, any other default absolute.
 _NUMBERS: Dict[type, Dict[str, Tuple[float, bool]]] = {
     SpeciesSpec: {"energy": (0.0, True), "displacement": (0.0, False)},
     CouplingSpec: {"J": (0.0, True), "lambda_s": (0.0, True)},
     CavitySpec: {"omega_c": (1.0, True), "g": (0.03 / math.sqrt(2.0), True), "kappa": (1.0, False)},
     BathSpec: {"gamma": (0.01, False), "eta": (0.001, False), "omega_cut": (0.1, True), "temperature": (298.0, False)},
+    GridSpec: {"start": (0.1, False), "end": (5.0e4, False)},
 }
 
 _SCHEMA_KEYS = {
@@ -93,7 +122,7 @@ class ScenarioConfig:
     bath: BathSpec
     regime_kind: str
     reactant: str
-    grid: TimeGrid
+    grid: GridSpec
     basis: ModeBasis = field(init=False, compare=False, repr=False)  # derived from regime_kind, never given
 
     def __post_init__(self) -> None:
@@ -192,12 +221,6 @@ def _as_str(value: Any, field: str) -> str:
     return value
 
 
-def _as_int(value: Any, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{field} must be an integer, got {value!r}")
-    return value
-
-
 def _as_block(value: Any, field: str) -> Dict[str, Any]:
     _require(isinstance(value, dict), f"{field} must be an object")
     return dict(value)
@@ -274,21 +297,8 @@ def _resolve_config(raw: Dict[str, Any], name: str) -> ScenarioConfig:
     bath = _spec(BathSpec, _as_block(raw.get("bath", {}), "bath"), "bath", omega_v, scale)
 
     grid_block = _as_block(raw.get("grid", {}), "grid")
-    _check_keys(grid_block, {"spacing", "start", "end", "points"}, "grid")
-    spacing = grid_block.get("spacing", "log")
-    _require(spacing in ("log", "linear"), f"grid.spacing must be 'log' or 'linear', got {spacing!r}")
-    start = _as_float(grid_block.get("start", DEFAULT_GRID_START), "grid.start")
-    end = _as_float(grid_block.get("end", DEFAULT_GRID_END), "grid.end")
-    n_points = _as_int(grid_block.get("points", DEFAULT_GRID_POINTS), "grid.points")
-    if spacing == "log":
-        _require(start > 0.0, f"grid.start must be > 0 on a log grid, got {start!r}")
-    _require(start >= 0.0, f"grid.start must be >= 0, got {start!r}")
-    _require(end > start, f"grid.end must be > grid.start ({start!r}), got {end!r}")
-    _require(2 <= n_points <= MAX_GRID_POINTS, f"grid.points must be in 2..{MAX_GRID_POINTS}, got {_int_text(n_points)}")
-    try:
-        grid = (TimeGrid.logarithmic if spacing == "log" else TimeGrid.linear)(start, end, n_points)
-    except ValueError as exc:  # more points than doubles between start and end
-        raise ConfigError(f"grid.points: {n_points} points from {start!r} to {end!r}: {exc}") from None
+    given = {"spacing": grid_block.get("spacing", "log"), "points": grid_block.get("points", DEFAULT_GRID_POINTS)}
+    grid = _spec(GridSpec, grid_block, "grid", omega_v, scale, **given)
     network = ReactionNetwork(species=tuple(species), couplings=tuple(couplings))
     reactant = _as_str(raw.get("reactant", species[0].label), "reactant")
     return ScenarioConfig(
@@ -330,7 +340,7 @@ def bundled_config_path(name: str) -> Path:
 def effective_config_dict(config: ScenarioConfig) -> Dict[str, Any]:
     """Schema-shaped mapping of the fully resolved config, canonical cm^-1 units.
 
-    Feeding this back through config_from_dict reproduces the config exactly.
+    Each block is its spec's fields, so config_from_dict of this gives back the config and its fingerprint.
     """
     return {
         "name": config.name,
@@ -342,12 +352,7 @@ def effective_config_dict(config: ScenarioConfig) -> Dict[str, Any]:
         "bath": asdict(config.bath),
         "regime": config.regime_kind,
         "reactant": config.reactant,
-        "grid": {
-            "spacing": config.grid.spacing,
-            "start": config.grid.points[0],
-            "end": config.grid.points[-1],
-            "points": len(config.grid.points),
-        },
+        "grid": asdict(config.grid),
     }
 
 
@@ -390,7 +395,7 @@ def _run(variants: Iterable[Tuple[str, ScenarioConfig]]) -> List[ScenarioResult]
             populations = results[-1].trajectory.state_populations.copy()
             trajectory = replace(results[-1].trajectory, state_populations=populations)
         else:
-            trajectory = propagate(rate_matrix, start, config.grid)
+            trajectory = propagate(rate_matrix, start, config.grid.time_grid)
         results.append(ScenarioResult(label, config, rate_matrix, trajectory))
         last = inputs
     return results

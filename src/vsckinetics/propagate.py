@@ -48,14 +48,11 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing output times in ps."""
+    """Strictly increasing output times in ps from t >= 0, as given; a config's come from its ``config.GridSpec``."""
 
     points: Tuple[float, ...]
-    spacing: str  # "log" or "linear"
 
     def __post_init__(self) -> None:
-        if self.spacing not in ("log", "linear"):
-            raise ValueError(f"spacing must be 'log' or 'linear', got {self.spacing!r}")
         if not self.points:
             raise ValueError("time grid needs at least one point")
         bad = [t for t in self.points if not math.isfinite(t)]
@@ -65,22 +62,6 @@ class TimeGrid:
             raise ValueError("time grid must start at t >= 0")
         if any(not b > a for a, b in zip(self.points, self.points[1:])):
             raise ValueError("time grid must be strictly increasing")
-
-    @classmethod
-    def logarithmic(cls, start: float, end: float, n: int) -> "TimeGrid":
-        if not start > 0.0:
-            raise ValueError("log grid needs start > 0")
-        if n < 2 or not start < end < math.inf:
-            raise ValueError("log grid needs n >= 2 and a finite end > start")
-        return cls(points=tuple(float(t) for t in np.geomspace(start, end, n)), spacing="log")
-
-    @classmethod
-    def linear(cls, start: float, end: float, n: int) -> "TimeGrid":
-        if n < 2 or not -math.inf < start < end < math.inf:
-            raise ValueError("linear grid needs n >= 2 and a finite end > finite start")
-        if not math.isfinite(end - start):
-            raise ValueError(f"linear grid span from {start!r} to {end!r} overflows a double")
-        return cls(points=tuple(float(t) for t in np.linspace(start, end, n)), spacing="linear")
 
     @cached_property
     def times(self) -> np.ndarray:
@@ -167,12 +148,17 @@ def _balanced(K: np.ndarray, pi: np.ndarray) -> bool:
     return bool((np.abs(flux - flux.T) <= BALANCE_RTOL * np.abs(np.maximum(flux, flux.T))).all())
 
 
+def _rate_past_1e154(K: np.ndarray) -> bool:
+    """Whether an out-rate, the largest rate of its column, passes 1e154 ps^-1, where K_ij K_ji overflows."""
+    return -K.diagonal().min() > 1e154
+
+
 def _reversible_populations(K: np.ndarray, start: _Start, times: np.ndarray) -> Union[np.ndarray, str]:
     """exp(K t) p0 for every t from the symmetric form of a K in detailed balance with start.pi, or a decline."""
     if start.pi is None:
         return "no temperature"  # a hand-built K claims no balance
-    if -K.diagonal().min() > 1e154:
-        return "rate past 1e154"  # no rate exceeds its column's out-rate, so below this K_ij K_ji and K pi stay finite
+    if _rate_past_1e154(K):
+        return "rate past 1e154"
     if start.pi.max() > EIGENBASIS_COND_LIMIT**2 * start.pi.min():
         return "π range"  # cond(D^1/2 U) = sqrt(max pi / min pi) for orthogonal U
     if not _balanced(K, start.pi):
@@ -192,6 +178,8 @@ def _reversible_populations(K: np.ndarray, start: _Start, times: np.ndarray) -> 
 @np.errstate(over="ignore", invalid="ignore")  # huge rates overflow: NaN declines, inf fails propagate's checks
 def _spectral_populations(K: np.ndarray, start: _Start, times: np.ndarray) -> Union[np.ndarray, str]:
     """exp(K t) p0 for every t from one eigendecomposition, or a decline where it is not trusted."""
+    if _rate_past_1e154(K):
+        return "rate past 1e154"  # the drift guard's allowance, 2 eps ||K||_1, there hides an order-1 error
     pi = _stationary_vector(K)
     if pi is None:
         return "reducible"  # a transient state too: the chain is not one closed class
@@ -294,11 +282,12 @@ def propagate(rate_matrix: RateMatrix, p0: np.ndarray, grid: TimeGrid) -> Trajec
        ps^-1, where K~_ij K~_ji overflows; "π range", sqrt(max pi / min pi) = cond(D^1/2 U) above
        EIGENBASIS_COND_LIMIT; "unbalanced", a flux pair pi_i K~[j, i], pi_j K~[i, j] apart beyond
        BALANCE_RTOL; "second mode unresolved", lambda_2 within 64 eps ||S||_1 of 0 (kappa = 0, K = 0).
-    2. "eig" of K~ anchored on the GTH stationary vector. Declines: "reducible", a reducible K~ or a
-       transient state; "drift", eigenvalue drift above EIGENVALUE_DRIFT_LIMIT; "cond(V)" above
-       EIGENBASIS_COND_LIMIT. About 1 in 6,000 random nearly decomposable generators passes these
-       guards and errs by up to 1.3e-9. Both eigen paths decline with "negative or NaN" where a
-       population falls below NEGATIVITY_TOL or is NaN.
+    2. "eig" of K~ anchored on the GTH stationary vector. Declines: "rate past 1e154", the same rule,
+       where eig errs by order 1 past its other guards; "reducible", a reducible K~ or a transient state;
+       "drift", eigenvalue drift above EIGENVALUE_DRIFT_LIMIT; "cond(V)" above EIGENBASIS_COND_LIMIT.
+       About 1 in 6,000 random nearly decomposable generators passes these guards and errs by up to
+       1.3e-9. Both eigen paths decline with "negative or NaN" where a population falls below
+       NEGATIVITY_TOL or is NaN.
     3. "taylor", which never declines: the Taylor series of K~ + alpha I >= 0 (Xue and Ye, 2013) on one
        chain of squarings, exp(K~ h) for the largest power of two h with alpha h < 1/2 and, per t = (q + r) h,
        exp(K~ r h) p0 times the squares the bits of q select. It raises NumericalError where t/h overflows.

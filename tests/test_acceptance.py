@@ -14,7 +14,7 @@ import pytest
 
 from conftest import detailed_balance_worst, displacement_oracle, kmc_state_counts, with_regime
 from vsckinetics.closed_forms import displacement_matrix_element, vsc_scaling_criterion
-from vsckinetics.config import build_generator, run_scenario
+from vsckinetics.config import GridSpec, build_generator, run_scenario
 from vsckinetics.eigenmodes import build_mode_basis
 from vsckinetics.propagate import TimeGrid, propagate
 from vsckinetics.rates import assemble_rate_matrix
@@ -72,7 +72,7 @@ def grid_times(runs) -> np.ndarray:
 def test_01_thermal_stationarity(reaction1, reaction2, reaction3, capsys):
     worst = 0.0
     slowest = 0.0
-    horizon = TimeGrid(points=(1.0e6,), spacing="linear")
+    horizon = TimeGrid(points=(1.0e6,))
     for config in (reaction1, reaction2, reaction3):
         started = time.perf_counter()
         for kind in ("bare", "vsc"):
@@ -271,7 +271,7 @@ def test_07_physical_timescales(reaction1, r1_runs, capsys):
     labels = gen.states.labels()
     p0 = np.zeros(len(labels))
     p0[labels.index("A.A|v1")] = 1.0
-    grid = TimeGrid.linear(0.0, 400.0, 401)
+    grid = GridSpec("linear", 0.0, 400.0, 401).time_grid
     traj = propagate(gen, p0, grid)
     excited = traj.state_populations[:, [not x.endswith("|0") for x in labels]].sum(axis=1)
     t_decay = crossing_time(np.asarray(grid.points), excited, 1.0 / math.e, rising=False)
@@ -295,7 +295,7 @@ def test_08_stochastic_sampling_reproduces_the_master_equation(reaction1, capsys
     started = time.perf_counter()
     counts = kmc_state_counts(gen.matrix, p0, checkpoints, n_traj=n_traj, seed=20260823)
     elapsed = time.perf_counter() - started
-    det = propagate(gen, p0, TimeGrid(points=tuple(checkpoints), spacing="log"))
+    det = propagate(gen, p0, TimeGrid(points=tuple(checkpoints)))
     n_b = gen.states.counts()[:, gen.states.species.index("B")]
     mc_mean = counts @ n_b / n_traj
     mc_var = counts @ n_b**2 / n_traj - mc_mean**2

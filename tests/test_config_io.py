@@ -29,6 +29,7 @@ from vsckinetics.closed_forms import SWEEP_PARAMETERS, vsc_scaling_criterion
 from vsckinetics.config import (
     MAX_GRID_POINTS,
     ConfigError,
+    GridSpec,
     ScenarioResult,
     SweepSpec,
     bundled_config_path,
@@ -67,7 +68,7 @@ def fast_dict(**overrides):
     return base
 
 
-SHORT_GRID = TimeGrid.logarithmic(0.1, 5.0e4, 40)
+SHORT_GRID = GridSpec("log", 0.1, 5.0e4, 40)
 # each list starts at its parameter's limit: no leakage, bath coupling, decay or light-matter coupling
 SWEEP_VALUES = {"kappa": (0.0, 0.3, 3.0), "eta": (0.0, 1e-3, 1e-2), "gamma": (0.0, 0.01, 0.5), "g": (0.0, 5.0, 60.0)}
 
@@ -110,10 +111,12 @@ def propagate_nan_p0(config):
 
 # a value built with NaN or +-inf in place of a number, and the error it raises
 NON_FINITE_BUILDS = {
-    "grid nan": (lambda c: TimeGrid(points=(0.0, math.nan), spacing="linear"), "time grid points must be finite, got nan"),
-    "grid inf": (lambda c: TimeGrid(points=(0.0, math.inf), spacing="linear"), "time grid points must be finite, got inf"),
-    "linear grid to inf": (lambda c: TimeGrid.linear(0.0, math.inf, 3), "linear grid needs n >= 2 and a finite end > finite start"),
-    "log grid from nan": (lambda c: TimeGrid.logarithmic(math.nan, 1.0, 3), "log grid needs start > 0"),
+    "grid nan": (lambda c: TimeGrid(points=(0.0, math.nan)), "time grid points must be finite, got nan"),
+    "grid inf": (lambda c: TimeGrid(points=(0.0, math.inf)), "time grid points must be finite, got inf"),
+    "linear grid to inf": (lambda c: GridSpec("linear", 0.0, math.inf, 3), "grid.end must be finite, got inf"),
+    "log grid from nan": (lambda c: GridSpec("log", math.nan, 1.0, 3), "grid.start must be > 0 on a log grid, got nan"),
+    "linear grid from nan": (lambda c: GridSpec("linear", math.nan, 1.0, 3), "grid.start must be >= 0, got nan"),
+    "grid to nan": (lambda c: GridSpec("log", 1.0, math.nan, 3), r"grid.end must be > grid.start \(1.0\), got nan"),
     "p0 nan": (propagate_nan_p0, "p0 must sum to 1 within 1e-10, got nan"),
     "gamma nan": (lambda c: replace(c.bath, gamma=math.nan), "gamma must be >= 0, got nan"),
     "eta nan": (lambda c: replace(c.bath, eta=math.nan), "eta must be >= 0, got nan"),
@@ -158,9 +161,7 @@ class TestBundledConfigs:
         assert config.bath.temperature == 298.0
         assert config.regime_kind == "vsc"
         assert config.reactant == "A"
-        assert len(config.grid.points) == 400
-        assert config.grid.points[0] == 0.1
-        assert config.grid.points[-1] == pytest.approx(5.0e4, rel=1e-12)
+        assert config.grid == GridSpec("log", 0.1, 5.0e4, 400)
 
     def test_reaction1_values(self, reaction1):
         net = reaction1.network
@@ -210,7 +211,7 @@ class TestSchema:
         assert config.bath.temperature == 298.0
         assert config.regime_kind == "vsc"
         assert config.reactant == "A"
-        assert len(config.grid.points) == 400
+        assert config.grid.points == 400
 
     def test_energy_unit_conventions_agree(self):
         in_wavenumbers = config_from_dict(fast_dict())
@@ -464,10 +465,32 @@ class TestFingerprint:
         config = load_config(bundled_config_path(raw)) if isinstance(raw, str) else config_from_dict(raw)
         assert config_fingerprint(config) == fingerprint
 
-    def test_effective_dict_round_trips(self, reaction1):
-        rebuilt = config_from_dict(effective_config_dict(reaction1))
-        assert rebuilt == reaction1
-        assert config_fingerprint(rebuilt) == config_fingerprint(reaction1)
+    @pytest.mark.parametrize("name", ["reaction1", "reaction2", "reaction3"])
+    @pytest.mark.parametrize(
+        "grid", [None, GridSpec("log", 0.5, 2.0e3, 7), GridSpec("linear", 0.0, 1.0e4, 11), GridSpec("linear", -0.0, 3, 2)]
+    )
+    def test_effective_dict_round_trips(self, name, grid):
+        # an int or -0.0 bound is spelled as the float it loads as, so equal specs share a fingerprint
+        config = load_config(bundled_config_path(name))
+        config = config if grid is None else replace(config, grid=grid)
+        effective = effective_config_dict(config)
+        assert type(effective["grid"]["start"]) is type(effective["grid"]["end"]) is float
+        assert math.copysign(1.0, effective["grid"]["start"]) == 1.0
+        rebuilt = config_from_dict(effective)
+        assert rebuilt == config
+        assert config_fingerprint(rebuilt) == config_fingerprint(config)
+        assert rebuilt.grid.time_grid == config.grid.time_grid
+
+    def test_a_grid_of_other_times_has_another_fingerprint(self, reaction1):
+        # (1, 2, 10) ps and the 3-point linear grid from 1 to 10 ps, (1, 5.5, 10), share their first
+        # point, last point and count; the fingerprint reads the spec a config's times come from
+        on_points = replace(reaction1, grid=TimeGrid(points=(1.0, 2.0, 10.0)))
+        on_spec = replace(reaction1, grid=GridSpec("linear", 1.0, 10.0, 3))
+        assert config_fingerprint(on_points) != config_fingerprint(on_spec)
+        result = run_scenario(on_spec)
+        assert result.trajectory.grid.points == (1.0, 5.5, 10.0)
+        rerun = run_scenario(config_from_dict(result.metadata["config"]))
+        assert rerun.trajectory.state_populations.tobytes() == result.trajectory.state_populations.tobytes()
 
 
 class TestOrchestration:
@@ -475,7 +498,7 @@ class TestOrchestration:
         config = config_from_dict(fast_dict())
         result = run_scenario(config)
         assert result.label == "fast"
-        assert result.trajectory.grid == config.grid
+        assert result.trajectory.grid is config.grid.time_grid
         assert result.rate_matrix.matrix.shape == (16, 16)
         meta = result.metadata
         assert meta["fingerprint"] == config_fingerprint(config)
@@ -808,8 +831,10 @@ class TestExport:
         assert '"label": "bare"' in (tmp_path / "out.json").read_text()
 
     def test_json_edge_arrays(self, tmp_path):
-        config = replace(config_from_dict(fast_dict()), grid=TimeGrid(points=(1.0,), spacing="linear"))
-        result = run_scenario(config)
+        # a config grid has at least two points: the one-row run comes from propagate itself
+        full = run_scenario(config_from_dict(fast_dict()))
+        p0 = initial_distribution(full.rate_matrix.states, full.config.reactant, full.config.bath.temperature)
+        result = replace(full, trajectory=propagate(full.rate_matrix, p0, TimeGrid(points=(1.0,))))
         assert_json_export([result], tmp_path / "one_point.json")
         populations = result.trajectory.state_populations.copy()
         populations[0, :3] = (np.nan, np.inf, -np.inf)
@@ -834,7 +859,7 @@ class TestExport:
 
     def test_csv_memory_stays_near_json(self, tmp_path, reaction3):
         # both writers hold one run's arrays and at most one row or array of text
-        result = run_scenario(replace(reaction3, grid=TimeGrid.logarithmic(0.1, 5.0e4, 2000)))
+        result = run_scenario(replace(reaction3, grid=GridSpec("log", 0.1, 5.0e4, 2000)))
         peaks = {}
         for fmt in ("json", "csv"):
             tracemalloc.start()
@@ -1084,8 +1109,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "regime, param, value, code",
         [
-            ("vsc", "gamma", "1e160", 0),  # K_ij K_ji overflows: the symmetric path declines
-            ("vsc", "gamma", "1e300", 0),  # exp(lambda t) overflows in the general path, Taylor finishes
+            ("vsc", "gamma", "1e160", 0),  # past 1e154 ps^-1 both eigen paths decline and Taylor finishes
+            ("vsc", "gamma", "1e300", 0),
             ("vsc", "eta", "1e200", 0),
             ("vsc", "eta", "1e308", 3),  # the bath exchange rate overflows in assembly
             ("vsc", "kappa", "1e308", 3),  # 2 alpha t overflows the Taylor scaling

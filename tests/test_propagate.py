@@ -18,10 +18,9 @@ from test_properties import OMEGA_V, configs
 from vsckinetics import propagate as propagate_module
 from vsckinetics.closed_forms import NumericalError, vsc_scaling_criterion
 from vsckinetics.config import (
-    DEFAULT_GRID_END,
     DEFAULT_GRID_POINTS,
-    DEFAULT_GRID_START,
     MAX_GRID_POINTS,
+    GridSpec,
     build_generator,
     config_from_dict,
     run_scenario,
@@ -105,7 +104,7 @@ def assert_spoiled_core_raises(monkeypatch, rate_matrix, p0, spoil, message):
     paths = tuple((name, spoiled(path, spoil)) for name, path in propagate_module._PATHS)  # whichever serves
     monkeypatch.setattr(propagate_module, "_PATHS", paths)
     with pytest.raises(NumericalError, match=message):
-        propagate(rate_matrix, p0, TimeGrid.logarithmic(0.1, 100.0, 5))
+        propagate(rate_matrix, p0, GridSpec("log", 0.1, 100.0, 5).time_grid)
 
 
 @pytest.fixture(scope="module")
@@ -121,53 +120,57 @@ def r1_vsc_p0(r1_vsc, reaction1):
 class TestTimeGrid:
     def test_default(self):
         grid = config_from_dict({"species": [{"label": "A"}]}).grid
-        assert len(grid.points) == DEFAULT_GRID_POINTS
-        assert grid.points[0] == DEFAULT_GRID_START
-        assert grid.points[-1] == pytest.approx(DEFAULT_GRID_END, rel=1e-12)
-        assert grid.points == tuple(np.geomspace(DEFAULT_GRID_START, DEFAULT_GRID_END, DEFAULT_GRID_POINTS))
-        assert grid.spacing == "log"
+        assert grid == GridSpec("log", 0.1, 5.0e4, DEFAULT_GRID_POINTS)
+        assert grid.time_grid.points == tuple(np.geomspace(0.1, 5.0e4, DEFAULT_GRID_POINTS))
+        assert grid.time_grid.points[-1] == 5.0e4
 
     def test_logarithmic_has_constant_ratio(self):
-        grid = TimeGrid.logarithmic(0.1, 1000.0, 9)
+        grid = GridSpec("log", 0.1, 1000.0, 9).time_grid
         ratios = [b / a for a, b in zip(grid.points, grid.points[1:])]
         assert ratios == pytest.approx([ratios[0]] * len(ratios), rel=1e-12)
 
     def test_linear_has_constant_step(self):
-        grid = TimeGrid.linear(0.0, 10.0, 6)
+        grid = GridSpec("linear", 0.0, 10.0, 6).time_grid
         steps = [b - a for a, b in zip(grid.points, grid.points[1:])]
         assert steps == pytest.approx([2.0] * 5, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (("log", 0.0, 10.0, 5), "grid.start must be > 0 on a log grid, got 0.0"),
+            (("log", 1.0, 1.0, 5), r"grid.end must be > grid.start \(1.0\), got 1.0"),
+            (("linear", 0.0, 10.0, 1), r"grid.points must be in 2..100000, got 1"),
+            (("log", 1.0, math.inf, 5), "grid.end must be finite, got inf"),
+            # bounds whose span would overflow a double: a grid starts at t >= 0, so its span never does
+            (("linear", -1e308, 1e308, 3), r"grid.start must be >= 0, got -1e\+308"),
+            (("geometric", 1.0, 2.0, 2), "grid.spacing must be 'log' or 'linear', got 'geometric'"),
+            (("log", 1.0, 2.0, 2.0), "grid.points must be an integer, got 2.0"),
+        ],
+    )
+    def test_spec_validation(self, spec, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GridSpec(*spec)
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TimeGrid.logarithmic(0.0, 10.0, 5)
-        with pytest.raises(ValueError):
-            TimeGrid.logarithmic(1.0, 1.0, 5)
-        with pytest.raises(ValueError):
-            TimeGrid.linear(0.0, 10.0, 1)
-        # finite bounds whose span overflows a double fail before numpy warns of the overflow
-        with pytest.raises(ValueError, match=r"linear grid span from -1e\+308 to 1e\+308 overflows a double"):
-            TimeGrid.linear(-1e308, 1e308, 3)
-        with pytest.raises(ValueError):
-            TimeGrid(points=(), spacing="log")
-        with pytest.raises(ValueError):
-            TimeGrid(points=(1.0, 1.0), spacing="log")
-        with pytest.raises(ValueError):
-            TimeGrid(points=(-1.0, 1.0), spacing="linear")
-        with pytest.raises(ValueError):
-            TimeGrid(points=(1.0, 2.0), spacing="geometric")
+        with pytest.raises(ValueError, match="^time grid needs at least one point$"):
+            TimeGrid(points=())
+        with pytest.raises(ValueError, match="^time grid must be strictly increasing$"):
+            TimeGrid(points=(1.0, 1.0))
+        with pytest.raises(ValueError, match=r"^time grid must start at t >= 0$"):
+            TimeGrid(points=(-1.0, 1.0))
 
 
 class TestPropagate:
     def test_zero_generator_is_stationary(self):
         gen = two_species_generator(0.0)
         p0 = np.array([0.1, 0.2, 0.3, 0.4])
-        traj = propagate(gen, p0, TimeGrid.linear(0.0, 100.0, 5))
+        traj = propagate(gen, p0, GridSpec("linear", 0.0, 100.0, 5).time_grid)
         assert np.abs(traj.state_populations - p0).max() == 0.0
 
     def test_matches_closed_form_decay(self):
         k = 0.17
         gen = two_species_generator(k)
-        grid = TimeGrid.linear(0.0, 40.0, 9)
+        grid = GridSpec("linear", 0.0, 40.0, 9).time_grid
         traj = propagate(gen, np.array([1.0, 0.0, 0.0, 0.0]), grid)
         expected = np.exp(-k * np.asarray(grid.points))
         assert traj.species_series("A") == pytest.approx(2.0 * expected, rel=1e-12)
@@ -175,19 +178,19 @@ class TestPropagate:
         assert traj.state_populations[0, 0] == 1.0  # t = 0 reproduces p0 exactly
 
     def test_conserves_probability_and_positivity(self, r1_vsc, r1_vsc_p0):
-        grid = TimeGrid.logarithmic(0.1, 5.0e4, 25)
+        grid = GridSpec("log", 0.1, 5.0e4, 25).time_grid
         traj = propagate(r1_vsc, r1_vsc_p0, grid)
         assert np.abs(traj.state_populations.sum(axis=1) - 1.0).max() <= 1e-9
         assert traj.state_populations.min() >= -1e-10
 
     def test_semigroup_property(self, r1_vsc, r1_vsc_p0):
         t1, t2 = 7.3, 12.9
-        direct = propagate(r1_vsc, r1_vsc_p0, TimeGrid(points=(t1 + t2,), spacing="linear"))
-        staged = propagate(r1_vsc, r1_vsc_p0, TimeGrid(points=(t1,), spacing="linear"))
+        direct = propagate(r1_vsc, r1_vsc_p0, TimeGrid(points=(t1 + t2,)))
+        staged = propagate(r1_vsc, r1_vsc_p0, TimeGrid(points=(t1,)))
         restart = propagate(
             r1_vsc,
             staged.state_populations[0] / staged.state_populations[0].sum(),
-            TimeGrid(points=(t2,), spacing="linear"),
+            TimeGrid(points=(t2,)),
         )
         assert np.abs(direct.state_populations[0] - restart.state_populations[0]).max() <= 1e-9
 
@@ -195,7 +198,7 @@ class TestPropagate:
         # same trajectory from an implicit ODE solve, fully independent of expm
         K = r1_vsc.matrix
         times = (1.0, 100.0, 5000.0)
-        traj = propagate(r1_vsc, r1_vsc_p0, TimeGrid(points=times, spacing="log"))
+        traj = propagate(r1_vsc, r1_vsc_p0, TimeGrid(points=times))
         sol = solve_ivp(
             lambda t, y: K @ y,
             (0.0, times[-1]),
@@ -219,11 +222,11 @@ class TestPropagate:
         p0 = np.zeros(len(r1_vsc.states))
         p0[r1_vsc.states.labels().index("A.B|0")] = 1.0
         assert (p0[r1_vsc.states.exchange] != p0).any()
-        assert propagate(r1_vsc, p0, TimeGrid.logarithmic(0.1, 100.0, 5)).state_populations.flags.f_contiguous
+        assert propagate(r1_vsc, p0, GridSpec("log", 0.1, 100.0, 5).time_grid).state_populations.flags.f_contiguous
         assert_spoiled_core_raises(monkeypatch, r1_vsc, p0, spoil, message)
 
     def test_a_shared_start_propagates_bit_for_bit(self, r1_vsc, r1_vsc_p0, reaction1):
-        grid = TimeGrid.logarithmic(0.1, 100.0, 5)
+        grid = GridSpec("log", 0.1, 100.0, 5).time_grid
         start = propagate_module._lumped_start(r1_vsc.states, r1_vsc_p0, r1_vsc.temperature)
         for _ in range(2):  # a start is read, never written
             shared = propagate(r1_vsc, start, grid).state_populations
@@ -233,7 +236,7 @@ class TestPropagate:
             propagate(bare, start, grid)
 
     def test_initial_distribution_validation(self, r1_vsc):
-        grid = TimeGrid.linear(0.0, 1.0, 2)
+        grid = GridSpec("linear", 0.0, 1.0, 2).time_grid
         with pytest.raises(ValueError):
             propagate(r1_vsc, np.ones(3) / 3.0, grid)
         bad_sum = np.zeros(16)
@@ -305,16 +308,16 @@ class TestSpectralPropagator:
             config = replace(config, cavity=replace(config.cavity, omega_c=omega_c))
         gen = build_generator(config)
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
-        traj = propagate(gen, p0, config.grid)
+        traj = propagate(gen, p0, config.grid.time_grid)
         assert traj.path in ("symmetric", "eig")  # an eigen path served the whole grid
-        expected = expm_oracle(gen.matrix, p0, config.grid.points)
+        expected = expm_oracle(gen.matrix, p0, config.grid.time_grid.points)
         assert np.abs(traj.state_populations - expected).max() <= 1e-10
 
     def test_random_configs_match_expm(self):
         # reducible generators (kappa, gamma or eta = 0, uncoupled species)
         # always take the Taylor fallback; irreducible ones take the spectral path
         # unless a guard rejects their eigenbasis
-        grid = TimeGrid(points=(0.0, *np.geomspace(0.1, 5.0e4, 40)), spacing="log")
+        grid = TimeGrid(points=(0.0, *np.geomspace(0.1, 5.0e4, 40)))
         paths = set()
 
         @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -346,8 +349,8 @@ class TestSpectralPropagator:
         gen = build_generator(config)
         assert connected_components(gen.matrix != 0.0, connection="strong")[0] == 1
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
-        traj = propagate(gen, p0, config.grid)
-        expected = expm_oracle(gen.matrix, p0, config.grid.points)
+        traj = propagate(gen, p0, config.grid.time_grid)
+        expected = expm_oracle(gen.matrix, p0, config.grid.time_grid.points)
         assert np.abs(traj.state_populations - expected).max() <= 1e-10
 
     def test_negative_spectral_result_falls_back(self):
@@ -356,10 +359,10 @@ class TestSpectralPropagator:
         config = nearly_decomposable(*NEARLY_DECOMPOSABLE[0])
         gen = build_generator(config)
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
-        traj = propagate(gen, p0, config.grid)
+        traj = propagate(gen, p0, config.grid.time_grid)
         assert traj.path == "taylor"
         assert traj.declines == ("symmetric: π range", "eig: negative or NaN")
-        expected = expm_oracle(gen.matrix, p0, config.grid.points)
+        expected = expm_oracle(gen.matrix, p0, config.grid.time_grid.points)
         assert np.abs(traj.state_populations - expected).max() <= 1e-10
 
     def test_ill_conditioned_eigenbasis_falls_back(self, request, monkeypatch):
@@ -369,10 +372,10 @@ class TestSpectralPropagator:
         gen = build_generator(config)
         assert not propagate_module._balanced(gen.matrix, boltzmann_weights(gen))
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
-        traj = propagate(gen, p0, config.grid)
+        traj = propagate(gen, p0, config.grid.time_grid)
         assert (traj.path, traj.declines) == ("taylor", ("symmetric: π range", "eig: cond(V)"))
         assert orbit_count(gen, p0) == 10
-        expected = expm_oracle(gen.matrix, p0, config.grid.points)
+        expected = expm_oracle(gen.matrix, p0, config.grid.time_grid.points)
         assert np.abs(traj.state_populations - expected).max() <= 1e-10
 
     def test_eigenvalue_drift_falls_back(self, request, monkeypatch):
@@ -381,10 +384,10 @@ class TestSpectralPropagator:
         gen = build_generator(config)
         assert not propagate_module._balanced(gen.matrix, boltzmann_weights(gen))  # eig serves it
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
-        traj = propagate(gen, p0, config.grid)
+        traj = propagate(gen, p0, config.grid.time_grid)
         assert (traj.path, traj.declines) == ("taylor", ("symmetric: unbalanced", "eig: drift"))
         assert orbit_count(gen, p0) == 10
-        expected = expm_oracle(gen.matrix, p0, config.grid.points)
+        expected = expm_oracle(gen.matrix, p0, config.grid.time_grid.points)
         assert np.abs(traj.state_populations - expected).max() <= 1e-10
 
     def test_transient_state_falls_back(self):
@@ -392,7 +395,7 @@ class TestSpectralPropagator:
         k = 0.17
         irreversible = two_species_generator(k)
         gen = replace(irreversible, matrix=irreversible.matrix[::-1, ::-1].copy())
-        grid = TimeGrid.linear(0.0, 40.0, 9)
+        grid = GridSpec("linear", 0.0, 40.0, 9).time_grid
         p0 = np.array([0.0, 0.0, 0.0, 1.0])
         traj = propagate(gen, p0, grid)
         assert (traj.path, traj.declines) == ("taylor", ("symmetric: no temperature", "eig: reducible"))
@@ -400,7 +403,7 @@ class TestSpectralPropagator:
         assert traj.species_series("B") == pytest.approx(2.0 * np.exp(-k * np.asarray(grid.points)), rel=1e-12)
 
     def test_time_zero_returns_p0_exactly(self, r1_vsc, r1_vsc_p0):
-        traj = propagate(r1_vsc, r1_vsc_p0, TimeGrid.linear(0.0, 100.0, 5))
+        traj = propagate(r1_vsc, r1_vsc_p0, GridSpec("linear", 0.0, 100.0, 5).time_grid)
         assert traj.path == "symmetric"
         assert np.array_equal(traj.state_populations[0], r1_vsc_p0)
 
@@ -415,7 +418,7 @@ class TestSpectralPropagator:
             config = with_regime(config, kind, kappa=kappa)
         gen = build_generator(config)
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
-        runs = [propagate(gen, p0, grid) for grid in (TimeGrid.linear(0.0, 1000.0, 3), TimeGrid.linear(500.0, 1000.0, 2))]
+        runs = [propagate(gen, p0, TimeGrid(points)) for points in ((0.0, 500.0, 1000.0), (500.0, 1000.0))]
         assert [run.path for run in runs] == [path, path]
         from_zero, later = (run.state_populations for run in runs)
         assert from_zero[0].tobytes() == p0.tobytes()
@@ -435,11 +438,11 @@ class TestTaylorFallback:
         gen = build_generator(config)
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
         t0, doublings = 0.1, 19  # up to 5.2e4 ps, past the default grid
-        grid = TimeGrid(points=(0.0, *(t0 * 2.0 ** np.arange(doublings + 1))), spacing="log")
+        grid = TimeGrid(points=(0.0, *(t0 * 2.0 ** np.arange(doublings + 1))))
         expected = np.vstack([p0, mpmath_doubling_populations(gen.matrix, p0, t0, doublings)])
         traj = propagate(gen, p0, grid)
         assert np.abs(traj.state_populations - expected).max() <= 1e-13
-        default = propagate(gen, p0, config.grid)
+        default = propagate(gen, p0, config.grid.time_grid)
         for populations in (traj.state_populations, default.state_populations):
             assert np.abs(populations.sum(axis=1) - 1.0).max() <= 1e-14
         assert traj.path == default.path == "taylor"
@@ -452,7 +455,7 @@ class TestTaylorFallback:
         eig_sizes = []
         eig = np.linalg.eig
         monkeypatch.setattr(np.linalg, "eig", lambda K: eig_sizes.append(len(K)) or eig(K))
-        traj = propagate(gen, p0, config.grid)
+        traj = propagate(gen, p0, config.grid.time_grid)
         assert (traj.path, traj.declines[-1]) == ("taylor", "eig: reducible")
         assert eig_sizes == []
 
@@ -471,7 +474,7 @@ class TestTaylorFallback:
         p0[0] = 1.0
         times = (0.01, 1.0, 30.0)
         chain = RateMatrix(states=space, matrix=K)
-        traj = propagate(chain, p0, TimeGrid(points=times, spacing="log"))
+        traj = propagate(chain, p0, TimeGrid(points=times))
         assert traj.path == "taylor"
         assert orbit_count(chain, p0) == S * (S + 1) // 2
         for t, populations in zip(times, traj.state_populations):
@@ -511,7 +514,7 @@ class TestTaylorFallback:
             gen.states, initial_distribution(gen.states, config.reactant, config.bath.temperature), gen.temperature
         )
         K = start.lump @ gen.matrix.take(start.members, axis=1)
-        times = TimeGrid.logarithmic(DEFAULT_GRID_START, DEFAULT_GRID_END, MAX_GRID_POINTS).times
+        times = replace(config.grid, points=MAX_GRID_POINTS).time_grid.times
         tracemalloc.start()
         try:
             populations = propagate_module._taylor_populations(K, start, times)
@@ -539,7 +542,7 @@ class TestReversiblePropagator:
         gen = build_generator(config)
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
         t0, doublings = 0.1, 19  # up to 5.2e4 ps, past the default grid
-        grid = TimeGrid(points=(0.0, *(t0 * 2.0 ** np.arange(doublings + 1))), spacing="log")
+        grid = TimeGrid(points=(0.0, *(t0 * 2.0 ** np.arange(doublings + 1))))
         traj = propagate(gen, p0, grid)
         assert (traj.path, traj.declines) == ("symmetric", ())
         expected = np.vstack([p0, mpmath_doubling_populations(gen.matrix, p0, t0, doublings)])
@@ -564,13 +567,13 @@ class TestReversiblePropagator:
     def test_zero_generator_declines(self, r1_vsc, r1_vsc_p0):
         # every eigenvalue is 0, so the second one is not resolved
         zero = RateMatrix(states=r1_vsc.states, matrix=np.zeros((16, 16)), temperature=298.0)
-        traj = propagate(zero, r1_vsc_p0, TimeGrid.linear(0.0, 100.0, 5))
+        traj = propagate(zero, r1_vsc_p0, GridSpec("linear", 0.0, 100.0, 5).time_grid)
         assert (traj.path, traj.declines) == ("taylor", ("symmetric: second mode unresolved", "eig: reducible"))
         assert orbit_count(zero, r1_vsc_p0) == 12
         assert np.abs(traj.state_populations - r1_vsc_p0).max() == 0.0
         # a single state has no second eigenvalue at all
         single = RateMatrix(StateSpace(("A",), (), np.zeros((1, 1, 1)), ()), np.zeros((1, 1)), 298.0)
-        traj = propagate(single, np.ones(1), TimeGrid.linear(0.0, 100.0, 5))
+        traj = propagate(single, np.ones(1), GridSpec("linear", 0.0, 100.0, 5).time_grid)
         assert traj.declines == ("symmetric: second mode unresolved",)
         assert np.array_equal(traj.state_populations, np.ones((5, 1)))
 
@@ -581,7 +584,7 @@ class TestReversiblePropagator:
         gen = build_generator(config)
         assert propagate_module._balanced(gen.matrix, boltzmann_weights(gen))
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
-        traj = propagate(gen, p0, config.grid)  # test_reducible_generators_match_mpmath checks the result
+        traj = propagate(gen, p0, config.grid.time_grid)  # test_reducible_generators_match_mpmath checks the result
         assert (traj.path, traj.declines) == ("taylor", ("symmetric: second mode unresolved", "eig: reducible"))
         assert orbit_count(gen, p0) == orbits
 
@@ -592,14 +595,14 @@ class TestReversiblePropagator:
         assert propagate_module._balanced(gen.matrix, pi)
         assert np.sqrt(pi.max() / pi.min()) > EIGENBASIS_COND_LIMIT
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
-        traj = propagate(gen, p0, config.grid)
+        traj = propagate(gen, p0, config.grid.time_grid)
         assert (traj.path, traj.declines) == ("eig", ("symmetric: π range",))
         assert orbit_count(gen, p0) == 24
-        expected = expm_oracle(gen.matrix, p0, config.grid.points)
+        expected = expm_oracle(gen.matrix, p0, config.grid.time_grid.points)
         assert np.abs(traj.state_populations - expected).max() <= 1e-10
 
     def test_rate_matrix_without_temperature_takes_the_general_path(self, r1_vsc, r1_vsc_p0):
-        grid = TimeGrid.logarithmic(0.1, 5.0e4, 25)
+        grid = GridSpec("log", 0.1, 5.0e4, 25).time_grid
         balanced = propagate(r1_vsc, r1_vsc_p0, grid)
         assert (balanced.path, balanced.declines) == ("symmetric", ())
         hand_built = replace(r1_vsc, temperature=None)
@@ -613,7 +616,7 @@ class TestReversiblePropagator:
 # a trigger for each decline name: scenario (None: two_species_generator), regime kind, config changes,
 # limits patched in propagate, and the path and declines that result
 KAPPA_0 = ("reaction1", "bare", {"kappa": 0.0}, {}, "taylor", ("symmetric: second mode unresolved", "eig: reducible"))
-HUGE_GAMMA = ("reaction1", "bare", {"gamma": 1e160}, {}, "taylor", ("symmetric: rate past 1e154", "eig: negative or NaN"))
+HUGE_GAMMA = ("reaction1", "bare", {"gamma": 1e155}, {}, "taylor", ("symmetric: rate past 1e154", "eig: rate past 1e154"))
 DETUNED = ("reaction1", "weak", {"omega_c": 1800.0})
 DECLINE_TRIGGERS = {
     "symmetric: no temperature": (None, None, {}, {}, "taylor", ("symmetric: no temperature", "eig: reducible")),
@@ -628,7 +631,10 @@ DECLINE_TRIGGERS = {
     "eig: reducible": KAPPA_0,
     "eig: drift": (*DETUNED, {"EIGENVALUE_DRIFT_LIMIT": -np.inf}, "taylor", ("symmetric: unbalanced", "eig: drift")),
     "eig: cond(V)": (*DETUNED, {"EIGENBASIS_COND_LIMIT": 1.0}, "taylor", ("symmetric: π range", "eig: cond(V)")),
-    "eig: negative or NaN": HUGE_GAMMA,
+    "eig: rate past 1e154": HUGE_GAMMA,
+    "eig: negative or NaN": (
+        "reaction1", "bare", {"gamma": 1e30}, {}, "taylor", ("symmetric: second mode unresolved", "eig: negative or NaN")
+    ),
 }
 
 
@@ -639,14 +645,15 @@ class TestPathRecord:
         for limit, value in limits.items():
             monkeypatch.setattr(propagate_module, limit, value)
         if scenario is None:
-            gen, p0, grid = two_species_generator(0.17), np.array([1.0, 0.0, 0.0, 0.0]), TimeGrid.linear(0.0, 40.0, 9)
+            gen, p0 = two_species_generator(0.17), np.array([1.0, 0.0, 0.0, 0.0])
+            grid = GridSpec("linear", 0.0, 40.0, 9).time_grid
         else:
             changes = dict(changes)
             config = bundled_case(request, scenario, kind, changes.pop("omega_c", None))
             if "temperature" in changes:
                 config = replace(config, bath=replace(config.bath, temperature=changes.pop("temperature")))
             config = with_regime(config, kind, **changes)
-            gen, grid = build_generator(config), config.grid
+            gen, grid = build_generator(config), config.grid.time_grid
             p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
         traj = propagate(gen, p0, grid)
         assert name in traj.declines
@@ -671,7 +678,7 @@ class TestExchangeLumping:
         p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
         assert len(p0) == states
         assert np.array_equal(p0[gen.states.exchange], p0)
-        traj = propagate(gen, p0, config.grid)  # test_matches_expm_on_bundled_cases checks the result
+        traj = propagate(gen, p0, config.grid.time_grid)  # test_matches_expm_on_bundled_cases checks the result
         assert traj.path in ("symmetric", "eig")
         assert orbit_count(gen, p0) == orbits
 
@@ -683,10 +690,10 @@ class TestExchangeLumping:
         p0 = np.zeros(len(labels))
         p0[labels.index("A.B|0")] = 0.7  # molecule 2 has already reacted, molecule 1 not
         p0[labels.index("B.C|0")] = 0.3
-        traj = propagate(gen, p0, config.grid)
+        traj = propagate(gen, p0, config.grid.time_grid)
         assert traj.path in ("symmetric", "eig")
         assert orbit_count(gen, p0) == 36
-        expected = expm_oracle(gen.matrix, p0, config.grid.points)
+        expected = expm_oracle(gen.matrix, p0, config.grid.time_grid.points)
         assert np.abs(traj.state_populations - expected).max() <= 1e-10
 
     @pytest.mark.parametrize("scenario", ["reaction1", "reaction2", "reaction3"])
@@ -706,7 +713,7 @@ class TestObservables:
         states = rate_matrix.states
         zero = RateMatrix(states=states, matrix=np.zeros((16, 16)))
         p0 = np.array([1.0 if x == label else 0.0 for x in states.labels()])
-        return propagate(zero, p0, TimeGrid(points=(1.0,), spacing="linear"))
+        return propagate(zero, p0, TimeGrid(points=(1.0,)))
 
     def test_species_population_counts_molecules(self, r1_vsc):
         traj = self.frozen(r1_vsc, "A.B|0")
@@ -726,7 +733,7 @@ class TestObservables:
             traj.normalized_series("Z")
 
     def test_trajectory_species_accounting(self, r1_vsc, r1_vsc_p0):
-        traj = propagate(r1_vsc, r1_vsc_p0, TimeGrid.logarithmic(0.1, 1.0e4, 12))
+        traj = propagate(r1_vsc, r1_vsc_p0, GridSpec("log", 0.1, 1.0e4, 12).time_grid)
         assert traj.species_labels == ("A", "B")
         assert np.array_equal(traj.states.counts().sum(axis=1), np.full(16, 2.0))
         total = traj.species_series("A") + traj.species_series("B")

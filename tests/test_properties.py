@@ -42,15 +42,17 @@ from vsckinetics.cli import main
 from vsckinetics.config import (
     ENERGY_UNITS,
     ConfigError,
+    GridSpec,
     _write_value,
     build_generator,
+    config_fingerprint,
     config_from_dict,
     effective_config_dict,
     export,
     run_scenario,
 )
 from vsckinetics.eigenmodes import REGIME_KINDS, mode_basis
-from vsckinetics.propagate import CONSERVATION_TOL, NEGATIVITY_TOL, TimeGrid, propagate
+from vsckinetics.propagate import CONSERVATION_TOL, NEGATIVITY_TOL, propagate
 from vsckinetics.rates import REACTIVE_CACHE_SIZE, reactive_rates
 from vsckinetics.states import initial_distribution
 from vsckinetics.units import thermal_energy
@@ -177,7 +179,7 @@ def test_cached_parts_are_fresh_builds(raw, data):
 def test_equal_starts_propagate_the_same_bits(raw):
     config = config_from_dict(raw)
     gen = build_generator(config)
-    grid = TimeGrid.logarithmic(0.1, 1.0e3, 5)
+    grid = GridSpec("log", 0.1, 1.0e3, 5).time_grid
     p0 = initial_distribution(gen.states, config.reactant, config.bath.temperature)
     reference = propagate(gen, p0, grid).state_populations.tobytes()
     for same in (p0.tolist(), np.where(p0 == 0.0, -0.0, p0)):
@@ -229,7 +231,9 @@ def test_effective_config_round_trips():
     @given(scenarios())
     def check(raw):
         config = config_from_dict(raw)
-        assert config_from_dict(effective_config_dict(config)) == config
+        rebuilt = config_from_dict(effective_config_dict(config))
+        assert rebuilt == config
+        assert config_fingerprint(rebuilt) == config_fingerprint(config)
         kinds.add((raw.get("energy_unit", "cm-1"), config.grid.spacing))
 
     check()
